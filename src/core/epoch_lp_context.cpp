@@ -103,202 +103,53 @@ void EpochLpContext::invalidate() {
   basis_ = {};
 }
 
-void EpochLpContext::save_state(ckpt::Writer& w) const {
-  w.boolean(have_model_);
-  if (have_model_) {
+template <class Ar, class Self>
+void EpochLpContext::fields(Ar& ar, Self& self) {
+  ar(self.have_model_);
+  if constexpr (Ar::kLoading) {
+    self.key_ = {};
+    self.model_ = {};
+    self.layout_ = {};
+    self.basis_ = {};
+    self.restored_key_pending_ = self.have_model_;
+  }
+  if (self.have_model_) {
     // StructureKey minus the raw pointers (restored null, re-adopted by the
-    // first matching solve).
-    w.size(key_.machine_count);
-    w.size(key_.store_count);
-    w.size(key_.data_count);
-    w.size(key_.jobs.size());
-    for (const std::size_t j : key_.jobs) w.size(j);
-    w.size(key_.excluded_machines.size());
-    for (const std::size_t m : key_.excluded_machines) w.size(m);
-    w.size(key_.excluded_stores.size());
-    for (const std::size_t s : key_.excluded_stores) w.size(s);
-    w.boolean(key_.online);
-    w.boolean(key_.bandwidth_rows);
-    w.boolean(key_.fake_node);
-    w.size(key_.max_candidate_machines);
-    w.size(key_.max_candidate_stores);
-
-    // LpModel via its public surface; rows are already normalized, so the
-    // rebuild on load reproduces the model byte for byte.
-    w.size(model_.num_variables());
-    for (const lp::Variable& v : model_.variables()) {
-      w.f64(v.lower);
-      w.f64(v.upper);
-      w.f64(v.objective);
-      w.str(v.name);
-    }
-    w.size(model_.num_constraints());
-    for (const lp::Constraint& row : model_.constraints()) {
-      w.size(row.entries.size());
-      for (const lp::Entry& e : row.entries) {
-        w.size(e.var);
-        w.f64(e.coeff);
-      }
-      w.u8(static_cast<std::uint8_t>(row.sense));
-      w.f64(row.rhs);
-      w.str(row.name);
-    }
-
-    // ModelLayout.
-    w.size(layout_.dvars.size());
-    for (const detail::DataVar& dv : layout_.dvars) {
-      w.size(dv.lp_var);
-      w.size(dv.data.value());
-      w.size(dv.store.value());
-    }
-    w.size(layout_.tvars.size());
-    for (const detail::TaskVar& tv : layout_.tvars) {
-      w.size(tv.lp_var);
-      w.size(tv.job.value());
-      w.size(tv.machine);
-      w.boolean(tv.store.has_value());
-      w.size(tv.store ? tv.store->value() : 0);
-    }
-    w.size(layout_.tvars_of_job.size());
-    for (const auto& ids : layout_.tvars_of_job) {
-      w.size(ids.size());
-      for (const std::size_t id : ids) w.size(id);
-    }
-    w.size(layout_.rows.size());
-    for (const detail::RowKey& rk : layout_.rows) {
-      w.u8(static_cast<std::uint8_t>(rk.kind));
-      w.size(rk.a);
-      w.size(rk.b);
-      w.size(rk.c);
-    }
-    w.size(layout_.num_variables);
-
-    // Exported simplex basis.
-    w.size(basis_.variables.size());
-    for (const lp::BasisStatus st : basis_.variables)
-      w.u8(static_cast<std::uint8_t>(st));
-    w.size(basis_.slacks.size());
-    for (const lp::BasisStatus st : basis_.slacks)
-      w.u8(static_cast<std::uint8_t>(st));
+    // first matching solve), the model, its layout, and the exported basis.
+    const auto basis_status =
+        ckpt::enums(lp::BasisStatus::Free, "basis status");
+    ar(self.key_.machine_count, self.key_.store_count, self.key_.data_count,
+       ckpt::seq(self.key_.jobs), ckpt::seq(self.key_.excluded_machines),
+       ckpt::seq(self.key_.excluded_stores), self.key_.online,
+       self.key_.bandwidth_rows, self.key_.fake_node,
+       self.key_.max_candidate_machines, self.key_.max_candidate_stores,
+       ckpt::state(self.model_),
+       ckpt::seq(self.layout_.dvars,
+                 [](auto& a, auto& dv) { a(dv.lp_var, dv.data, dv.store); }),
+       ckpt::seq(self.layout_.tvars,
+                 [](auto& a, auto& tv) {
+                   a(tv.lp_var, tv.job, tv.machine, tv.store);
+                 }),
+       ckpt::seq(self.layout_.tvars_of_job,
+                 [](auto& a, auto& ids) { a(ckpt::seq(ids)); }),
+       ckpt::seq(self.layout_.rows,
+                 [](auto& a, auto& rk) {
+                   a(ckpt::enumeration(rk.kind, detail::RowKey::Kind::Linking,
+                                       "row key kind"),
+                     rk.a, rk.b, rk.c);
+                 }),
+       self.layout_.num_variables,
+       ckpt::seq(self.basis_.variables, basis_status),
+       ckpt::seq(self.basis_.slacks, basis_status));
   }
-  w.size(stats_.solves);
-  w.size(stats_.builds);
-  w.size(stats_.model_reuses);
-  w.size(stats_.warm_solves);
-  w.size(stats_.cold_fallbacks);
-  w.size(stats_.pivots);
-  w.size(stats_.repair_pivots);
+  ar(self.stats_.solves, self.stats_.builds, self.stats_.model_reuses,
+     self.stats_.warm_solves, self.stats_.cold_fallbacks, self.stats_.pivots,
+     self.stats_.repair_pivots);
 }
 
-namespace {
+void EpochLpContext::save_state(ckpt::Writer& w) const { fields(w, *this); }
 
-lp::BasisStatus decode_basis_status(std::uint8_t v) {
-  if (v > static_cast<std::uint8_t>(lp::BasisStatus::Free))
-    throw ckpt::SnapshotError("invalid basis status in snapshot");
-  return static_cast<lp::BasisStatus>(v);
-}
-
-}  // namespace
-
-void EpochLpContext::load_state(ckpt::Reader& r) {
-  have_model_ = r.boolean();
-  restored_key_pending_ = false;
-  key_ = {};
-  model_ = {};
-  layout_ = {};
-  basis_ = {};
-  if (have_model_) {
-    key_.cluster = nullptr;
-    key_.workload = nullptr;
-    key_.machine_count = r.size();
-    key_.store_count = r.size();
-    key_.data_count = r.size();
-    key_.jobs.resize(r.size());
-    for (std::size_t& j : key_.jobs) j = r.size();
-    key_.excluded_machines.resize(r.size());
-    for (std::size_t& m : key_.excluded_machines) m = r.size();
-    key_.excluded_stores.resize(r.size());
-    for (std::size_t& s : key_.excluded_stores) s = r.size();
-    key_.online = r.boolean();
-    key_.bandwidth_rows = r.boolean();
-    key_.fake_node = r.boolean();
-    key_.max_candidate_machines = r.size();
-    key_.max_candidate_stores = r.size();
-
-    const std::size_t nvars = r.size();
-    for (std::size_t j = 0; j < nvars; ++j) {
-      const double lower = r.f64();
-      const double upper = r.f64();
-      const double objective = r.f64();
-      std::string name = r.str();
-      model_.add_variable(lower, upper, objective, std::move(name));
-    }
-    const std::size_t nrows = r.size();
-    for (std::size_t i = 0; i < nrows; ++i) {
-      std::vector<lp::Entry> entries(r.size());
-      for (lp::Entry& e : entries) {
-        e.var = r.size();
-        e.coeff = r.f64();
-      }
-      const std::uint8_t sense = r.u8();
-      if (sense > static_cast<std::uint8_t>(lp::Sense::Equal))
-        throw ckpt::SnapshotError("invalid constraint sense in snapshot");
-      const double rhs = r.f64();
-      std::string name = r.str();
-      model_.add_constraint(entries, static_cast<lp::Sense>(sense), rhs,
-                            std::move(name));
-    }
-
-    layout_.dvars.resize(r.size());
-    for (detail::DataVar& dv : layout_.dvars) {
-      dv.lp_var = r.size();
-      dv.data = DataId{r.size()};
-      dv.store = StoreId{r.size()};
-    }
-    layout_.tvars.resize(r.size());
-    for (detail::TaskVar& tv : layout_.tvars) {
-      tv.lp_var = r.size();
-      tv.job = JobId{r.size()};
-      tv.machine = r.size();
-      const bool has_store = r.boolean();
-      const std::size_t store = r.size();
-      tv.store = has_store ? std::optional<StoreId>{StoreId{store}}
-                           : std::nullopt;
-    }
-    layout_.tvars_of_job.resize(r.size());
-    for (auto& ids : layout_.tvars_of_job) {
-      ids.resize(r.size());
-      for (std::size_t& id : ids) id = r.size();
-    }
-    layout_.rows.resize(r.size());
-    for (detail::RowKey& rk : layout_.rows) {
-      const std::uint8_t kind = r.u8();
-      if (kind > static_cast<std::uint8_t>(detail::RowKey::Kind::Linking))
-        throw ckpt::SnapshotError("invalid row key kind in snapshot");
-      rk.kind = static_cast<detail::RowKey::Kind>(kind);
-      rk.a = r.size();
-      rk.b = r.size();
-      rk.c = r.size();
-    }
-    layout_.num_variables = r.size();
-
-    basis_.variables.resize(r.size());
-    for (lp::BasisStatus& st : basis_.variables)
-      st = decode_basis_status(r.u8());
-    basis_.slacks.resize(r.size());
-    for (lp::BasisStatus& st : basis_.slacks)
-      st = decode_basis_status(r.u8());
-
-    restored_key_pending_ = true;
-  }
-  stats_.solves = r.size();
-  stats_.builds = r.size();
-  stats_.model_reuses = r.size();
-  stats_.warm_solves = r.size();
-  stats_.cold_fallbacks = r.size();
-  stats_.pivots = r.size();
-  stats_.repair_pivots = r.size();
-}
+void EpochLpContext::load_state(ckpt::Reader& r) { fields(r, *this); }
 
 LpSchedule EpochLpContext::solve(
     const cluster::Cluster& cluster, const workload::Workload& workload,

@@ -81,6 +81,9 @@ class EpochLpContext {
   void load_state(ckpt::Reader& reader);
 
  private:
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& self);
+
   /// Everything that fixes the *structure* (columns and rows, not values)
   /// of the built model. Two solves with equal keys share a model skeleton.
   struct StructureKey {

@@ -57,192 +57,43 @@ LipsPolicy::LipsPolicy(LipsPolicyOptions options) : options_(options) {
 
 void LipsPolicy::on_epoch(const sched::ClusterState& state) { replan(state); }
 
-void LipsPolicy::save_state(ckpt::Writer& w) const {
-  const auto save_plan = [&w](const std::vector<std::deque<PinnedTask>>& plan) {
-    w.size(plan.size());
-    for (const auto& queue : plan) {
-      w.size(queue.size());
-      for (const PinnedTask& pt : queue) {
-        w.size(pt.task);
-        w.boolean(pt.store.has_value());
-        w.size(pt.store ? pt.store->value() : 0);
-        w.size(pt.gates.size());
-        for (const std::size_t g : pt.gates) w.size(g);
-      }
-    }
+template <class Ar, class Self>
+void LipsPolicy::fields(Ar& ar, Self& self) {
+  const auto plan = [](auto& a, auto& queue) {
+    a(ckpt::seq(queue, [](auto& b, auto& pt) {
+      b(pt.task, pt.store, ckpt::seq(pt.gates));
+    }));
   };
-  const auto save_gates = [&w](const std::vector<Gate>& gates) {
-    w.size(gates.size());
-    for (const Gate& g : gates) {
-      w.size(g.data.value());
-      w.size(g.store.value());
-      w.f64(g.required_fraction);
-    }
+  const auto gate = [](auto& a, auto& g) {
+    a(g.data, g.store, g.required_fraction);
   };
-  const auto save_sorted_set = [&w](const std::unordered_set<std::size_t>& s) {
-    std::vector<std::size_t> v(s.begin(), s.end());
-    std::sort(v.begin(), v.end());
-    w.size(v.size());
-    for (const std::size_t x : v) w.size(x);
-  };
-
-  save_plan(plan_);
-  save_gates(gates_);
-  w.size(moves_.size());
-  for (const sched::DataMove& mv : moves_) {
-    w.size(mv.data.value());
-    w.size(mv.from.value());
-    w.size(mv.to.value());
-    w.f64(mv.fraction);
-  }
-  save_sorted_set(doomed_);
-  save_sorted_set(quarantined_);
-  {
-    std::vector<std::pair<std::size_t, std::size_t>> ages(
-        quarantine_age_.begin(), quarantine_age_.end());
-    std::sort(ages.begin(), ages.end());
-    w.size(ages.size());
-    for (const auto& [machine, age] : ages) {
-      w.size(machine);
-      w.size(age);
-    }
-  }
-
-  lp_context_.save_state(w);
-
-  w.size(lp_solves_);
-  w.size(lp_failures_);
-  w.size(lp_fallbacks_);
-  w.size(off_cycle_resolves_);
-  w.size(lp_iterations_);
-  w.size(lp_warm_solves_);
-  w.size(lp_model_reuses_);
-  w.size(lp_cold_fallbacks_);
-  w.size(lp_repair_iterations_);
-  w.size(quarantine_exclusions_);
-  w.size(quarantine_probes_);
-  w.f64(planned_cost_mc_.raw());
-  w.f64(fake_node_carry_mc_.raw());
-
-  for (const std::size_t count : rung_counts_) w.size(count);
-  w.size(last_ladder_.size());
-  for (const DegradationRung rung : last_ladder_)
-    w.u8(static_cast<std::uint8_t>(rung));
-  w.size(schedules_validated_);
-  w.size(validation_failures_);
-  w.size(plan_reuses_);
-  w.size(solver_exceptions_);
-  w.boolean(resilience_metrics_registered_);
-  save_plan(last_good_plan_);
-  save_gates(last_good_gates_);
-
-  const lp::SolverFaultInjector* injector =
-      options_.model.solver_options.fault_injector;
-  w.boolean(injector != nullptr);
-  if (injector != nullptr) injector->save_state(w);
+  ar(ckpt::seq(self.plan_, plan), ckpt::seq(self.gates_, gate),
+     ckpt::seq(self.moves_,
+               [](auto& a, auto& mv) {
+                 a(mv.data, mv.from, mv.to, mv.fraction);
+               }),
+     ckpt::sorted(self.doomed_), ckpt::sorted(self.quarantined_),
+     ckpt::sorted(self.quarantine_age_), ckpt::state(self.lp_context_),
+     self.lp_solves_, self.lp_failures_, self.lp_fallbacks_,
+     self.off_cycle_resolves_, self.lp_iterations_, self.lp_warm_solves_,
+     self.lp_model_reuses_, self.lp_cold_fallbacks_,
+     self.lp_repair_iterations_, self.quarantine_exclusions_,
+     self.quarantine_probes_, self.planned_cost_mc_, self.fake_node_carry_mc_,
+     self.rung_counts_,
+     ckpt::seq(self.last_ladder_, ckpt::enums(DegradationRung::ReuseLastPlan,
+                                              "degradation rung")),
+     self.schedules_validated_, self.validation_failures_, self.plan_reuses_,
+     self.solver_exceptions_, self.resilience_metrics_registered_,
+     ckpt::seq(self.last_good_plan_, plan),
+     ckpt::seq(self.last_good_gates_, gate),
+     ckpt::section(self.options_.model.solver_options.fault_injector,
+                   "snapshot carries solver-fault-injector state but the "
+                   "restored policy has no injector installed"));
 }
 
-void LipsPolicy::load_state(ckpt::Reader& r) {
-  const auto load_plan = [&r](std::vector<std::deque<PinnedTask>>& plan) {
-    plan.clear();
-    plan.resize(r.size());
-    for (auto& queue : plan) {
-      const std::size_t n = r.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        PinnedTask pt;
-        pt.task = r.size();
-        const bool has_store = r.boolean();
-        const std::size_t store = r.size();
-        pt.store = has_store ? std::optional<StoreId>{StoreId{store}}
-                             : std::nullopt;
-        pt.gates.resize(r.size());
-        for (std::size_t& g : pt.gates) g = r.size();
-        queue.push_back(std::move(pt));
-      }
-    }
-  };
-  const auto load_gates = [&r](std::vector<Gate>& gates) {
-    gates.clear();
-    gates.resize(r.size());
-    for (Gate& g : gates) {
-      g.data = DataId{r.size()};
-      g.store = StoreId{r.size()};
-      g.required_fraction = r.f64();
-    }
-  };
-  const auto load_set = [&r](std::unordered_set<std::size_t>& s) {
-    s.clear();
-    const std::size_t n = r.size();
-    for (std::size_t i = 0; i < n; ++i) s.insert(r.size());
-  };
+void LipsPolicy::save_state(ckpt::Writer& w) const { fields(w, *this); }
 
-  load_plan(plan_);
-  load_gates(gates_);
-  moves_.clear();
-  moves_.resize(r.size());
-  for (sched::DataMove& mv : moves_) {
-    mv.data = DataId{r.size()};
-    mv.from = StoreId{r.size()};
-    mv.to = StoreId{r.size()};
-    mv.fraction = r.f64();
-  }
-  load_set(doomed_);
-  load_set(quarantined_);
-  quarantine_age_.clear();
-  {
-    const std::size_t n = r.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t machine = r.size();
-      quarantine_age_[machine] = r.size();
-    }
-  }
-
-  lp_context_.load_state(r);
-
-  lp_solves_ = r.size();
-  lp_failures_ = r.size();
-  lp_fallbacks_ = r.size();
-  off_cycle_resolves_ = r.size();
-  lp_iterations_ = r.size();
-  lp_warm_solves_ = r.size();
-  lp_model_reuses_ = r.size();
-  lp_cold_fallbacks_ = r.size();
-  lp_repair_iterations_ = r.size();
-  quarantine_exclusions_ = r.size();
-  quarantine_probes_ = r.size();
-  planned_cost_mc_ = Millicents::from_raw(r.f64());
-  fake_node_carry_mc_ = Millicents::from_raw(r.f64());
-
-  for (std::size_t& count : rung_counts_) count = r.size();
-  last_ladder_.clear();
-  {
-    const std::size_t n = r.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint8_t rung = r.u8();
-      if (rung >= kNumDegradationRungs)
-        throw ckpt::SnapshotError("invalid degradation rung in snapshot");
-      last_ladder_.push_back(static_cast<DegradationRung>(rung));
-    }
-  }
-  schedules_validated_ = r.size();
-  validation_failures_ = r.size();
-  plan_reuses_ = r.size();
-  solver_exceptions_ = r.size();
-  resilience_metrics_registered_ = r.boolean();
-  load_plan(last_good_plan_);
-  load_gates(last_good_gates_);
-
-  const bool had_injector = r.boolean();
-  lp::SolverFaultInjector* injector =
-      options_.model.solver_options.fault_injector;
-  if (had_injector) {
-    if (injector == nullptr)
-      throw ckpt::SnapshotError(
-          "snapshot carries solver-fault-injector state but the restored "
-          "policy has no injector installed");
-    injector->load_state(r);
-  }
-}
+void LipsPolicy::load_state(ckpt::Reader& r) { fields(r, *this); }
 
 void LipsPolicy::on_machine_lost(MachineId machine,
                                  const sched::ClusterState& state) {

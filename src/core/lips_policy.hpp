@@ -222,6 +222,9 @@ class LipsPolicy : public sched::Scheduler {
   [[nodiscard]] double decision_time(const sched::ClusterState& state) const {
     return options_.clock != nullptr ? options_.clock->now_s() : state.now();
   }
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& self);
+
   /// Rebuild the plan from the current queue (epoch tick or fault).
   void replan(const sched::ClusterState& state);
   /// Fill model.machine_throughput_factor from observed throughput and mark

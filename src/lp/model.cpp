@@ -101,6 +101,37 @@ std::size_t LpModel::add_constraint(std::span<const Entry> entries, Sense sense,
   return constraints_.size() - 1;
 }
 
+template <class Ar, class Self>
+void LpModel::fields(Ar& ar, Self& self) {
+  const auto entry = [](auto& a, auto& e) { a(e.var, e.coeff); };
+  ar(ckpt::seq(self.variables_,
+               [](auto& a, auto& v) {
+                 a(v.lower, v.upper, v.objective, v.name);
+               }),
+     ckpt::seq(self.constraints_, [&entry](auto& a, auto& row) {
+       a(ckpt::seq(row.entries, entry),
+         ckpt::enumeration(row.sense, Sense::Equal, "constraint sense"),
+         row.rhs, row.name);
+     }));
+}
+
+void LpModel::save_state(ckpt::Writer& w) const { fields(w, *this); }
+
+void LpModel::load_state(ckpt::Reader& r) {
+  LpModel decoded;
+  fields(r, decoded);
+  *this = {};
+  try {
+    for (Variable& v : decoded.variables_)
+      add_variable(v.lower, v.upper, v.objective, std::move(v.name));
+    for (Constraint& row : decoded.constraints_)
+      add_constraint(row.entries, row.sense, row.rhs, std::move(row.name));
+  } catch (const PreconditionError& e) {
+    throw ckpt::SnapshotError(std::string("snapshot LP model is invalid: ") +
+                              e.what());
+  }
+}
+
 void LpModel::set_rhs(std::size_t row, double rhs) {
   LIPS_REQUIRE(row < constraints_.size(), "constraint index out of range");
   if (!std::isfinite(rhs))

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/codec.hpp"
 #include "common/error.hpp"
 
 namespace lips::lp {
@@ -111,7 +112,17 @@ class LpModel {
   /// Useful for tests and for validating solver output independently.
   [[nodiscard]] double max_violation(std::span<const double> x) const;
 
+  /// Checkpoint hooks (DESIGN.md §11). Rows are saved normalized, so the
+  /// load re-adds every variable and row through add_variable/
+  /// add_constraint — the same checks a fresh build runs — and reproduces
+  /// the model byte for byte.
+  void save_state(ckpt::Writer& w) const;
+  void load_state(ckpt::Reader& r);
+
  private:
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& self);
+
   std::vector<Variable> variables_;
   std::vector<Constraint> constraints_;
   std::size_t nonzeros_ = 0;

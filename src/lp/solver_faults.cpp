@@ -1,6 +1,5 @@
 #include "lp/solver_faults.hpp"
 
-#include <array>
 #include <limits>
 
 #include "common/error.hpp"
@@ -102,47 +101,23 @@ bool SolverFaultInjector::fail_refactorize() {
   return true;
 }
 
+template <class Ar, class Self>
+void SolverFaultInjector::fields(Ar& ar, Self& self) {
+  ar(ckpt::via(self.rng_, &Rng::state, &Rng::set_state),
+     self.stats_.solves_seen, self.stats_.objective_nans,
+     self.stats_.rhs_nans, self.stats_.rhs_infs, self.stats_.objective_huges,
+     self.stats_.bases_corrupted, self.stats_.refactor_failures,
+     self.stats_.budgets_starved, self.arm_nan_, self.nan_targets_cost_,
+     self.arm_inf_, self.arm_huge_, self.arm_basis_, self.arm_refactor_,
+     self.arm_budget_, self.budget_counted_);
+}
+
 void SolverFaultInjector::save_state(ckpt::Writer& writer) const {
-  const auto& s = rng_.state();
-  for (const std::uint64_t word : s) writer.u64(word);
-  writer.size(stats_.solves_seen);
-  writer.size(stats_.objective_nans);
-  writer.size(stats_.rhs_nans);
-  writer.size(stats_.rhs_infs);
-  writer.size(stats_.objective_huges);
-  writer.size(stats_.bases_corrupted);
-  writer.size(stats_.refactor_failures);
-  writer.size(stats_.budgets_starved);
-  writer.boolean(arm_nan_);
-  writer.boolean(nan_targets_cost_);
-  writer.boolean(arm_inf_);
-  writer.boolean(arm_huge_);
-  writer.boolean(arm_basis_);
-  writer.boolean(arm_refactor_);
-  writer.boolean(arm_budget_);
-  writer.boolean(budget_counted_);
+  fields(writer, *this);
 }
 
 void SolverFaultInjector::load_state(ckpt::Reader& reader) {
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& word : s) word = reader.u64();
-  rng_.set_state(s);
-  stats_.solves_seen = reader.size();
-  stats_.objective_nans = reader.size();
-  stats_.rhs_nans = reader.size();
-  stats_.rhs_infs = reader.size();
-  stats_.objective_huges = reader.size();
-  stats_.bases_corrupted = reader.size();
-  stats_.refactor_failures = reader.size();
-  stats_.budgets_starved = reader.size();
-  arm_nan_ = reader.boolean();
-  nan_targets_cost_ = reader.boolean();
-  arm_inf_ = reader.boolean();
-  arm_huge_ = reader.boolean();
-  arm_basis_ = reader.boolean();
-  arm_refactor_ = reader.boolean();
-  arm_budget_ = reader.boolean();
-  budget_counted_ = reader.boolean();
+  fields(reader, *this);
 }
 
 std::size_t SolverFaultInjector::cap_budget(std::size_t iterations_done,

@@ -143,6 +143,9 @@ class SolverFaultInjector {
   void load_state(ckpt::Reader& reader);
 
  private:
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& self);
+
   SolverFaultConfig config_;
   Rng rng_;
   Stats stats_;

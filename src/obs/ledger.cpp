@@ -102,4 +102,23 @@ CostLedger::Reconciliation CostLedger::reconcile(
   return rec;
 }
 
+template <class Ar, class Self>
+void CostLedger::fields(Ar& ar, Self& self) {
+  ar(self.epoch_, self.totals_,
+     ckpt::sorted(self.cells_,
+                  [](auto& a, auto& cell) {
+                    auto& key = cell.first;
+                    a(key.epoch, key.job, key.machine,
+                      ckpt::enumeration(key.category,
+                                        CostCategory::FakeNodeCarry,
+                                        "cost category"),
+                      cell.second);
+                  }),
+     self.posts_);
+}
+
+void CostLedger::save_state(ckpt::Writer& w) const { fields(w, *this); }
+
+void CostLedger::load_state(ckpt::Reader& r) { fields(r, *this); }
+
 }  // namespace lips::obs

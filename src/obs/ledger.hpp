@@ -34,6 +34,7 @@
 #include <limits>
 #include <map>
 
+#include "ckpt/codec.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/units.hpp"
 
@@ -132,20 +133,17 @@ class LIPS_EXTERNALLY_SYNCHRONIZED CostLedger {
   /// simulator's accumulators. `ok` iff every meter matches exactly.
   [[nodiscard]] Reconciliation reconcile(const BilledTotals& billed) const;
 
-  /// Overwrite the entire ledger state (checkpoint restore, DESIGN.md §11).
-  /// The caller supplies exactly what a snapshot captured: the running
-  /// totals keep their bit pattern, so a resumed run's subsequent `+=`
-  /// chain still reconciles with `==` against the simulator's accumulators.
-  void restore(std::size_t epoch,
-               const std::array<Millicents, kMeterCount>& totals,
-               std::map<CellKey, Millicents> cells, std::size_t posts) {
-    epoch_ = epoch;
-    totals_ = totals;
-    cells_ = std::move(cells);
-    posts_ = posts;
-  }
+  /// Checkpoint hooks (DESIGN.md §11), shared by the simulator and lipsd
+  /// sessions. Loading overwrites the entire ledger; the running totals
+  /// keep their bit patterns, so a resumed run's subsequent `+=` chain
+  /// still reconciles with `==` against the simulator's accumulators.
+  void save_state(ckpt::Writer& w) const;
+  void load_state(ckpt::Reader& r);
 
  private:
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& self);
+
   std::size_t epoch_ = 0;
   std::array<Millicents, kMeterCount> totals_{};
   std::map<CellKey, Millicents> cells_;

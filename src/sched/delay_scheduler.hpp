@@ -12,10 +12,7 @@
 // after `zone_delay_s` total it accepts an arbitrary remote slot.
 #pragma once
 
-#include <algorithm>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "sched/fifo_scheduler.hpp"
 
@@ -38,27 +35,15 @@ class DelayScheduler : public FifoLocalityScheduler {
                         const ClusterState& state) override;
 
   // Checkpoint hooks (DESIGN.md §11): the wait clocks are decision state.
-  void save_state(ckpt::Writer& w) const override {
-    std::vector<std::pair<std::size_t, double>> waits(
-        wait_since_.begin(),  // lips-lint: allow(unordered-iteration)
-        wait_since_.end());   // sorted-copy idiom: order fixed by the sort
-    std::sort(waits.begin(), waits.end());
-    w.size(waits.size());
-    for (const auto& [job, since] : waits) {
-      w.size(job);
-      w.f64(since);
-    }
-  }
-  void load_state(ckpt::Reader& r) override {
-    wait_since_.clear();
-    const std::size_t n = r.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t job = r.size();
-      wait_since_[job] = r.f64();
-    }
-  }
+  void save_state(ckpt::Writer& w) const override { fields(w, *this); }
+  void load_state(ckpt::Reader& r) override { fields(r, *this); }
 
  private:
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& self) {
+    ar(ckpt::sorted(self.wait_since_));
+  }
+
   /// Max locality level job `j` currently accepts (0 node, 1 zone, 2 any).
   [[nodiscard]] int allowed_level(std::size_t job, double now) const;
 

@@ -11,11 +11,8 @@
 // locality preference as the default scheduler.
 #pragma once
 
-#include <algorithm>
 #include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "sched/fifo_scheduler.hpp"
 
@@ -38,77 +35,16 @@ class FairScheduler : public FifoLocalityScheduler {
                         const ClusterState& state) override;
 
   // Checkpoint hooks (DESIGN.md §11): pool bookkeeping is decision state.
-  // Unordered maps are serialized in sorted key order.
-  void save_state(ckpt::Writer& w) const override {
-    {
-      std::vector<std::pair<std::size_t, std::string>> v(
-          pool_assignment_.begin(),  // lips-lint: allow(unordered-iteration)
-          pool_assignment_.end());
-      std::sort(v.begin(), v.end());
-      w.size(v.size());
-      for (const auto& [job, pool] : v) {
-        w.size(job);
-        w.str(pool);
-      }
-    }
-    {
-      std::vector<std::pair<std::string, double>> v(
-          pool_weight_.begin(),  // lips-lint: allow(unordered-iteration)
-          pool_weight_.end());
-      std::sort(v.begin(), v.end());
-      w.size(v.size());
-      for (const auto& [pool, weight] : v) {
-        w.str(pool);
-        w.f64(weight);
-      }
-    }
-    {
-      std::vector<std::pair<std::string, std::size_t>> v(
-          running_.begin(),  // lips-lint: allow(unordered-iteration)
-          running_.end());
-      std::sort(v.begin(), v.end());
-      w.size(v.size());
-      for (const auto& [pool, count] : v) {
-        w.str(pool);
-        w.size(count);
-      }
-    }
-    {
-      std::vector<std::pair<std::size_t, std::string>> v(
-          task_pool_.begin(),  // lips-lint: allow(unordered-iteration)
-          task_pool_.end());
-      std::sort(v.begin(), v.end());
-      w.size(v.size());
-      for (const auto& [task, pool] : v) {
-        w.size(task);
-        w.str(pool);
-      }
-    }
-  }
-  void load_state(ckpt::Reader& r) override {
-    pool_assignment_.clear();
-    for (std::size_t i = 0, n = r.size(); i < n; ++i) {
-      const std::size_t job = r.size();
-      pool_assignment_[job] = r.str();
-    }
-    pool_weight_.clear();
-    for (std::size_t i = 0, n = r.size(); i < n; ++i) {
-      std::string pool = r.str();
-      pool_weight_[std::move(pool)] = r.f64();
-    }
-    running_.clear();
-    for (std::size_t i = 0, n = r.size(); i < n; ++i) {
-      std::string pool = r.str();
-      running_[std::move(pool)] = r.size();
-    }
-    task_pool_.clear();
-    for (std::size_t i = 0, n = r.size(); i < n; ++i) {
-      const std::size_t task = r.size();
-      task_pool_[task] = r.str();
-    }
-  }
+  void save_state(ckpt::Writer& w) const override { fields(w, *this); }
+  void load_state(ckpt::Reader& r) override { fields(r, *this); }
 
  private:
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& self) {
+    ar(ckpt::sorted(self.pool_assignment_), ckpt::sorted(self.pool_weight_),
+       ckpt::sorted(self.running_), ckpt::sorted(self.task_pool_));
+  }
+
   [[nodiscard]] std::string pool_of(JobId job) const;
 
   std::unordered_map<std::size_t, std::string> pool_assignment_;

@@ -51,43 +51,24 @@ class QuincyFlowScheduler : public Scheduler {
 
   // Checkpoint hooks (DESIGN.md §11): the per-machine pin queues and the
   // planned-cost accumulator are decision state.
-  void save_state(ckpt::Writer& w) const override {
-    w.size(plan_.size());
-    for (const auto& queue : plan_) {
-      w.size(queue.size());
-      for (const Pinned& p : queue) {
-        w.size(p.task);
-        w.boolean(p.store.has_value());
-        w.size(p.store ? p.store->value() : 0);
-      }
-    }
-    w.size(rounds_);
-    w.f64(planned_cost_mc_.raw());
-  }
-  void load_state(ckpt::Reader& r) override {
-    plan_.clear();
-    plan_.resize(r.size());
-    for (auto& queue : plan_) {
-      const std::size_t n = r.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        Pinned p;
-        p.task = r.size();
-        const bool has_store = r.boolean();
-        const std::size_t store = r.size();
-        p.store =
-            has_store ? std::optional<StoreId>{StoreId{store}} : std::nullopt;
-        queue.push_back(p);
-      }
-    }
-    rounds_ = r.size();
-    planned_cost_mc_ = Millicents::from_raw(r.f64());
-  }
+  void save_state(ckpt::Writer& w) const override { fields(w, *this); }
+  void load_state(ckpt::Reader& r) override { fields(r, *this); }
 
  private:
   struct Pinned {
     std::size_t task;
     std::optional<StoreId> store;
   };
+
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& self) {
+    const auto pinned = [](auto& a, auto& p) { a(p.task, p.store); };
+    ar(ckpt::seq(self.plan_,
+                 [&pinned](auto& a, auto& queue) {
+                   a(ckpt::seq(queue, pinned));
+                 }),
+       self.rounds_, self.planned_cost_mc_);
+  }
 
   Options options_;
   std::vector<std::deque<Pinned>> plan_;  // per machine

@@ -1,7 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -1505,499 +1504,131 @@ class Engine final : public ClusterState {
     }
   }
 
-  static void require_guard(std::size_t got, std::size_t want,
-                            const char* what) {
-    if (got != want)
-      throw ckpt::SnapshotError(std::string("snapshot topology mismatch: ") +
-                                what + " is " + std::to_string(got) +
-                                ", engine has " + std::to_string(want));
-  }
+  void save_state(ckpt::Writer& w) const { fields(w, *this); }
+  void load_state(ckpt::Reader& r) { fields(r, *this); }
 
-  /// Serialize every mutable field, in exactly the order load_state reads
-  /// them. Constructor-derived immutable state (tasks, job order, slot
-  /// totals) is not written; the guard prefix lets load_state reject a
-  /// snapshot taken under a different cluster/workload before it overwrites
-  /// anything.
-  void save_state(ckpt::Writer& w) const {
-    w.size(tasks_.size());
-    w.size(c_.machine_count());
-    w.size(c_.store_count());
-    w.size(w_.job_count());
-    w.size(w_.data_count());
+  /// Every mutable field, listed once for save_state and load_state.
+  /// Constructor-derived immutable state (tasks, job order, slot totals) is
+  /// not written; the topology guards lead, so a snapshot taken under a
+  /// different cluster/workload is refused before anything is overwritten.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& self) {
+    ar(ckpt::guard(self.tasks_.size(), "task count"),
+       ckpt::guard(self.c_.machine_count(), "machine count"),
+       ckpt::guard(self.c_.store_count(), "store count"),
+       ckpt::guard(self.w_.job_count(), "job count"),
+       ckpt::guard(self.w_.data_count(), "data object count"));
 
-    w.f64(now_);
-    w.u64(seq_);
-    w.size(poll_offset_);
-    w.size(ckpt_ticks_);
-    w.size(done_tasks_);
-    w.size(local_reads_);
-    w.size(data_reads_);
-    w.size(lost_tasks_);
-    w.u64(digest_.digest());
+    ar(self.now_, self.seq_, self.poll_offset_, self.ckpt_ticks_,
+       self.done_tasks_, self.local_reads_, self.data_reads_,
+       self.lost_tasks_,
+       ckpt::via(self.digest_, &ckpt::Fnv1a64::digest,
+                 &ckpt::Fnv1a64::reset),
+       ckpt::sorted(self.events_,
+                    [](auto& a, auto& e) {
+                      a(e.time, e.seq,
+                        ckpt::enumeration(e.kind, EventKind::CheckpointTick,
+                                          "simulator event kind"),
+                        e.payload);
+                    }),
+       ckpt::fixed(self.status_, ckpt::enums(TaskStatus::Lost, "task status")),
+       ckpt::fixed(self.retries_),
+       ckpt::fixed(self.running_of_task_,
+                   [](auto& a, auto& copies) { a(ckpt::seq(copies)); }),
+       ckpt::seq(self.pending_),
+       ckpt::fixed(self.presence_,
+                   [](auto& a, auto& row) { a(ckpt::sorted(row)); }),
+       ckpt::fixed(self.slots_free_), ckpt::fixed(self.job_remaining_),
+       ckpt::fixed(self.preds_remaining_), ckpt::fixed(self.arrival_passed_),
+       ckpt::fixed(self.activated_),
+       ckpt::fixed(self.job_machine_work_,
+                   [](auto& a, auto& row) { a(ckpt::fixed(row)); }));
 
-    {
-      auto queue = events_;  // drain a copy: pops in deterministic order
-      w.size(queue.size());
-      while (!queue.empty()) {
-        const Event& e = queue.top();
-        w.f64(e.time);
-        w.u64(e.seq);
-        w.u8(static_cast<std::uint8_t>(e.kind));
-        w.size(e.payload);
-        queue.pop();
-      }
-    }
+    ar(ckpt::seq(self.instances_,
+                 [](auto& a, auto& inst) {
+                   a(inst.task, inst.machine, inst.store, inst.start,
+                     inst.finish, inst.full_duration, inst.exec_cost_mc,
+                     inst.read_cost_mc, inst.progress, inst.billed_frac,
+                     inst.last_update, inst.rate, inst.ever_retimed,
+                     inst.speculative, inst.cancelled, inst.timeout_kill,
+                     inst.settled);
+                 }),
+       ckpt::seq(self.active_instances_),
+       ckpt::seq(self.moves_,
+                 [](auto& a, auto& mv) {
+                   a(mv.data, mv.from, mv.to, mv.fraction, mv.start_s,
+                     mv.duration_s, mv.cost_mc, mv.finished, mv.aborted);
+                 }));
 
-    for (const TaskStatus s : status_) w.u8(static_cast<std::uint8_t>(s));
-    for (const std::size_t n : retries_) w.size(n);
-    for (const auto& copies : running_of_task_) {
-      w.size(copies.size());
-      for (const std::size_t iid : copies) w.size(iid);
-    }
-    w.size(pending_.size());
-    for (const std::size_t id : pending_) w.size(id);
-    for (const auto& row : presence_) {
-      w.size(row.size());
-      for (const auto& [store, fraction] : row) {
-        w.size(store);
-        w.f64(fraction);
-      }
-    }
-    for (const int free : slots_free_)
-      w.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(free)));
-    for (const std::size_t n : job_remaining_) w.size(n);
-    for (const std::size_t n : preds_remaining_) w.size(n);
-    for (std::size_t j = 0; j < arrival_passed_.size(); ++j)
-      w.boolean(arrival_passed_[j]);
-    for (std::size_t j = 0; j < activated_.size(); ++j)
-      w.boolean(activated_[j]);
-    for (const auto& row : job_machine_work_)
-      for (const double v : row) w.f64(v);
+    ar(ckpt::seq(self.fault_events_,
+                 [](auto& a, auto& e) {
+                   a(ckpt::enumeration(e.kind,
+                                       FaultEvent::Kind::MachineSlowdown,
+                                       "fault event kind"),
+                     e.time_s, e.machine, e.store, e.duration_s, e.warning_s,
+                     e.factor);
+                 }),
+       ckpt::fixed(self.machine_up_), ckpt::fixed(self.machine_gone_),
+       ckpt::fixed(self.down_since_), ckpt::fixed(self.link_factor_),
+       ckpt::fixed(self.cpu_factor_), ckpt::fixed(self.slow_depth_),
+       ckpt::fixed(self.slow_since_), ckpt::fixed(self.tp_ewma_),
+       ckpt::fixed(self.store_gone_), ckpt::fixed(self.fault_kills_),
+       ckpt::fixed(self.job_aborted_));
 
-    w.size(instances_.size());
-    for (const Instance& inst : instances_) {
-      w.size(inst.task);
-      w.size(inst.machine);
-      w.boolean(inst.store.has_value());
-      w.size(inst.store ? inst.store->value() : 0);
-      w.f64(inst.start);
-      w.f64(inst.finish);
-      w.f64(inst.full_duration);
-      w.f64(inst.exec_cost_mc.raw());
-      w.f64(inst.read_cost_mc.raw());
-      w.f64(inst.progress);
-      w.f64(inst.billed_frac);
-      w.f64(inst.last_update);
-      w.f64(inst.rate);
-      w.boolean(inst.ever_retimed);
-      w.boolean(inst.speculative);
-      w.boolean(inst.cancelled);
-      w.boolean(inst.timeout_kill);
-      w.boolean(inst.settled);
-    }
-    w.size(active_instances_.size());
-    for (const std::size_t iid : active_instances_) w.size(iid);
+    result_fields(ar, self.result_);
+    ar(ckpt::state(self.policy_),
+       ckpt::section(self.ledger_,
+                     "snapshot carries ledger state but no ledger is "
+                     "attached: attach a fresh obs::CostLedger before "
+                     "restoring"));
 
-    w.size(moves_.size());
-    for (const PendingMove& mv : moves_) {
-      w.size(mv.data.value());
-      w.size(mv.from.value());
-      w.size(mv.to.value());
-      w.f64(mv.fraction);
-      w.f64(mv.start_s);
-      w.f64(mv.duration_s);
-      w.f64(mv.cost_mc.raw());
-      w.boolean(mv.finished);
-      w.boolean(mv.aborted);
-    }
-
-    w.size(fault_events_.size());
-    for (const FaultEvent& e : fault_events_) {
-      w.u8(static_cast<std::uint8_t>(e.kind));
-      w.f64(e.time_s);
-      w.size(e.machine);
-      w.size(e.store);
-      w.f64(e.duration_s);
-      w.f64(e.warning_s);
-      w.f64(e.factor);
-    }
-    for (const char up : machine_up_) w.boolean(up != 0);
-    for (const char gone : machine_gone_) w.boolean(gone != 0);
-    for (const double v : down_since_) w.f64(v);
-    for (const double v : link_factor_) w.f64(v);
-    for (const double v : cpu_factor_) w.f64(v);
-    for (const std::size_t d : slow_depth_) w.size(d);
-    for (const double v : slow_since_) w.f64(v);
-    for (const double v : tp_ewma_) w.f64(v);
-    for (const char gone : store_gone_) w.boolean(gone != 0);
-    for (const std::size_t k : fault_kills_) w.size(k);
-    for (const char aborted : job_aborted_) w.boolean(aborted != 0);
-
-    save_result(w);
-    policy_.save_state(w);
-    save_ledger(w);
-    save_metrics(w);
-  }
-
-  void load_state(ckpt::Reader& r) {
-    require_guard(r.size(), tasks_.size(), "task count");
-    require_guard(r.size(), c_.machine_count(), "machine count");
-    require_guard(r.size(), c_.store_count(), "store count");
-    require_guard(r.size(), w_.job_count(), "job count");
-    require_guard(r.size(), w_.data_count(), "data object count");
-
-    now_ = r.f64();
-    seq_ = r.u64();
-    poll_offset_ = r.size();
-    ckpt_ticks_ = r.size();
-    done_tasks_ = r.size();
-    local_reads_ = r.size();
-    data_reads_ = r.size();
-    lost_tasks_ = r.size();
-    digest_.reset(r.u64());
-
-    events_ = {};
-    const std::size_t num_events = r.size();
-    for (std::size_t i = 0; i < num_events; ++i) {
-      Event e;
-      e.time = r.f64();
-      e.seq = r.u64();
-      const std::uint8_t kind = r.u8();
-      if (kind > static_cast<std::uint8_t>(EventKind::CheckpointTick))
-        throw ckpt::SnapshotError("unknown simulator event kind");
-      e.kind = static_cast<EventKind>(kind);
-      e.payload = r.size();
-      events_.push(e);
-    }
-
-    for (TaskStatus& s : status_) {
-      const std::uint8_t v = r.u8();
-      if (v > static_cast<std::uint8_t>(TaskStatus::Lost))
-        throw ckpt::SnapshotError("unknown task status");
-      s = static_cast<TaskStatus>(v);
-    }
-    for (std::size_t& n : retries_) n = r.size();
-    for (auto& copies : running_of_task_) {
-      copies.assign(r.size(), 0);
-      for (std::size_t& iid : copies) iid = r.size();
-    }
-    pending_.assign(r.size(), 0);
-    for (std::size_t& id : pending_) id = r.size();
-    for (auto& row : presence_) {
-      row.clear();
-      const std::size_t n = r.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t store = r.size();
-        row[store] = r.f64();
-      }
-    }
-    for (int& free : slots_free_)
-      free = static_cast<int>(static_cast<std::int64_t>(r.u64()));
-    for (std::size_t& n : job_remaining_) n = r.size();
-    for (std::size_t& n : preds_remaining_) n = r.size();
-    for (std::size_t j = 0; j < arrival_passed_.size(); ++j)
-      arrival_passed_[j] = r.boolean();
-    for (std::size_t j = 0; j < activated_.size(); ++j)
-      activated_[j] = r.boolean();
-    for (auto& row : job_machine_work_)
-      for (double& v : row) v = r.f64();
-
-    instances_.clear();
-    const std::size_t num_instances = r.size();
-    instances_.reserve(num_instances);
-    for (std::size_t i = 0; i < num_instances; ++i) {
-      Instance inst;
-      inst.task = r.size();
-      inst.machine = r.size();
-      const bool has_store = r.boolean();
-      const std::size_t store = r.size();
-      inst.store =
-          has_store ? std::optional<StoreId>{StoreId{store}} : std::nullopt;
-      inst.start = r.f64();
-      inst.finish = r.f64();
-      inst.full_duration = r.f64();
-      inst.exec_cost_mc = Millicents::from_raw(r.f64());
-      inst.read_cost_mc = Millicents::from_raw(r.f64());
-      inst.progress = r.f64();
-      inst.billed_frac = r.f64();
-      inst.last_update = r.f64();
-      inst.rate = r.f64();
-      inst.ever_retimed = r.boolean();
-      inst.speculative = r.boolean();
-      inst.cancelled = r.boolean();
-      inst.timeout_kill = r.boolean();
-      inst.settled = r.boolean();
-      instances_.push_back(inst);
-    }
-    active_instances_.assign(r.size(), 0);
-    for (std::size_t& iid : active_instances_) iid = r.size();
-
-    moves_.clear();
-    const std::size_t num_moves = r.size();
-    moves_.reserve(num_moves);
-    for (std::size_t i = 0; i < num_moves; ++i) {
-      PendingMove mv;
-      mv.data = DataId{r.size()};
-      mv.from = StoreId{r.size()};
-      mv.to = StoreId{r.size()};
-      mv.fraction = r.f64();
-      mv.start_s = r.f64();
-      mv.duration_s = r.f64();
-      mv.cost_mc = Millicents::from_raw(r.f64());
-      mv.finished = r.boolean();
-      mv.aborted = r.boolean();
-      moves_.push_back(mv);
-    }
-
-    fault_events_.clear();
-    const std::size_t num_faults = r.size();
-    fault_events_.reserve(num_faults);
-    for (std::size_t i = 0; i < num_faults; ++i) {
-      FaultEvent e;
-      const std::uint8_t kind = r.u8();
-      if (kind > static_cast<std::uint8_t>(FaultEvent::Kind::MachineSlowdown))
-        throw ckpt::SnapshotError("unknown fault event kind");
-      e.kind = static_cast<FaultEvent::Kind>(kind);
-      e.time_s = r.f64();
-      e.machine = r.size();
-      e.store = r.size();
-      e.duration_s = r.f64();
-      e.warning_s = r.f64();
-      e.factor = r.f64();
-      fault_events_.push_back(e);
-    }
-    for (char& up : machine_up_) up = r.boolean() ? 1 : 0;
-    for (char& gone : machine_gone_) gone = r.boolean() ? 1 : 0;
-    for (double& v : down_since_) v = r.f64();
-    for (double& v : link_factor_) v = r.f64();
-    for (double& v : cpu_factor_) v = r.f64();
-    for (std::size_t& d : slow_depth_) d = r.size();
-    for (double& v : slow_since_) v = r.f64();
-    for (double& v : tp_ewma_) v = r.f64();
-    for (char& gone : store_gone_) gone = r.boolean() ? 1 : 0;
-    for (std::size_t& k : fault_kills_) k = r.size();
-    for (char& aborted : job_aborted_) aborted = r.boolean() ? 1 : 0;
-
-    load_result(r);
-    policy_.load_state(r);
-    load_ledger(r);
-    load_metrics(r);
-  }
-
-  void save_result(ckpt::Writer& w) const {
-    const SimResult& res = result_;
-    w.boolean(res.completed);
-    w.f64(res.makespan_s);
-    w.f64(res.sum_job_duration_s);
-    w.f64(res.total_cost_mc.raw());
-    w.f64(res.execution_cost_mc.raw());
-    w.f64(res.read_transfer_cost_mc.raw());
-    w.f64(res.placement_transfer_cost_mc.raw());
-    w.f64(res.ingest_replication_cost_mc.raw());
-    w.f64(res.data_local_fraction.value());
-    w.size(res.tasks_completed);
-    w.size(res.speculative_launched);
-    w.size(res.speculative_wasted);
-    w.f64(res.speculation_cost_mc.raw());
-    w.size(res.timeout_kills);
-    w.size(res.epochs);
-    w.size(res.tasks_killed_by_faults);
-    w.size(res.fault_retries);
-    w.size(res.tasks_lost);
-    w.size(res.tasks_in_flight_at_horizon);
-    w.size(res.machines_lost);
-    w.size(res.machines_restored);
-    w.size(res.spot_revocations);
-    w.size(res.stores_lost);
-    w.size(res.machine_slowdowns);
-    w.size(res.data_refetches);
-    w.f64(res.wasted_cost_mc.raw());
-    w.size(res.checkpoints_written);
-    w.size(res.checkpoint_failures);
-    for (const MachineMetrics& mm : res.machines) {
-      w.f64(mm.busy_s);
-      w.f64(mm.cpu_work_ecu_s);
-      w.f64(mm.cpu_cost_mc.raw());
-      w.f64(mm.read_cost_mc.raw());
-      w.size(mm.tasks_run);
-      w.f64(mm.downtime_s);
-      w.f64(mm.slowed_s);
-    }
-    for (const double v : res.job_finish_s) w.f64(v);  // NaN round-trips
-    w.size(res.trace.size());
-    for (const TraceEvent& ev : res.trace) {
-      w.u8(static_cast<std::uint8_t>(ev.kind));
-      w.f64(ev.time_s);
-      w.size(ev.job);
-      w.size(ev.task);
-      w.size(ev.machine);
-      w.size(ev.store);
-      w.f64(ev.amount);
-    }
-  }
-
-  void load_result(ckpt::Reader& r) {
-    SimResult& res = result_;
-    res.completed = r.boolean();
-    res.makespan_s = r.f64();
-    res.sum_job_duration_s = r.f64();
-    res.total_cost_mc = Millicents::from_raw(r.f64());
-    res.execution_cost_mc = Millicents::from_raw(r.f64());
-    res.read_transfer_cost_mc = Millicents::from_raw(r.f64());
-    res.placement_transfer_cost_mc = Millicents::from_raw(r.f64());
-    res.ingest_replication_cost_mc = Millicents::from_raw(r.f64());
-    res.data_local_fraction = Fraction::of(r.f64());
-    res.tasks_completed = r.size();
-    res.speculative_launched = r.size();
-    res.speculative_wasted = r.size();
-    res.speculation_cost_mc = Millicents::from_raw(r.f64());
-    res.timeout_kills = r.size();
-    res.epochs = r.size();
-    res.tasks_killed_by_faults = r.size();
-    res.fault_retries = r.size();
-    res.tasks_lost = r.size();
-    res.tasks_in_flight_at_horizon = r.size();
-    res.machines_lost = r.size();
-    res.machines_restored = r.size();
-    res.spot_revocations = r.size();
-    res.stores_lost = r.size();
-    res.machine_slowdowns = r.size();
-    res.data_refetches = r.size();
-    res.wasted_cost_mc = Millicents::from_raw(r.f64());
-    res.checkpoints_written = r.size();
-    res.checkpoint_failures = r.size();
-    for (MachineMetrics& mm : res.machines) {
-      mm.busy_s = r.f64();
-      mm.cpu_work_ecu_s = r.f64();
-      mm.cpu_cost_mc = Millicents::from_raw(r.f64());
-      mm.read_cost_mc = Millicents::from_raw(r.f64());
-      mm.tasks_run = r.size();
-      mm.downtime_s = r.f64();
-      mm.slowed_s = r.f64();
-    }
-    for (double& v : res.job_finish_s) v = r.f64();
-    res.trace.clear();
-    const std::size_t num_trace = r.size();
-    res.trace.reserve(num_trace);
-    for (std::size_t i = 0; i < num_trace; ++i) {
-      TraceEvent ev{};
-      const std::uint8_t kind = r.u8();
-      if (kind >
-          static_cast<std::uint8_t>(TraceEvent::Kind::MachineSpeedRestored))
-        throw ckpt::SnapshotError("unknown trace event kind");
-      ev.kind = static_cast<TraceEvent::Kind>(kind);
-      ev.time_s = r.f64();
-      ev.job = r.size();
-      ev.task = r.size();
-      ev.machine = r.size();
-      ev.store = r.size();
-      ev.amount = r.f64();
-      res.trace.push_back(ev);
-    }
-  }
-
-  void save_ledger(ckpt::Writer& w) const {
-    w.boolean(ledger_ != nullptr);
-    if (ledger_ == nullptr) return;
-    w.size(ledger_->current_epoch());
-    for (std::size_t m = 0; m < obs::kMeterCount; ++m)
-      w.f64(ledger_->meter_total(static_cast<obs::CostMeter>(m)).raw());
-    const auto& cells = ledger_->cells();
-    w.size(cells.size());
-    for (const auto& [key, amount] : cells) {
-      w.size(key.epoch);
-      w.size(key.job);
-      w.size(key.machine);
-      w.u8(static_cast<std::uint8_t>(key.category));
-      w.f64(amount.raw());
-    }
-    w.size(ledger_->posts());
-  }
-
-  void load_ledger(ckpt::Reader& r) {
-    const bool had_ledger = r.boolean();
-    if (!had_ledger) return;
-    const std::size_t epoch = r.size();
-    std::array<Millicents, obs::kMeterCount> totals{};
-    for (Millicents& t : totals) t = Millicents::from_raw(r.f64());
-    std::map<obs::CostLedger::CellKey, Millicents> cells;
-    const std::size_t num_cells = r.size();
-    for (std::size_t i = 0; i < num_cells; ++i) {
-      obs::CostLedger::CellKey key;
-      key.epoch = r.size();
-      key.job = r.size();
-      key.machine = r.size();
-      const std::uint8_t cat = r.u8();
-      if (cat > static_cast<std::uint8_t>(obs::CostCategory::FakeNodeCarry))
-        throw ckpt::SnapshotError("unknown cost category");
-      key.category = static_cast<obs::CostCategory>(cat);
-      cells.emplace_hint(cells.end(), key, Millicents::from_raw(r.f64()));
-    }
-    const std::size_t posts = r.size();
-    if (ledger_ == nullptr)
-      throw ckpt::SnapshotError(
-          "snapshot carries ledger state but no ledger is attached: attach a "
-          "fresh obs::CostLedger before restoring");
-    ledger_->restore(epoch, totals, std::move(cells), posts);
-  }
-
-  void save_metrics(ckpt::Writer& w) const {
-    w.boolean(obs_.metrics != nullptr);
-    if (obs_.metrics == nullptr) return;
-    const std::vector<obs::MetricRegistry::Sample> samples =
-        obs_.metrics->snapshot();
-    w.size(samples.size());
-    for (const obs::MetricRegistry::Sample& s : samples) {
-      w.str(s.name);
-      w.size(s.labels.size());
-      for (const auto& [key, value] : s.labels) {
-        w.str(key);
-        w.str(value);
-      }
-      w.u8(static_cast<std::uint8_t>(s.kind));
-      w.f64(s.value);
-      w.size(s.bounds.size());
-      for (const double b : s.bounds) w.f64(b);
-      w.size(s.counts.size());
-      for (const std::uint64_t c : s.counts) w.u64(c);
-      w.f64(s.sum);
-      w.u64(s.count);
-    }
-  }
-
-  void load_metrics(ckpt::Reader& r) {
-    const bool had_metrics = r.boolean();
-    if (!had_metrics) return;
+    // Metrics never feed decisions: a run resumed without a registry
+    // attached decodes the section and drops it.
+    bool has_metrics = self.obs_.metrics != nullptr;
     std::vector<obs::MetricRegistry::Sample> samples;
-    const std::size_t n = r.size();
-    samples.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      obs::MetricRegistry::Sample s;
-      s.name = r.str();
-      const std::size_t num_labels = r.size();
-      s.labels.reserve(num_labels);
-      for (std::size_t l = 0; l < num_labels; ++l) {
-        std::string key = r.str();
-        std::string value = r.str();
-        s.labels.emplace_back(std::move(key), std::move(value));
-      }
-      const std::uint8_t kind = r.u8();
-      if (kind >
-          static_cast<std::uint8_t>(obs::MetricRegistry::Kind::Histogram))
-        throw ckpt::SnapshotError("unknown metric kind");
-      s.kind = static_cast<obs::MetricRegistry::Kind>(kind);
-      s.value = r.f64();
-      s.bounds.assign(r.size(), 0.0);
-      for (double& b : s.bounds) b = r.f64();
-      s.counts.assign(r.size(), 0);
-      for (std::uint64_t& c : s.counts) c = r.u64();
-      s.sum = r.f64();
-      s.count = r.u64();
-      samples.push_back(std::move(s));
+    if constexpr (!Ar::kLoading) {
+      if (has_metrics) samples = self.obs_.metrics->snapshot();
     }
-    // Metrics never feed decisions: resuming without a registry attached
-    // just discards the section (its bytes were consumed above either way).
-    if (obs_.metrics != nullptr) obs_.metrics->restore(samples);
+    ar(has_metrics);
+    if (has_metrics) {
+      ar(ckpt::seq(samples, [](auto& a, auto& sample) {
+        a(sample.name, ckpt::seq(sample.labels),
+          ckpt::enumeration(sample.kind, obs::MetricRegistry::Kind::Histogram,
+                            "metric kind"),
+          sample.value, ckpt::seq(sample.bounds), ckpt::seq(sample.counts),
+          sample.sum, sample.count);
+      }));
+    }
+    if constexpr (Ar::kLoading) {
+      if (has_metrics && self.obs_.metrics != nullptr)
+        self.obs_.metrics->restore(samples);
+    }
+  }
+
+  template <class Ar, class Result>
+  static void result_fields(Ar& ar, Result& res) {
+    ar(res.completed, res.makespan_s, res.sum_job_duration_s,
+       res.total_cost_mc, res.execution_cost_mc, res.read_transfer_cost_mc,
+       res.placement_transfer_cost_mc, res.ingest_replication_cost_mc,
+       res.data_local_fraction, res.tasks_completed, res.speculative_launched,
+       res.speculative_wasted, res.speculation_cost_mc, res.timeout_kills,
+       res.epochs, res.tasks_killed_by_faults, res.fault_retries,
+       res.tasks_lost, res.tasks_in_flight_at_horizon, res.machines_lost,
+       res.machines_restored, res.spot_revocations, res.stores_lost,
+       res.machine_slowdowns, res.data_refetches, res.wasted_cost_mc,
+       res.checkpoints_written, res.checkpoint_failures,
+       ckpt::fixed(res.machines,
+                   [](auto& a, auto& mm) {
+                     a(mm.busy_s, mm.cpu_work_ecu_s, mm.cpu_cost_mc,
+                       mm.read_cost_mc, mm.tasks_run, mm.downtime_s,
+                       mm.slowed_s);
+                   }),
+       ckpt::fixed(res.job_finish_s),  // NaN round-trips
+       ckpt::seq(res.trace, [](auto& a, auto& ev) {
+         a(ckpt::enumeration(ev.kind, TraceEvent::Kind::MachineSpeedRestored,
+                             "trace event kind"),
+           ev.time_s, ev.job, ev.task, ev.machine, ev.store, ev.amount);
+       }));
   }
 
   // ---- state -------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "ckpt/codec.hpp"
 #include "common/error.hpp"
 #include "common/spec.hpp"
 #include "farm/scenario.hpp"
@@ -120,6 +121,8 @@ Reply Service::open_session(ConnectionCtx& ctx, const std::string& spec) {
     sessions_.emplace(name, std::move(session));
     ctx.session = name;
     return Reply::ok("session=" + name + ",seed=" + std::to_string(seed));
+  } catch (const ckpt::SnapshotError& e) {
+    return Reply::error(err::kSnapshot, one_line(e.what()));
   } catch (const PreconditionError& e) {
     return Reply::error(err::kBadSpec, one_line(e.what()));
   } catch (const std::exception& e) {

@@ -10,8 +10,8 @@ namespace lips::svc {
 
 namespace {
 
-/// Our slice of the snapshot payload rides in front of the policy's own
-/// save_state bytes; bump when the session schema changes.
+/// Our slice of the snapshot payload rides in front of the ledger's and the
+/// policy's own save_state bytes; bump when the session schema changes.
 constexpr std::uint64_t kSessionPayloadVersion = 1;
 
 core::LipsPolicyOptions session_policy_options(const farm::ScenarioSpec& spec,
@@ -319,26 +319,7 @@ Reply Session::handle_snapshot() {
     return Reply::error(err::kSnapshot,
                         "snapshots disabled (no --snapshot-dir)");
   ckpt::Writer w;
-  w.u64(kSessionPayloadVersion);
-  w.str(name_);
-  w.u64(seed_);
-  w.f64(clock_.now_s());
-  w.u64(epochs_);
-  // Ledger: totals keep their bit patterns so the resumed fold still
-  // reconciles with ==; cells are a std::map, already in deterministic order.
-  w.u64(static_cast<std::uint64_t>(ledger_.current_epoch()));
-  for (std::size_t m = 0; m < obs::kMeterCount; ++m)
-    w.f64(ledger_.meter_total(static_cast<obs::CostMeter>(m)).raw());
-  w.size(ledger_.cells().size());
-  for (const auto& [key, amount] : ledger_.cells()) {
-    w.u64(static_cast<std::uint64_t>(key.epoch));
-    w.u64(static_cast<std::uint64_t>(key.job));
-    w.u64(static_cast<std::uint64_t>(key.machine));
-    w.u8(static_cast<std::uint8_t>(key.category));
-    w.f64(amount.raw());
-  }
-  w.size(ledger_.posts());
-  policy_.save_state(w);
+  payload_fields(w, std::as_const(*this));
 
   ckpt::Snapshot snap;
   const BuildInfo& build = build_info();
@@ -366,38 +347,27 @@ void Session::restore_from_snapshot() {
                "svc: restore requested but no usable snapshot under " +
                    ckpt_dir_->path());
   ckpt::Reader r(snap->payload);
-  const std::uint64_t version = r.u64();
-  LIPS_REQUIRE(version == kSessionPayloadVersion,
-               "svc: snapshot payload version mismatch");
-  const std::string saved_name = r.str();
-  const std::uint64_t saved_seed = r.u64();
-  LIPS_REQUIRE(saved_name == name_,
-               "svc: snapshot belongs to session '" + saved_name + "'");
-  LIPS_REQUIRE(saved_seed == seed_,
-               "svc: snapshot was written with a different seed");
-  clock_.set(r.f64());
-  epochs_ = r.u64();
-  const auto ledger_epoch = static_cast<std::size_t>(r.u64());
-  std::array<Millicents, obs::kMeterCount> totals{};
-  for (std::size_t m = 0; m < obs::kMeterCount; ++m)
-    totals[m] = Millicents::from_raw(r.f64());
-  std::map<obs::CostLedger::CellKey, Millicents> cells;
-  const std::size_t n_cells = r.size();
-  for (std::size_t i = 0; i < n_cells; ++i) {
-    obs::CostLedger::CellKey key;
-    key.epoch = static_cast<std::size_t>(r.u64());
-    key.job = static_cast<std::size_t>(r.u64());
-    key.machine = static_cast<std::size_t>(r.u64());
-    const std::uint8_t cat = r.u8();
-    LIPS_REQUIRE(cat < obs::kCategoryCount,
-                 "svc: snapshot ledger cell has bad category");
-    key.category = static_cast<obs::CostCategory>(cat);
-    cells.emplace(key, Millicents::from_raw(r.f64()));
-  }
-  const std::size_t posts = r.size();
-  ledger_.restore(ledger_epoch, totals, std::move(cells), posts);
-  policy_.load_state(r);
+  payload_fields(r, *this);
+  if (!r.at_end())
+    throw ckpt::SnapshotError("snapshot payload has trailing bytes");
   snapshot_seq_ = ckpt_dir_->latest_sequence().value_or(0);
+}
+
+template <class Ar, class Self>
+void Session::payload_fields(Ar& ar, Self& self) {
+  ar(ckpt::guard(kSessionPayloadVersion, "session payload version"),
+     ckpt::guard(self.name_,
+                 [](const std::string& got) {
+                   throw PreconditionError(
+                       "svc: snapshot belongs to session '" + got + "'");
+                 }),
+     ckpt::guard(self.seed_,
+                 [](std::uint64_t) {
+                   throw PreconditionError(
+                       "svc: snapshot was written with a different seed");
+                 }),
+     ckpt::via(self.clock_, &ManualClock::now_s, &ManualClock::set),
+     self.epochs_, ckpt::state(self.ledger_), ckpt::state(self.policy_));
 }
 
 }  // namespace lips::svc

@@ -121,6 +121,11 @@ class Session {
   [[nodiscard]] Reply handle_ledger();
   [[nodiscard]] Reply handle_metrics();
   [[nodiscard]] Reply handle_snapshot();
+  /// Snapshot payload (DESIGN.md §11): version, owner name and seed
+  /// (a mismatch of either is a PreconditionError), clock, epoch count,
+  /// ledger, policy.
+  template <class Ar, class Self>
+  static void payload_fields(Ar& ar, Self& self);
   void restore_from_snapshot();
   void worker_loop();
 

@@ -14,9 +14,11 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/codec.hpp"
@@ -28,10 +30,16 @@
 #include "cluster/cluster.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/epoch_lp_context.hpp"
 #include "core/lips_policy.hpp"
+#include "lp/model.hpp"
+#include "lp/solver_faults.hpp"
 #include "obs/ledger.hpp"
 #include "obs/obs.hpp"
 #include "sched/delay_scheduler.hpp"
+#include "sched/fair_scheduler.hpp"
+#include "sched/fifo_scheduler.hpp"
+#include "sched/flow_scheduler.hpp"
 #include "sim/faults.hpp"
 #include "sim/simulator.hpp"
 #include "workload/swim.hpp"
@@ -486,6 +494,81 @@ void expect_bit_identical(const RunArtifacts& baseline,
   }
 }
 
+/// Seeded storm run for every scheduler kind the snapshot format carries:
+/// "lips" (its LP solver under fault injection too), "delay" (with
+/// speculation), "fifo", "fair" and "quincy". A CostLedger rides along; the
+/// metric registry stays off, because its host-timed LP histogram makes two
+/// runs' payload bytes differ.
+RunArtifacts run_storm(const std::string& kind, std::uint64_t seed,
+                       const ckpt::CheckpointDir* dir,
+                       const ckpt::Snapshot* from) {
+  const RunSetup s = make_setup(seed);
+  sim::FaultStormParams fp;
+  fp.mtbf_s = 3000.0;
+  fp.mttr_s = 300.0;
+  fp.revoke_probability = 0.1;
+  fp.slowdown_rate = 1.0;
+  fp.store_loss_rate = 0.2;
+  fp.horizon_s = 4000.0;
+  fp.seed = seed;
+  lp::SolverFaultConfig sfc;
+  sfc.nan_probability = 0.2;
+  sfc.basis_corruption_probability = 0.3;
+  sfc.budget_starvation_probability = 0.2;
+  sfc.seed = seed;
+  lp::SolverFaultInjector injector(sfc);
+
+  sim::SimConfig cfg;
+  std::unique_ptr<sched::Scheduler> policy;
+  if (kind == "lips") {
+    core::LipsPolicyOptions lo;
+    lo.epoch_s = 300.0;
+    lo.model.solver_options.fault_injector = &injector;
+    policy = std::make_unique<core::LipsPolicy>(lo);
+    cfg.hdfs_replication = 1;
+    cfg.task_timeout_s = 1200.0;
+  } else if (kind == "delay") {
+    policy = std::make_unique<sched::DelayScheduler>();
+    cfg.speculative_execution = true;
+    cfg.speculation.mode = sim::SpeculationConfig::Mode::Naive;
+  } else if (kind == "fifo") {
+    policy = std::make_unique<sched::FifoLocalityScheduler>();
+  } else if (kind == "fair") {
+    auto fair = std::make_unique<sched::FairScheduler>();
+    fair->assign_pool(JobId{0}, "batch", 2.0);
+    fair->assign_pool(JobId{1}, "batch");
+    policy = std::move(fair);
+  } else {
+    sched::QuincyFlowScheduler::Options qo;
+    qo.round_s = 300.0;
+    policy = std::make_unique<sched::QuincyFlowScheduler>(qo);
+  }
+  obs::CostLedger ledger;
+  cfg.faults = sim::make_fault_storm(fp, s.cluster.machine_count(),
+                                     s.cluster.store_count());
+  cfg.record_trace = true;
+  cfg.obs.ledger = &ledger;
+  cfg.checkpoint_dir = dir;
+  cfg.checkpoint_label = "test:" + kind;
+  cfg.restore_from = from;
+  RunArtifacts out;
+  out.result = sim::simulate(s.cluster, s.workload, *policy, cfg);
+  out.trace_lines = sim::render_trace_lines(out.result);
+  out.ledger_ok = ledger.reconcile(sim::billed_totals(out.result)).ok;
+  return out;
+}
+
+/// FNV-1a over every snapshot payload in `dir`, in sequence order.
+std::uint64_t payload_digest(const ckpt::CheckpointDir& dir) {
+  ckpt::Fnv1a64 d;
+  for (const std::string& file : dir.list()) {
+    const ckpt::Snapshot snap = ckpt::decode_snapshot(read_file(file));
+    d.u64(snap.payload.size());
+    d.bytes(snap.payload.data(), snap.payload.size());
+  }
+  return d.digest();
+}
+
 TEST(CkptSim, ResumeFromEverySnapshotIsBitIdentical) {
   const std::uint64_t seed = 7;
   const ckpt::CheckpointDir dir(scratch_dir("sim_every"), /*keep=*/128);
@@ -509,6 +592,26 @@ TEST(CkptSim, ResumeFromEverySnapshotIsBitIdentical) {
     const RunArtifacts resumed = run_lips(seed, rcfg);
     EXPECT_TRUE(resumed.result.restored);
     expect_bit_identical(baseline, resumed);
+  }
+
+  // The epoch-less and flow schedulers, under a cluster fault storm.
+  for (const std::string kind : {"fifo", "fair", "quincy"}) {
+    const ckpt::CheckpointDir kind_dir(scratch_dir("sim_every_" + kind),
+                                       /*keep=*/1024);
+    const RunArtifacts kind_baseline =
+        run_storm(kind, seed, &kind_dir, nullptr);
+    EXPECT_TRUE(kind_baseline.ledger_ok) << kind;
+    EXPECT_GT(kind_baseline.result.checkpoints_written, 2u) << kind;
+    const std::vector<std::string> kind_files = kind_dir.list();
+    ASSERT_EQ(kind_files.size(), kind_baseline.result.checkpoints_written)
+        << kind;
+    for (const std::string& file : kind_files) {
+      SCOPED_TRACE(kind + " " + file);
+      const ckpt::Snapshot snap = ckpt::decode_snapshot(read_file(file));
+      const RunArtifacts resumed = run_storm(kind, seed, nullptr, &snap);
+      EXPECT_TRUE(resumed.result.restored);
+      expect_bit_identical(kind_baseline, resumed);
+    }
   }
 }
 
@@ -584,6 +687,128 @@ TEST(CkptSim, RestoreRejectsTopologyMismatch) {
   rcfg.restore_from = &*snap;
   EXPECT_THROW((void)sim::simulate(other, w, policy, rcfg),
                ckpt::SnapshotError);
+}
+
+// ------------------------------------------------ format pinning ---------
+// Snapshot bytes are a compatibility surface: a snapshot written by one
+// build must restore under the next. These digests were recorded before the
+// serializers moved to one field list per type; a change that moves any of
+// them changes the format and must bump ckpt::kSnapshotVersion.
+
+TEST(CkptFormat, SnapshotPayloadDigestsArePinned) {
+  const std::pair<std::string, std::uint64_t> pinned[] = {
+      {"lips", 0xC83993431CBC5219ULL},
+      {"delay", 0xB166FF0242746151ULL},
+      {"fifo", 0xD4AAB63B6638BE7AULL},
+      {"fair", 0x5157B877A1836EC3ULL},
+      {"quincy", 0xD32D4E03665079D1ULL},
+  };
+  for (const auto& [kind, want] : pinned) {
+    const ckpt::CheckpointDir dir(scratch_dir("digest_" + kind),
+                                  /*keep=*/1024);
+    const RunArtifacts run = run_storm(kind, /*seed=*/7, &dir, nullptr);
+    EXPECT_TRUE(run.ledger_ok) << kind;
+    EXPECT_GT(run.result.checkpoints_written, 2u) << kind;
+    const std::uint64_t got = payload_digest(dir);
+    EXPECT_EQ(got, want) << kind << ": payload digest 0x" << std::hex << got;
+  }
+}
+
+// ------------------------------------------------ hostile lengths ---------
+// A CRC-valid payload can still carry any length field. Every count is
+// bounded by the bytes left before anything is allocated, so a hostile one
+// fails with SnapshotError, never with std::length_error or a huge
+// allocation.
+
+/// `prefix`, then `count` as a length field, then `tail` zero bytes.
+std::vector<std::uint8_t> with_length(std::vector<std::uint8_t> prefix,
+                                      std::uint64_t count, std::size_t tail) {
+  ckpt::Writer w;
+  w.bytes(prefix.data(), prefix.size());
+  w.u64(count);
+  for (std::size_t i = 0; i < tail; ++i) w.u8(0);
+  return w.take();
+}
+
+/// The two hostile counts: 2^61 and one more element than bytes remain.
+std::vector<std::vector<std::uint8_t>> hostile_payloads(
+    const std::vector<std::uint8_t>& prefix) {
+  constexpr std::size_t kTail = 64;
+  return {with_length(prefix, std::uint64_t{1} << 61, kTail),
+          with_length(prefix, kTail + 1, kTail)};
+}
+
+TEST(CkptHostile, LipsPolicyRejectsHostileLengths) {
+  // The pinned plan's machine count is the payload's first field.
+  for (const auto& payload : hostile_payloads({})) {
+    core::LipsPolicy policy{core::LipsPolicyOptions{}};
+    ckpt::Reader r(payload);
+    EXPECT_THROW(policy.load_state(r), ckpt::SnapshotError);
+  }
+}
+
+TEST(CkptHostile, EpochLpContextRejectsHostileLengths) {
+  // have_model, then machine/store/data counts, then the job list length.
+  ckpt::Writer head;
+  head.boolean(true);
+  head.size(6);
+  head.size(6);
+  head.size(8);
+  for (const auto& payload : hostile_payloads(head.buffer())) {
+    core::EpochLpContext ctx;
+    ckpt::Reader r(payload);
+    EXPECT_THROW(ctx.load_state(r), ckpt::SnapshotError);
+  }
+}
+
+TEST(CkptHostile, RefusedValuesThrowSnapshotError) {
+  // An all-zero RNG state is the one xoshiro cannot leave.
+  ckpt::Writer zero_rng;
+  for (int i = 0; i < 64; ++i) zero_rng.u8(0);
+  lp::SolverFaultInjector injector{lp::SolverFaultConfig{}};
+  ckpt::Reader ri(zero_rng.buffer());
+  EXPECT_THROW(injector.load_state(ri), ckpt::SnapshotError);
+
+  // An LP variable whose bounds are NaN fails the model's own build checks.
+  ckpt::Writer nan_bound;
+  nan_bound.size(1);
+  nan_bound.f64(std::numeric_limits<double>::quiet_NaN());
+  nan_bound.f64(1.0);
+  nan_bound.f64(0.0);
+  nan_bound.str("x");
+  nan_bound.size(0);
+  lp::LpModel model;
+  ckpt::Reader rm(nan_bound.buffer());
+  EXPECT_THROW(model.load_state(rm), ckpt::SnapshotError);
+}
+
+TEST(CkptHostile, SimulatorRestoreRejectsHostileLengths) {
+  // A real snapshot's guards and scalars (five topology counts, now, seq,
+  // six counters, the launch digest), an empty event queue, every task
+  // NotArrived with no retries, then the first task's running-copies
+  // length.
+  const ckpt::CheckpointDir dir(scratch_dir("hostile_sim"));
+  sim::SimConfig cfg;
+  cfg.checkpoint_dir = &dir;
+  (void)run_lips(/*seed=*/3, cfg);
+  const std::optional<ckpt::Snapshot> snap = dir.load_latest();
+  ASSERT_TRUE(snap.has_value());
+  ckpt::Reader guards(snap->payload);
+  const std::size_t tasks = guards.size();
+  constexpr std::size_t kScalarsEnd = 14 * 8;
+  ASSERT_GT(snap->payload.size(), kScalarsEnd);
+  ckpt::Writer head;
+  head.bytes(snap->payload.data(), kScalarsEnd);
+  head.size(0);  // events
+  for (std::size_t t = 0; t < tasks; ++t) head.u8(0);   // status
+  for (std::size_t t = 0; t < tasks; ++t) head.size(0);  // retries
+  for (const auto& payload : hostile_payloads(head.buffer())) {
+    ckpt::Snapshot bad = *snap;
+    bad.payload = payload;
+    sim::SimConfig rcfg;
+    rcfg.restore_from = &bad;
+    EXPECT_THROW((void)run_lips(/*seed=*/3, rcfg), ckpt::SnapshotError);
+  }
 }
 
 }  // namespace

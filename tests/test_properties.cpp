@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
 
@@ -20,7 +21,10 @@
 namespace lips {
 namespace {
 
-enum class Policy { Fifo, Delay, Fair, Lips };
+// 64-bit so SweepParam below has no padding: gtest prints an unprintable
+// param as its raw bytes in the test name, and uninitialized padding made
+// the SimConservation names differ from run to run.
+enum class Policy : std::uint64_t { Fifo, Delay, Fair, Lips };
 
 std::unique_ptr<sched::Scheduler> make_policy(Policy p) {
   switch (p) {
@@ -57,6 +61,8 @@ struct SweepParam {
   Policy policy;
   std::uint64_t seed;
 };
+static_assert(sizeof(SweepParam) == 2 * sizeof(std::uint64_t),
+              "SweepParam must have no padding bytes");
 
 class SimConservation : public ::testing::TestWithParam<SweepParam> {};
 

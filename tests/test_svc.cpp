@@ -10,10 +10,15 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ckpt/codec.hpp"
+#include "ckpt/digest.hpp"
+#include "ckpt/store.hpp"
 #include "common/clock.hpp"
 #include "common/error.hpp"
 #include "common/spec.hpp"
@@ -21,6 +26,7 @@
 #include "core/lips_policy.hpp"
 #include "farm/recipe.hpp"
 #include "farm/scenario.hpp"
+#include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
@@ -519,6 +525,108 @@ TEST(SnapshotRestore, RestoreRejectsMissingSnapshotAndWrongSeed) {
   Session writer("tenant", sc, 1, so);
   ASSERT_EQ(writer.handle("SNAPSHOT", "").status, Reply::Status::Ok);
   EXPECT_THROW(Session("tenant", sc, 2, ro), PreconditionError);
+}
+
+/// A scripted session — arrivals, one epoch, a launch — that ends in
+/// SNAPSHOT. Returns the snapshot payload it wrote.
+std::vector<std::uint8_t> scripted_snapshot_payload(const std::string& root) {
+  const farm::ScenarioSpec sc =
+      farm::parse_scenario_spec("name=snap,nodes=4,jobs=2");
+  const std::uint64_t seed = 9;
+  const farm::RunInputs in = farm::make_run_inputs(sc, seed);
+  std::vector<WireTask> tasks;
+  for (std::size_t i = 0; i < 2; ++i) {
+    WireTask t;
+    t.id = i;
+    t.job = 0;
+    t.index_in_job = i;
+    t.input_mb = 128.0;
+    t.cpu_ecu_s = 400.0;
+    if (!in.workload.job(JobId{0}).data.empty())
+      t.data = in.workload.job(JobId{0}).data.front().value();
+    tasks.push_back(t);
+  }
+  WireState st;
+  st.now = 0.0;
+  st.pending = {0, 1};
+  SessionOptions so;
+  so.snapshot_root = root;
+  Session s("tenant", sc, seed, so);
+  EXPECT_EQ(s.handle("STATE", encode_state(st)).status, Reply::Status::Ok);
+  EXPECT_EQ(s.handle("JOB", "job=0,tasks=" + encode_tasks(tasks)).status,
+            Reply::Status::Ok);
+  EXPECT_EQ(s.handle("TICK", "").status, Reply::Status::Ok);
+  EXPECT_EQ(s.handle("SLOT", "m=0").status, Reply::Status::Ok);
+  EXPECT_EQ(s.handle("SNAPSHOT", "").status, Reply::Status::Ok);
+  const std::optional<ckpt::Snapshot> snap =
+      ckpt::CheckpointDir(root + "/tenant").load_latest();
+  EXPECT_TRUE(snap.has_value());
+  return snap.has_value() ? snap->payload : std::vector<std::uint8_t>{};
+}
+
+TEST(SnapshotRestore, PayloadDigestIsPinned) {
+  // Recorded before the session payload moved to one field list; a change
+  // that moves it changes the format and must bump kSessionPayloadVersion.
+  const std::vector<std::uint8_t> payload =
+      scripted_snapshot_payload(scratch_dir("restore_digest"));
+  ckpt::Fnv1a64 d;
+  d.bytes(payload.data(), payload.size());
+  EXPECT_EQ(d.digest(), 0x839C483722C22820ULL)
+      << "payload digest 0x" << std::hex << d.digest();
+}
+
+TEST(SnapshotRestore, UndecodablePayloadAnswersSnapshotError) {
+  const std::string root = scratch_dir("restore_undecodable");
+  SessionOptions so;
+  so.snapshot_root = root;
+  {
+    Session writer("t1", farm::ScenarioSpec{}, 3, so);
+    ASSERT_EQ(writer.handle("SNAPSHOT", "").status, Reply::Status::Ok);
+  }
+  const ckpt::CheckpointDir dir(root + "/t1");
+  const std::optional<ckpt::Snapshot> good = dir.load_latest();
+  ASSERT_TRUE(good.has_value());
+
+  ServiceOptions o;
+  o.snapshot_root = root;
+  const auto open_restored = [&o] {
+    Service service(o);
+    Service::ConnectionCtx ctx;
+    auto sink = std::make_shared<CaptureSink>();
+    EXPECT_TRUE(
+        service.handle_line(ctx, "OPEN session=t1,seed=3,restore=1", sink));
+    EXPECT_EQ(service.session_count(), 0u);
+    return err_code(sink->last());
+  };
+
+  // CRC-valid but cut short: the payload re-sealed at 40 bytes.
+  ckpt::Snapshot cut = *good;
+  cut.payload.resize(40);
+  cut.meta.sequence += 1;
+  dir.write(cut);
+  EXPECT_EQ(open_restored(), "snapshot");
+
+  // CRC-valid with a ledger cell whose category is out of range.
+  ckpt::Writer w;
+  w.u64(1);     // session payload version
+  w.str("t1");  // session name
+  w.u64(3);     // seed
+  w.f64(0.0);   // clock
+  w.u64(0);     // epochs
+  w.u64(0);     // ledger epoch
+  for (std::size_t m = 0; m < obs::kMeterCount; ++m) w.f64(0.0);
+  w.size(1);  // one cell: epoch, job, machine, category, amount
+  w.size(0);
+  w.size(0);
+  w.size(0);
+  w.u8(200);
+  w.f64(1.0);
+  w.size(1);  // posts
+  ckpt::Snapshot bad = *good;
+  bad.payload = w.take();
+  bad.meta.sequence += 2;
+  dir.write(bad);
+  EXPECT_EQ(open_restored(), "snapshot");
 }
 
 // ---------------------------------------------------------------------------

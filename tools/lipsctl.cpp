@@ -56,7 +56,8 @@
 //                             in --checkpoint-dir; bit-identical to the
 //                             uninterrupted run. Corrupt/torn snapshots are
 //                             skipped with a warning and the previous good
-//                             one is used; no snapshot = fresh run)
+//                             one is used; no snapshot = fresh run; a
+//                             snapshot that does not fit the run exits 2)
 //           [--checkpoint-faults SPEC]
 //                            (storage-side chaos, e.g.
 //                             "torn=0.2,corrupt=0.1,seed=7" —
@@ -670,7 +671,16 @@ int main(int argc, char** argv) {
       std::cerr << "--restore/--checkpoint-faults require --checkpoint-dir\n";
       return 2;
     }
-    const sim::SimResult r = sim::simulate(c, w, *policy, cfg);
+    sim::SimResult r;
+    try {
+      r = sim::simulate(c, w, *policy, cfg);
+    } catch (const ckpt::SnapshotError& e) {
+      // Only a restore decodes snapshot bytes: a snapshot from another
+      // cluster or workload, or one this build cannot decode, is bad input.
+      std::cerr << "lips ckpt: " << name << ": cannot resume: " << e.what()
+                << "\n";
+      return 2;
+    }
     all_completed = all_completed && r.completed;
     if (ckpt_dir && !args.csv) {
       std::cout << "lips ckpt: " << name << ": " << r.checkpoints_written
