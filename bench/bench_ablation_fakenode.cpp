@@ -20,17 +20,15 @@ struct Run {
 
 Run run_mode(core::ModelOptions::FakeNodePricing pricing, double factor,
              const std::string& label) {
-  const cluster::Cluster c = cluster::make_ec2_cluster(20, 0.5, 3);
-  Rng rng(2013);
-  const workload::Workload w = workload::make_table4_workload(c, rng);
-  core::LipsPolicyOptions lo;
-  lo.epoch_s = 600.0;
+  const farm::ScenarioSpec spec = bench::fig6_spec();
+  const farm::RunInputs world = farm::make_run_inputs(spec, 2013);
+  const farm::SchedulerSpec lips_spec;  // "lips"
+  core::LipsPolicyOptions lo = farm::make_lips_options(spec, lips_spec);
   lo.model.fake_node_pricing = pricing;
   lo.model.fake_node_price_factor = factor;
   core::LipsPolicy lips(lo);
-  sim::SimConfig cfg;
-  cfg.task_timeout_s = 1200.0;
-  return {label, sim::simulate(c, w, lips, cfg)};
+  return {label, sim::simulate(world.cluster, world.workload, lips,
+                               farm::make_sim_config(spec, lips_spec, 1))};
 }
 
 void print_table() {

@@ -19,6 +19,7 @@
 
 #include "bench_util.hpp"
 #include "farm/farm.hpp"
+#include "sched/fifo_scheduler.hpp"
 #include "workload/swim.hpp"
 
 namespace {

@@ -8,6 +8,8 @@
 // decision. Runs the Fig-6 setting (iii) testbed.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bench_util.hpp"
 #include "sched/flow_scheduler.hpp"
 
@@ -17,59 +19,42 @@ using namespace lips;
 
 void print_table() {
   bench::banner("Ablation — Quincy-style flow scheduling vs LiPS (setting iii)");
-  const cluster::Cluster c = cluster::make_ec2_cluster(20, 0.5, 3);
-  Rng rng(2013);
-  const workload::Workload w = workload::make_table4_workload(c, rng);
+  const farm::ScenarioSpec spec = bench::fig6_spec();
+  const farm::RunInputs world = farm::make_run_inputs(spec, 2013);
 
   Table t;
   t.set_header({"scheduler", "total cost", "makespan (s)", "reads+moves"});
-  auto row = [&](const char* name, const sim::SimResult& r) {
-    t.add_row({name, bench::dollars(r.total_cost_mc),
+  // Runs scheduler `name` under its recipe SimConfig; `policy` replaces the
+  // recipe's policy with a variant of the same scheduler.
+  auto row = [&](const char* label, const char* name,
+                 std::unique_ptr<sched::Scheduler> policy = nullptr) {
+    farm::SchedulerSpec ss;
+    ss.name = name;
+    if (policy == nullptr) policy = farm::make_policy(spec, ss);
+    const sim::SimResult r =
+        sim::simulate(world.cluster, world.workload, *policy,
+                      farm::make_sim_config(spec, ss, 1));
+    t.add_row({label, bench::dollars(r.total_cost_mc),
                Table::num(r.makespan_s, 0),
                bench::dollars(r.read_transfer_cost_mc +
                               r.placement_transfer_cost_mc +
                               r.ingest_replication_cost_mc)});
   };
 
-  {
-    sched::FifoLocalityScheduler fifo;
-    sim::SimConfig cfg;
-    cfg.hdfs_replication = 3;
-    cfg.speculative_execution = true;
-    cfg.task_timeout_s = 600.0;
-    row("hadoop-default", sim::simulate(c, w, fifo, cfg));
-  }
-  {
-    // Quincy inherits the same HDFS substrate as the default scheduler
-    // (replication gives it locality options) but optimizes dollars. The
-    // default defer penalty (10x) keeps it work-conserving: it fills dear
-    // slots rather than queue.
-    sched::QuincyFlowScheduler quincy;
-    sim::SimConfig cfg;
-    cfg.hdfs_replication = 3;
-    cfg.task_timeout_s = 600.0;
-    row("quincy-flow (eager)", sim::simulate(c, w, quincy, cfg));
-  }
-  {
-    // A patient variant: queuing costs only 1.5x the cheapest assignment,
-    // so tasks wait for cheap slots — the flow-model analogue of LiPS'
-    // PatienceMin fake node.
-    sched::QuincyFlowScheduler::Options qo;
-    qo.defer_penalty_factor = 1.5;
-    sched::QuincyFlowScheduler quincy(qo);
-    sim::SimConfig cfg;
-    cfg.hdfs_replication = 3;
-    cfg.task_timeout_s = 600.0;
-    row("quincy-flow (patient)", sim::simulate(c, w, quincy, cfg));
-  }
-  {
-    core::LipsPolicyOptions lo;
-    lo.epoch_s = 600.0;
-    core::LipsPolicy lips(lo);
-    sim::SimConfig cfg;
-    cfg.task_timeout_s = 1200.0;
-    row("LiPS", sim::simulate(c, w, lips, cfg));
-  }
+  row("hadoop-default", "default");
+  // Quincy inherits the same HDFS substrate as the default scheduler
+  // (replication gives it locality options) but optimizes dollars. The
+  // default defer penalty (10x) keeps it work-conserving: it fills dear
+  // slots rather than queue.
+  row("quincy-flow (eager)", "quincy");
+  // A patient variant: queuing costs only 1.5x the cheapest assignment,
+  // so tasks wait for cheap slots — the flow-model analogue of LiPS'
+  // PatienceMin fake node.
+  sched::QuincyFlowScheduler::Options qo;
+  qo.defer_penalty_factor = 1.5;
+  row("quincy-flow (patient)", "quincy",
+      std::make_unique<sched::QuincyFlowScheduler>(qo));
+  row("LiPS", "lips");
   t.print(std::cout);
   std::cout << "Quincy closes part of the gap by routing tasks to cheap\n"
                "machines, but without moving data it keeps paying for\n"
@@ -78,14 +63,15 @@ void print_table() {
 }
 
 void BM_FlowRound(benchmark::State& state) {
-  const cluster::Cluster c = cluster::make_ec2_cluster(20, 0.5, 3);
-  Rng rng(2013);
-  const workload::Workload w = workload::make_table4_workload(c, rng);
+  const farm::ScenarioSpec spec = bench::fig6_spec();
+  const farm::RunInputs world = farm::make_run_inputs(spec, 2013);
+  farm::SchedulerSpec quincy_spec;
+  quincy_spec.name = "quincy";
+  const sim::SimConfig cfg = farm::make_sim_config(spec, quincy_spec, 1);
   for (auto _ : state) {
     sched::QuincyFlowScheduler quincy;
-    sim::SimConfig cfg;
-    cfg.hdfs_replication = 3;
-    const sim::SimResult r = sim::simulate(c, w, quincy, cfg);
+    const sim::SimResult r =
+        sim::simulate(world.cluster, world.workload, quincy, cfg);
     benchmark::DoNotOptimize(r.total_cost_mc);
   }
 }

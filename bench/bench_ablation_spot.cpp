@@ -45,11 +45,11 @@ void print_table() {
   sp.n_jobs = 150;
   const workload::SwimWorkload sw = workload::make_swim_workload(sp, c, rng);
 
-  bench::ThreeWayOptions opt;
-  opt.lips_epoch_s = 400.0;
-  opt.prune_machines = 12;
-  opt.prune_stores = 8;
-  const bench::ThreeWayResult r = bench::run_three_way(c, sw.workload, opt);
+  farm::ScenarioSpec spec;
+  spec.epoch_s = 400.0;
+  spec.prune_machines = 12;
+  spec.prune_stores = 8;
+  const bench::ThreeWayResult r = bench::run_three_way(c, sw.workload, spec);
 
   Table t;
   t.set_header({"scheduler", "total cost", "sum job duration (s)", "completed"});

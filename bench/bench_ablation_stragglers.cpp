@@ -29,6 +29,7 @@
 
 #include "bench_util.hpp"
 #include "farm/farm.hpp"
+#include "sched/fifo_scheduler.hpp"
 #include "workload/swim.hpp"
 
 namespace {

@@ -17,20 +17,18 @@ namespace {
 using namespace lips;
 
 sim::SimResult run_epoch(double epoch_s) {
-  const cluster::Cluster c = cluster::make_ec2_cluster(20, 0.5, 3);
-  Rng rng(2013);
-  const workload::Workload w = workload::make_table4_workload(c, rng);
-  core::LipsPolicyOptions lo;
-  lo.epoch_s = epoch_s;
+  const farm::ScenarioSpec spec = bench::fig6_spec(0.5, epoch_s);
+  const farm::RunInputs world = farm::make_run_inputs(spec, 2013);
+  const farm::SchedulerSpec lips_spec;  // "lips"
+  core::LipsPolicyOptions lo = farm::make_lips_options(spec, lips_spec);
   // Paper-literal fake node: the epoch length then determines how far work
   // spreads beyond the cheapest nodes (the Fig-11 parallelism effect).
   lo.model.fake_node_pricing =
       core::ModelOptions::FakeNodePricing::ProhibitiveMax;
   lo.model.fake_node_price_factor = 1000.0;
   core::LipsPolicy lips(lo);
-  sim::SimConfig cfg;
-  cfg.task_timeout_s = 1200.0;
-  return sim::simulate(c, w, lips, cfg);
+  return sim::simulate(world.cluster, world.workload, lips,
+                       farm::make_sim_config(spec, lips_spec, 1));
 }
 
 void print_tables() {

@@ -25,12 +25,9 @@ struct SettingResult {
 };
 
 SettingResult run_setting(const std::string& label, double c1_fraction) {
-  const cluster::Cluster c = cluster::make_ec2_cluster(20, c1_fraction, 3);
-  Rng rng(2013);
-  const workload::Workload w = workload::make_table4_workload(c, rng);
-  bench::ThreeWayOptions opt;
-  opt.lips_epoch_s = 600.0;
-  return {label, bench::run_three_way(c, w, opt)};
+  const farm::ScenarioSpec spec = bench::fig6_spec(c1_fraction);
+  const farm::RunInputs world = farm::make_run_inputs(spec, 2013);
+  return {label, bench::run_three_way(world.cluster, world.workload, spec)};
 }
 
 void print_tables() {
@@ -85,17 +82,15 @@ void print_tables() {
 // google-benchmark: one Fig-6 setting end to end (the paper's experiment as
 // a unit of work).
 void BM_Fig6Setting(benchmark::State& state) {
-  const double fraction = static_cast<double>(state.range(0)) / 100.0;
+  const farm::ScenarioSpec spec =
+      bench::fig6_spec(static_cast<double>(state.range(0)) / 100.0);
+  const farm::SchedulerSpec lips_spec;  // "lips"
   for (auto _ : state) {
-    const cluster::Cluster c = cluster::make_ec2_cluster(20, fraction, 3);
-    Rng rng(2013);
-    const workload::Workload w = workload::make_table4_workload(c, rng);
-    core::LipsPolicyOptions lo;
-    lo.epoch_s = 600.0;
-    core::LipsPolicy lips(lo);
-    sim::SimConfig cfg;
-    cfg.task_timeout_s = 1200.0;
-    const sim::SimResult r = sim::simulate(c, w, lips, cfg);
+    const farm::RunInputs world = farm::make_run_inputs(spec, 2013);
+    core::LipsPolicy lips(farm::make_lips_options(spec, lips_spec));
+    const sim::SimResult r =
+        sim::simulate(world.cluster, world.workload, lips,
+                      farm::make_sim_config(spec, lips_spec, 1));
     benchmark::DoNotOptimize(r.total_cost_mc);
   }
 }

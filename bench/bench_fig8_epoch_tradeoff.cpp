@@ -19,11 +19,10 @@ struct EpochRun {
 EpochRun run_epoch(double epoch_s,
                    core::ModelOptions::FakeNodePricing pricing =
                        core::ModelOptions::FakeNodePricing::ProhibitiveMax) {
-  const cluster::Cluster c = cluster::make_ec2_cluster(20, 0.5, 3);
-  Rng rng(2013);
-  const workload::Workload w = workload::make_table4_workload(c, rng);
-  core::LipsPolicyOptions lo;
-  lo.epoch_s = epoch_s;
+  const farm::ScenarioSpec spec = bench::fig6_spec(0.5, epoch_s);
+  const farm::RunInputs world = farm::make_run_inputs(spec, 2013);
+  const farm::SchedulerSpec lips_spec;  // "lips"
+  core::LipsPolicyOptions lo = farm::make_lips_options(spec, lips_spec);
   // The epoch knob expresses the paper's cost/performance trade-off under
   // the paper-literal prohibitive fake node: short epochs leave less cheap
   // capacity per round, spilling work onto dear-but-idle machines (fast,
@@ -34,9 +33,10 @@ EpochRun run_epoch(double epoch_s,
   if (pricing == core::ModelOptions::FakeNodePricing::ProhibitiveMax)
     lo.model.fake_node_price_factor = 1000.0;
   core::LipsPolicy lips(lo);
-  sim::SimConfig cfg;
-  cfg.task_timeout_s = 1200.0;
-  EpochRun out{epoch_s, sim::simulate(c, w, lips, cfg), 0};
+  EpochRun out{epoch_s,
+               sim::simulate(world.cluster, world.workload, lips,
+                             farm::make_sim_config(spec, lips_spec, 1)),
+               0};
   out.lp_solves = lips.lp_solves();
   return out;
 }

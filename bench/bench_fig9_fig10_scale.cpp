@@ -20,6 +20,7 @@
 
 #include "bench_util.hpp"
 #include "obs/trace.hpp"
+#include "sched/fifo_scheduler.hpp"
 #include "workload/swim.hpp"
 
 namespace {
@@ -35,24 +36,24 @@ struct ScaleResult {
 
 ScaleResult run_scale(std::size_t n_jobs) {
   // 100 nodes: ~1/3 of each instance type, spread over 3 zones (paper VI-B).
-  const cluster::Cluster c = cluster::make_ec2_cluster(100, 0.34, 3, 0.33);
-  Rng rng(2013);
-  workload::SwimParams sp;
-  sp.n_jobs = n_jobs;
-  const workload::SwimWorkload sw = workload::make_swim_workload(sp, c, rng);
-
-  bench::ThreeWayOptions opt;
-  opt.lips_epoch_s = 400.0;
+  farm::ScenarioSpec spec;
+  spec.nodes = 100;
+  spec.c1_fraction = 0.34;
+  spec.small_fraction = 0.33;
+  spec.jobs = n_jobs;
+  spec.epoch_s = 400.0;
   // 100-node epochs need candidate pruning to keep LP solves sub-second;
   // the ablation bench quantifies the (negligible) optimality loss.
-  opt.prune_machines = 12;
-  opt.prune_stores = 8;
+  spec.prune_machines = 12;
+  spec.prune_stores = 8;
+  const farm::RunInputs world = farm::make_run_inputs(spec, 2013);
+  const workload::Workload& w = world.workload;
 
   ScaleResult out;
-  out.r = bench::run_three_way(c, sw.workload, opt);
-  out.jobs = sw.workload.job_count();
-  out.tasks = sw.workload.total_tasks();
-  out.input_gb = sw.workload.total_input_mb() / kMBPerGB;
+  out.r = bench::run_three_way(world.cluster, w, spec);
+  out.jobs = w.job_count();
+  out.tasks = w.total_tasks();
+  out.input_gb = w.total_input_mb() / kMBPerGB;
   return out;
 }
 
@@ -126,13 +127,13 @@ int check_obs_overhead() {
   sp.n_jobs = 2000;  // long enough (~0.5 s/run) that timer noise is < 2%
   const workload::SwimWorkload sw = workload::make_swim_workload(sp, c, rng);
 
+  farm::SchedulerSpec fifo_spec;
+  fifo_spec.name = "default";
+  const sim::SimConfig fifo_cfg =
+      farm::make_sim_config(farm::ScenarioSpec{}, fifo_spec, 1);
   const auto run_once = [&](obs::Tracer* tracer) {
     sched::FifoLocalityScheduler fifo;
-    sim::SimConfig cfg;
-    cfg.hdfs_replication = 3;
-    cfg.speculative_execution = true;
-    cfg.speculation.mode = sim::SpeculationConfig::Mode::Naive;
-    cfg.task_timeout_s = 600.0;
+    sim::SimConfig cfg = fifo_cfg;
     cfg.obs.tracer = tracer;
     const auto t0 = std::chrono::steady_clock::now();
     const sim::SimResult r = sim::simulate(c, sw.workload, fifo, cfg);

@@ -18,9 +18,8 @@
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "core/lips_policy.hpp"
+#include "farm/recipe.hpp"
 #include "obs/export.hpp"
-#include "sched/delay_scheduler.hpp"
-#include "sched/fifo_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "workload/workload.hpp"
 
@@ -43,35 +42,6 @@ struct ThreeWayResult {
   double default_wall_ms = 0.0;
   double delay_wall_ms = 0.0;
   double lips_wall_ms = 0.0;
-};
-
-struct ThreeWayOptions {
-  double lips_epoch_s = 600.0;
-  std::size_t hdfs_replication = 3;
-  std::uint64_t replication_seed = 1;
-  /// Candidate pruning for the LiPS LP (0 = exact; benches at 100 nodes
-  /// need pruning to keep epoch solves sub-second).
-  std::size_t prune_machines = 0;
-  std::size_t prune_stores = 0;
-  double delay_node_s = 15.0;
-  double delay_zone_s = 45.0;
-  /// Hadoop's progress timeout (10 min default; the paper raises LiPS runs
-  /// to 20 min so long remote reads survive).
-  double baseline_timeout_s = 600.0;
-  double lips_timeout_s = 1200.0;
-  /// Fault plan injected identically into every scheduler's run (empty =
-  /// fault-free; see sim/faults.hpp and bench_ablation_faults).
-  sim::FaultPlan faults;
-  /// Base path for per-scheduler cost-ledger dumps
-  /// (`<base>.<sched>.json`, schedulers `default`/`delay`/`lips`). Empty =
-  /// off. Every bench binary inherits the LIPS_LEDGER_OUT environment
-  /// variable as a default, so ledgers can be dumped without per-binary
-  /// flags. Missing parent directories are created (obs::open_output) —
-  /// these writes used to fail silently when the directory did not exist.
-  std::string ledger_out = [] {
-    const char* env = std::getenv("LIPS_LEDGER_OUT");
-    return env == nullptr ? std::string() : std::string(env);
-  }();
 };
 
 /// One row of the canonical benchmark artifact. Every bench binary that
@@ -143,65 +113,54 @@ inline void dump_ledger(const std::string& base, const std::string& sched,
   obs::write_ledger_json(ledger, out);
 }
 
-/// Run the three schedulers on the same cluster/workload.
+/// The Fig. 6 testbed the single-setting benches share: 20 nodes over 3
+/// zones, `c1_fraction` of them c1.medium, the Table-IV job set (build it
+/// with farm::make_run_inputs(spec, 2013)), and LiPS epoch `epoch_s`.
+[[nodiscard]] inline farm::ScenarioSpec fig6_spec(double c1_fraction = 0.5,
+                                                  double epoch_s = 600.0) {
+  farm::ScenarioSpec spec;
+  spec.c1_fraction = c1_fraction;
+  spec.workload = "table4";
+  spec.epoch_s = epoch_s;
+  return spec;
+}
+
+/// Run the three schedulers on the same cluster/workload, each configured by
+/// the farm recipe from `spec` (epoch, pruning, replication, timeouts) with
+/// replica seed 1. `LIPS_LEDGER_OUT=<base>` dumps each run's cost ledger to
+/// `<base>.<sched>.json` (schedulers `default`/`delay`/`lips`), creating
+/// missing parent directories (obs::open_output).
 inline ThreeWayResult run_three_way(const cluster::Cluster& cluster,
                                     const workload::Workload& workload,
-                                    const ThreeWayOptions& opt = {}) {
+                                    const farm::ScenarioSpec& spec) {
+  const char* ledger_env = std::getenv("LIPS_LEDGER_OUT");
+  const std::string ledger_out = ledger_env == nullptr ? "" : ledger_env;
+  const auto run = [&](sched::Scheduler& policy, const farm::SchedulerSpec& ss,
+                       double& wall_ms) {
+    // A fresh ledger per run: posts fold in billing order, so a ledger
+    // shared across runs would reconcile against neither run's totals.
+    obs::CostLedger ledger;
+    sim::SimConfig cfg = farm::make_sim_config(spec, ss, 1);
+    if (!ledger_out.empty()) cfg.obs.ledger = &ledger;
+    const auto t0 = std::chrono::steady_clock::now();
+    sim::SimResult r = sim::simulate(cluster, workload, policy, cfg);
+    wall_ms = wall_ms_since(t0);
+    if (!ledger_out.empty()) dump_ledger(ledger_out, ss.name, ledger);
+    return r;
+  };
   ThreeWayResult out;
-
-  sim::SimConfig base_cfg;
-  base_cfg.hdfs_replication = opt.hdfs_replication;
-  base_cfg.replication_seed = opt.replication_seed;
-  base_cfg.speculative_execution = true;  // Hadoop default (paper §VI-A)
-  // The baselines model classic Hadoop, whose speculation is time-only.
-  base_cfg.speculation.mode = sim::SpeculationConfig::Mode::Naive;
-  base_cfg.task_timeout_s = opt.baseline_timeout_s;
-  base_cfg.faults = opt.faults;
-
-  // A fresh ledger per run: posts fold in billing order, so a ledger shared
-  // across runs would reconcile against neither run's totals.
-  const bool want_ledger = !opt.ledger_out.empty();
-  {
-    sched::FifoLocalityScheduler fifo;
-    obs::CostLedger ledger;
-    sim::SimConfig cfg = base_cfg;
-    if (want_ledger) cfg.obs.ledger = &ledger;
-    const auto t0 = std::chrono::steady_clock::now();
-    out.hadoop_default = sim::simulate(cluster, workload, fifo, cfg);
-    out.default_wall_ms = wall_ms_since(t0);
-    if (want_ledger) dump_ledger(opt.ledger_out, "default", ledger);
-  }
-  {
-    sched::DelayScheduler delay(opt.delay_node_s, opt.delay_zone_s);
-    obs::CostLedger ledger;
-    sim::SimConfig cfg = base_cfg;
-    if (want_ledger) cfg.obs.ledger = &ledger;
-    const auto t0 = std::chrono::steady_clock::now();
-    out.delay = sim::simulate(cluster, workload, delay, cfg);
-    out.delay_wall_ms = wall_ms_since(t0);
-    if (want_ledger) dump_ledger(opt.ledger_out, "delay", ledger);
-  }
-  {
-    core::LipsPolicyOptions lo;
-    lo.epoch_s = opt.lips_epoch_s;
-    lo.model.max_candidate_machines = opt.prune_machines;
-    lo.model.max_candidate_stores = opt.prune_stores;
-    core::LipsPolicy lips(lo);
-    obs::CostLedger ledger;
-    sim::SimConfig lips_cfg;
-    lips_cfg.hdfs_replication = 1;  // LiPS manages placement itself
-    lips_cfg.speculative_execution = false;  // disabled for LiPS (paper)
-    lips_cfg.task_timeout_s = opt.lips_timeout_s;
-    lips_cfg.faults = opt.faults;
-    if (want_ledger) lips_cfg.obs.ledger = &ledger;
-    const auto t0 = std::chrono::steady_clock::now();
-    out.lips = sim::simulate(cluster, workload, lips, lips_cfg);
-    out.lips_wall_ms = wall_ms_since(t0);
-    out.lips_planned_cost_mc = lips.planned_cost_mc();
-    out.lips_lp_solves = lips.lp_solves();
-    out.lips_lp_pivots = lips.total_lp_iterations();
-    if (want_ledger) dump_ledger(opt.ledger_out, "lips", ledger);
-  }
+  farm::SchedulerSpec ss;
+  ss.name = "default";
+  out.hadoop_default =
+      run(*farm::make_policy(spec, ss), ss, out.default_wall_ms);
+  ss.name = "delay";
+  out.delay = run(*farm::make_policy(spec, ss), ss, out.delay_wall_ms);
+  ss.name = "lips";
+  core::LipsPolicy lips(farm::make_lips_options(spec, ss));
+  out.lips = run(lips, ss, out.lips_wall_ms);
+  out.lips_planned_cost_mc = lips.planned_cost_mc();
+  out.lips_lp_solves = lips.lp_solves();
+  out.lips_lp_pivots = lips.total_lp_iterations();
   return out;
 }
 

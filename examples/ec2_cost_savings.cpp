@@ -35,11 +35,13 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
 
-  // Hadoop default: FIFO + greedy locality, speculation on, 3x replication.
+  // Hadoop default: FIFO + greedy locality, 3x replication, and Hadoop's
+  // time-only speculation.
   {
     sim::SimConfig cfg;
     cfg.hdfs_replication = 3;
     cfg.speculative_execution = true;
+    cfg.speculation.mode = sim::SpeculationConfig::Mode::Naive;
     cfg.task_timeout_s = 600.0;
     sched::FifoLocalityScheduler fifo;
     rows.push_back({"hadoop-default", sim::simulate(c, w, fifo, cfg)});
@@ -49,6 +51,7 @@ int main(int argc, char** argv) {
     sim::SimConfig cfg;
     cfg.hdfs_replication = 3;
     cfg.speculative_execution = true;
+    cfg.speculation.mode = sim::SpeculationConfig::Mode::Naive;
     cfg.task_timeout_s = 600.0;
     sched::DelayScheduler delay(15.0, 45.0);
     rows.push_back({"delay", sim::simulate(c, w, delay, cfg)});

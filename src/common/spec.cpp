@@ -1,5 +1,6 @@
 #include "common/spec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <set>
@@ -83,6 +84,17 @@ std::string SpecBinder::known_keys() const {
     keys += f.key;
   }
   return keys;
+}
+
+bool SpecBinder::binds(const std::string& key) const {
+  return std::any_of(fields_.begin(), fields_.end(),
+                     [&](const Field& f) { return f.key == key; });
+}
+
+void SpecBinder::apply(const std::string& key, const std::string& value) const {
+  LIPS_REQUIRE(value.find(',') == std::string::npos,
+               domain_ + " value may not contain ',': " + key + "=" + value);
+  parse(key + "=" + value);
 }
 
 void SpecBinder::parse(const std::string& spec) const {

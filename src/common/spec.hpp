@@ -48,6 +48,13 @@ class SpecBinder {
   /// a key bound range being violated, a key given twice, or an unknown key.
   void parse(const std::string& spec) const;
 
+  /// True when `key` is bound.
+  [[nodiscard]] bool binds(const std::string& key) const;
+  /// Parse the one entry "key=value": how command-line flags such as
+  /// lipsctl's `--nodes 8` reuse the spec number rules. A value containing
+  /// ',' is refused, so one flag can never set two keys.
+  void apply(const std::string& key, const std::string& value) const;
+
  private:
   struct Field {
     std::string key;

@@ -1,6 +1,11 @@
 #include "farm/recipe.hpp"
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "sched/delay_scheduler.hpp"
+#include "sched/fair_scheduler.hpp"
+#include "sched/fifo_scheduler.hpp"
+#include "sched/flow_scheduler.hpp"
 #include "workload/swim.hpp"
 
 namespace lips::farm {
@@ -54,6 +59,47 @@ void apply_lips_sim_config(const ScenarioSpec& spec, std::uint64_t seed,
   cfg.speculative_execution = false;
   cfg.task_timeout_s = spec.lips_timeout_s;
   cfg.replication_seed = seed;
+}
+
+std::unique_ptr<sched::Scheduler> make_policy(const ScenarioSpec& spec,
+                                              const SchedulerSpec& ss) {
+  if (ss.name == "default")
+    return std::make_unique<sched::FifoLocalityScheduler>();
+  if (ss.name == "delay") return std::make_unique<sched::DelayScheduler>();
+  if (ss.name == "fair") return std::make_unique<sched::FairScheduler>();
+  if (ss.name == "quincy")
+    return std::make_unique<sched::QuincyFlowScheduler>();
+  LIPS_REQUIRE(ss.name == "lips",
+               "farm: unknown scheduler '" + ss.name + "'");
+  return std::make_unique<core::LipsPolicy>(make_lips_options(spec, ss));
+}
+
+sim::SimConfig make_sim_config(const ScenarioSpec& spec,
+                               const SchedulerSpec& ss,
+                               std::uint64_t replication_seed) {
+  sim::SimConfig cfg;
+  if (ss.name == "lips") {
+    apply_lips_sim_config(spec, replication_seed, cfg);
+  } else {
+    cfg.replication_seed = replication_seed;
+    cfg.hdfs_replication = spec.replication;
+    cfg.task_timeout_s = spec.baseline_timeout_s;
+    // Classic Hadoop speculation is time-only (paper §VI-A).
+    if (ss.name == "default" || ss.name == "delay") {
+      cfg.speculative_execution = true;
+      cfg.speculation.mode = sim::SpeculationConfig::Mode::Naive;
+    }
+  }
+  if (ss.speculation == "off") {
+    cfg.speculative_execution = false;
+  } else if (ss.speculation == "naive") {
+    cfg.speculative_execution = true;
+    cfg.speculation.mode = sim::SpeculationConfig::Mode::Naive;
+  } else if (ss.speculation == "cost") {
+    cfg.speculative_execution = true;
+    cfg.speculation.mode = sim::SpeculationConfig::Mode::CostAware;
+  }
+  return cfg;
 }
 
 }  // namespace lips::farm

@@ -1,4 +1,5 @@
-// The deterministic (scenario, seed) → simulation-ingredients recipe.
+// The paper-run recipe: (scenario, seed) → the world, and scheduler name →
+// the policy plus the SimConfig it runs under.
 //
 // run_one() and the lipsd service must build bit-identical worlds from the
 // same (ScenarioSpec, seed) pair: the farm runs them in-process, a lipsd
@@ -12,15 +13,24 @@
 // then the workload from Rng(seed), then the storm seed from the *next* draw
 // of the same stream. Reordering changes every downstream bit.
 //
+// The per-scheduler half (make_policy, make_sim_config) is the paper's
+// §VI-A setup, and the only code that knows it: the Hadoop baselines run on
+// HDFS replication with the 10-minute timeout, default and delay speculating
+// on time alone; LiPS places its own data, runs without speculation and
+// with the raised timeout. run_one, lipsctl and the bench harness all call
+// it, so a Fig. 6 row means the same run wherever it is printed.
+//
 // Thread role: pure functions over value types; call freely from any thread.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "cluster/cluster.hpp"
 #include "common/thread_annotations.hpp"
 #include "core/lips_policy.hpp"
 #include "farm/scenario.hpp"
+#include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "workload/workload.hpp"
 
@@ -49,5 +59,19 @@ struct LIPS_EXTERNALLY_SYNCHRONIZED RunInputs {
 /// run seed for replication placement).
 void apply_lips_sim_config(const ScenarioSpec& spec, std::uint64_t seed,
                            sim::SimConfig& cfg);
+
+/// The policy `ss.name` names (default|delay|fair|quincy|lips), with its
+/// paper options; "lips" runs make_lips_options. Throws PreconditionError
+/// on an unknown name.
+[[nodiscard]] std::unique_ptr<sched::Scheduler> make_policy(
+    const ScenarioSpec& spec, const SchedulerSpec& ss);
+
+/// The SimConfig `ss` runs under: the scheduler's paper substrate
+/// (replication, timeout, speculation), then `ss.speculation` when it is
+/// not "auto". `replication_seed` seeds replica placement; the farm passes
+/// the run seed. Faults, observers and checkpoints are the caller's.
+[[nodiscard]] sim::SimConfig make_sim_config(const ScenarioSpec& spec,
+                                             const SchedulerSpec& ss,
+                                             std::uint64_t replication_seed);
 
 }  // namespace lips::farm

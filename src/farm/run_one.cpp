@@ -3,74 +3,12 @@
 #include <memory>
 
 #include "cluster/cluster.hpp"
-#include "common/error.hpp"
-#include "core/lips_policy.hpp"
 #include "farm/recipe.hpp"
 #include "obs/obs.hpp"
-#include "sched/delay_scheduler.hpp"
-#include "sched/fair_scheduler.hpp"
-#include "sched/fifo_scheduler.hpp"
-#include "sched/flow_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "workload/workload.hpp"
 
 namespace lips::farm {
-
-namespace {
-
-/// Wall-clock profiling series (LP solve duration) measure the host, not
-/// the simulation, so they can never be bit-identical across runs. They are
-/// dropped from the snapshot the determinism contract covers; everything
-/// else — simulated time, counts, dollars — is a pure function of the seed.
-std::vector<obs::MetricRegistry::Sample> deterministic_samples(
-    std::vector<obs::MetricRegistry::Sample> samples) {
-  std::erase_if(samples, [](const obs::MetricRegistry::Sample& s) {
-    return s.name == "lips_lp_solve_duration_ms";
-  });
-  return samples;
-}
-
-/// Build the policy and the scheduler-specific SimConfig deltas, mirroring
-/// lipsctl's per-scheduler defaults (the paper's configurations).
-std::unique_ptr<sched::Scheduler> make_policy(const ScenarioSpec& sc,
-                                              const SchedulerSpec& ss,
-                                              sim::SimConfig& cfg) {
-  cfg.hdfs_replication = sc.replication;
-  cfg.task_timeout_s = sc.baseline_timeout_s;
-  if (ss.name == "default") {
-    cfg.speculative_execution = true;
-    cfg.speculation.mode = sim::SpeculationConfig::Mode::Naive;
-    return std::make_unique<sched::FifoLocalityScheduler>();
-  }
-  if (ss.name == "delay") {
-    cfg.speculative_execution = true;
-    cfg.speculation.mode = sim::SpeculationConfig::Mode::Naive;
-    return std::make_unique<sched::DelayScheduler>();
-  }
-  if (ss.name == "fair") return std::make_unique<sched::FairScheduler>();
-  if (ss.name == "quincy")
-    return std::make_unique<sched::QuincyFlowScheduler>();
-  LIPS_REQUIRE(ss.name == "lips",
-               "farm: unknown scheduler '" + ss.name + "'");
-  // Replication seed is already on cfg (run_one stamps it for every
-  // scheduler); apply_lips_sim_config re-stamping it is a no-op here.
-  apply_lips_sim_config(sc, cfg.replication_seed, cfg);
-  return std::make_unique<core::LipsPolicy>(make_lips_options(sc, ss));
-}
-
-void apply_speculation(const SchedulerSpec& ss, sim::SimConfig& cfg) {
-  if (ss.speculation == "off") {
-    cfg.speculative_execution = false;
-  } else if (ss.speculation == "naive") {
-    cfg.speculative_execution = true;
-    cfg.speculation.mode = sim::SpeculationConfig::Mode::Naive;
-  } else if (ss.speculation == "cost") {
-    cfg.speculative_execution = true;
-    cfg.speculation.mode = sim::SpeculationConfig::Mode::CostAware;
-  }  // "auto": keep the scheduler's paper default from make_policy
-}
-
-}  // namespace
 
 const SchedulerRunResult* RunResult::find(const std::string& label) const {
   for (const SchedulerRunResult& r : runs) {
@@ -100,11 +38,9 @@ RunResult run_one(const ScenarioSpec& spec, std::size_t cell,
 
   out.ledgers_reconcile = true;
   for (const SchedulerSpec& ss : spec.resolved_schedulers()) {
-    sim::SimConfig cfg;
+    const std::unique_ptr<sched::Scheduler> policy = make_policy(spec, ss);
+    sim::SimConfig cfg = make_sim_config(spec, ss, seed);
     cfg.faults = plan;
-    cfg.replication_seed = seed;
-    std::unique_ptr<sched::Scheduler> policy = make_policy(spec, ss, cfg);
-    apply_speculation(ss, cfg);
     obs::MetricRegistry metrics;
     obs::CostLedger ledger;
     cfg.obs = obs::Observer{&metrics, nullptr, &ledger};
@@ -124,7 +60,7 @@ RunResult run_one(const ScenarioSpec& spec, std::size_t cell,
     srr.schedule_digest = r.schedule_digest;
     srr.ledger = sim::billed_totals(r);
     srr.ledger_reconciles = ledger.reconcile(srr.ledger).ok;
-    srr.metrics = deterministic_samples(metrics.snapshot());
+    srr.metrics = obs::deterministic_samples(metrics.snapshot());
     out.ledgers_reconcile = out.ledgers_reconcile && srr.ledger_reconciles;
     out.runs.push_back(std::move(srr));
   }

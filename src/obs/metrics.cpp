@@ -209,4 +209,12 @@ std::size_t MetricRegistry::series_count() const {
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
+std::vector<MetricRegistry::Sample> deterministic_samples(
+    std::vector<MetricRegistry::Sample> samples) {
+  std::erase_if(samples, [](const MetricRegistry::Sample& s) {
+    return s.name == "lips_lp_solve_duration_ms";
+  });
+  return samples;
+}
+
 }  // namespace lips::obs

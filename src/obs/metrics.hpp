@@ -213,4 +213,12 @@ class MetricRegistry {
   std::map<std::string, Kind> kind_of_name_ LIPS_GUARDED_BY(mu_);
 };
 
+/// `samples` without the series that time the host rather than the
+/// simulation: wall-clock profiling such as `lips_lp_solve_duration_ms`.
+/// Those differ between two identical runs, so every copy of a registry a
+/// determinism contract covers leaves them out — farm run results
+/// (DESIGN.md §13) and simulator snapshot payloads (§11).
+[[nodiscard]] std::vector<MetricRegistry::Sample> deterministic_samples(
+    std::vector<MetricRegistry::Sample> samples);
+
 }  // namespace lips::obs

@@ -1583,11 +1583,13 @@ class Engine final : public ClusterState {
                      "restoring"));
 
     // Metrics never feed decisions: a run resumed without a registry
-    // attached decodes the section and drops it.
+    // attached decodes the section and drops it. Host-timed series stay
+    // out, so identical runs write identical bytes.
     bool has_metrics = self.obs_.metrics != nullptr;
     std::vector<obs::MetricRegistry::Sample> samples;
     if constexpr (!Ar::kLoading) {
-      if (has_metrics) samples = self.obs_.metrics->snapshot();
+      if (has_metrics)
+        samples = obs::deterministic_samples(self.obs_.metrics->snapshot());
     }
     ar(has_metrics);
     if (has_metrics) {

@@ -8,6 +8,7 @@
 // uninterrupted run's schedule digest, trace, and bit-identical ledger.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
@@ -35,6 +36,7 @@
 #include "lp/model.hpp"
 #include "lp/solver_faults.hpp"
 #include "obs/ledger.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "sched/delay_scheduler.hpp"
 #include "sched/fair_scheduler.hpp"
@@ -687,6 +689,30 @@ TEST(CkptSim, RestoreRejectsTopologyMismatch) {
   rcfg.restore_from = &*snap;
   EXPECT_THROW((void)sim::simulate(other, w, policy, rcfg),
                ckpt::SnapshotError);
+}
+
+TEST(CkptSim, PayloadsAreDeterministicWithAMetricRegistry) {
+  // The registry rides in the payload, but its host-timed series (the LP
+  // solve-duration histogram) do not: two identical runs write identical
+  // bytes.
+  std::vector<std::uint64_t> digests;
+  for (const std::string tag : {"metrics_a", "metrics_b"}) {
+    const ckpt::CheckpointDir dir(scratch_dir(tag), /*keep=*/128);
+    obs::MetricRegistry metrics;
+    sim::SimConfig cfg;
+    cfg.checkpoint_dir = &dir;
+    cfg.checkpoint_label = "test:metrics";
+    cfg.obs.metrics = &metrics;
+    const RunArtifacts run = run_lips(/*seed=*/7, cfg);
+    EXPECT_GT(run.result.checkpoints_written, 2u);
+    const std::vector<obs::MetricRegistry::Sample> samples =
+        metrics.snapshot();
+    EXPECT_TRUE(std::any_of(samples.begin(), samples.end(), [](const auto& s) {
+      return s.name == "lips_lp_solve_duration_ms" && s.count > 0;
+    })) << "the host-timed series this test guards against is missing";
+    digests.push_back(payload_digest(dir));
+  }
+  EXPECT_EQ(digests[0], digests[1]);
 }
 
 // ------------------------------------------------ format pinning ---------

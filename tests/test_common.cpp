@@ -341,5 +341,25 @@ TEST(SpecBinder, TrailingAndRepeatedSeparatorsAreSkipped) {
   EXPECT_EQ(f.num, 1.0);
 }
 
+TEST(SpecBinder, ApplyParsesOneFlagValueStrictly) {
+  SpecFixture f;
+  EXPECT_TRUE(f.binder.binds("count"));
+  EXPECT_FALSE(f.binder.binds("nope"));
+  f.binder.apply("count", "12");
+  f.binder.apply("num", "0x1.8p+1");
+  EXPECT_EQ(f.count, 12u);
+  EXPECT_EQ(f.num, 3.0);
+  // The spec rules, not atof/strtoul: no prefix reads, no silent zero.
+  EXPECT_THROW(f.binder.apply("seed", "7x"), PreconditionError);
+  EXPECT_THROW(f.binder.apply("count", "abc"), PreconditionError);
+  EXPECT_THROW(f.binder.apply("prob", "2"), PreconditionError);
+  EXPECT_THROW(f.binder.apply("count", ""), PreconditionError);
+  EXPECT_THROW(f.binder.apply("nope", "1"), PreconditionError);
+  // One value never sets a second key.
+  EXPECT_THROW(f.binder.apply("count", "3,seed=4"), PreconditionError);
+  EXPECT_EQ(f.count, 12u);
+  EXPECT_EQ(f.seed, 0u);
+}
+
 }  // namespace
 }  // namespace lips

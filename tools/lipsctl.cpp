@@ -84,7 +84,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -96,39 +95,31 @@
 #include "ckpt/store.hpp"
 #include "ckpt/write_faults.hpp"
 #include "common/build_info.hpp"
+#include "common/error.hpp"
+#include "common/spec.hpp"
 #include "common/table.hpp"
 #include "farm/farm.hpp"
+#include "farm/recipe.hpp"
 #include "farm/sweep_json.hpp"
 #include "obs/export.hpp"
 #include "core/lips_policy.hpp"
 #include "lp/solver_faults.hpp"
-#include "sched/delay_scheduler.hpp"
-#include "sched/fair_scheduler.hpp"
-#include "sched/fifo_scheduler.hpp"
-#include "sched/flow_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
 #include "svc/daemon.hpp"
 #include "svc/server.hpp"
 #include "svc/service.hpp"
-#include "workload/swim.hpp"
 
 namespace {
 
 using namespace lips;
 
 struct Args {
-  std::size_t nodes = 20;
-  double c1 = 0.5;
-  double small = 0.0;
-  std::size_t zones = 3;
-  std::string workload = "table4";
-  std::size_t jobs = 100;    // swim
-  std::size_t tasks = 400;   // random
-  double epoch_s = 600.0;
+  /// Cluster, workload, epoch, replication and one SchedulerSpec per
+  /// --schedulers name: the farm recipe builds the world and every run from
+  /// it (farm/recipe.hpp).
+  farm::ScenarioSpec spec;
   std::uint64_t seed = 2013;
-  std::string schedulers = "default,delay,lips";
-  std::size_t replication = 3;
   double patience = 1.25;  // <= 0 → prohibitive fake node
   bool csv = false;
   std::string trace_file;
@@ -137,13 +128,27 @@ struct Args {
   std::string ledger_out;
   std::string faults;  // fault-storm spec; empty = fault-free
   std::string solver_faults;  // LP solver chaos spec; empty = no injection
-  std::string speculation = "auto";  // auto|off|naive|cost
-  bool feedback = true;  // LiPS observed-throughput feedback / quarantine
   std::string checkpoint_dir;     // empty = checkpointing off
   std::size_t checkpoint_every = 1;  // epochs between snapshots
   std::string checkpoint_faults;  // snapshot write-fault spec; empty = none
   bool restore = false;           // resume from the newest good snapshot
 };
+
+/// Bad input exits 2 with one line on stderr, before any table is printed.
+[[noreturn]] void reject(const std::string& what) {
+  std::cerr << what << "\n";
+  std::exit(2);
+}
+
+/// fn(), or reject() with `what` and the reason when it throws.
+template <class Fn>
+auto or_reject(const std::string& what, Fn fn) {
+  try {
+    return fn();
+  } catch (const std::exception& e) {
+    reject(what + e.what());
+  }
+}
 
 [[noreturn]] void usage(const char* argv0) {
   std::cerr
@@ -167,37 +172,43 @@ struct Args {
 
 Args parse(int argc, char** argv) {
   Args a;
+  a.spec.name = "lipsctl";
+  a.spec.workload = "table4";
+  a.spec.jobs = 100;
+  a.spec.epoch_s = 600.0;
+  std::string schedulers = "default,delay,lips";
+  farm::SchedulerSpec each;  // --speculation and --no-feedback apply to all
+  // Numeric flags follow the spec number rules (common/spec.hpp): "7x",
+  // "abc" or an out-of-range value is an error, never a silent 0 or 7.
+  SpecBinder numbers("flag");
+  numbers.count("--nodes", &a.spec.nodes)
+      .probability("--c1", &a.spec.c1_fraction)
+      .probability("--small", &a.spec.small_fraction)
+      .count("--zones", &a.spec.zones)
+      .count("--jobs", &a.spec.jobs)
+      .count("--tasks", &a.spec.tasks)
+      .number("--epoch", &a.spec.epoch_s)
+      .seed("--seed", &a.seed)
+      .count("--replication", &a.spec.replication)
+      .number("--patience", &a.patience)
+      .count("--checkpoint-every", &a.checkpoint_every);
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto value = [&]() -> std::string {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
-    if (flag == "--nodes") {
-      a.nodes = std::strtoul(value().c_str(), nullptr, 10);
-    } else if (flag == "--c1") {
-      a.c1 = std::atof(value().c_str());
-    } else if (flag == "--small") {
-      a.small = std::atof(value().c_str());
-    } else if (flag == "--zones") {
-      a.zones = std::strtoul(value().c_str(), nullptr, 10);
-    } else if (flag == "--workload") {
-      a.workload = value();
-    } else if (flag == "--jobs") {
-      a.jobs = std::strtoul(value().c_str(), nullptr, 10);
-    } else if (flag == "--tasks") {
-      a.tasks = std::strtoul(value().c_str(), nullptr, 10);
-    } else if (flag == "--epoch") {
-      a.epoch_s = std::atof(value().c_str());
-    } else if (flag == "--seed") {
-      a.seed = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (flag == "--schedulers") {
-      a.schedulers = value();
-    } else if (flag == "--replication") {
-      a.replication = std::strtoul(value().c_str(), nullptr, 10);
-    } else if (flag == "--patience") {
+    if (numbers.binds(flag)) {
       const std::string v = value();
-      a.patience = v == "off" ? -1.0 : std::atof(v.c_str());
+      if (flag == "--patience" && v == "off") {
+        a.patience = -1.0;
+      } else {
+        or_reject("lipsctl: ", [&] { numbers.apply(flag, v); });
+      }
+    } else if (flag == "--workload") {
+      a.spec.workload = value();
+    } else if (flag == "--schedulers") {
+      schedulers = value();
     } else if (flag == "--csv") {
       a.csv = true;
     } else if (flag == "--trace") {
@@ -213,16 +224,11 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--solver-faults") {
       a.solver_faults = value();
     } else if (flag == "--speculation") {
-      a.speculation = value();
-      if (a.speculation != "auto" && a.speculation != "off" &&
-          a.speculation != "naive" && a.speculation != "cost")
-        usage(argv[0]);
+      each.speculation = value();  // validate_scenario checks the name
     } else if (flag == "--no-feedback") {
-      a.feedback = false;
+      each.feedback = false;
     } else if (flag == "--checkpoint-dir") {
       a.checkpoint_dir = value();
-    } else if (flag == "--checkpoint-every") {
-      a.checkpoint_every = std::strtoul(value().c_str(), nullptr, 10);
     } else if (flag == "--checkpoint-faults") {
       a.checkpoint_faults = value();
     } else if (flag == "--restore") {
@@ -234,24 +240,16 @@ Args parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  std::stringstream names(schedulers);
+  while (std::getline(names, each.name, ',')) a.spec.schedulers.push_back(each);
+  if (a.spec.schedulers.empty()) usage(argv[0]);
+  // Big clusters prune the LP's candidate machines and stores to keep each
+  // epoch solve fast (bench_ablation_pruning measures the cost).
+  if (a.spec.nodes > 30) {
+    a.spec.prune_machines = 12;
+    a.spec.prune_stores = 8;
+  }
   return a;
-}
-
-workload::Workload make_workload(const Args& a, const cluster::Cluster& c) {
-  Rng rng(a.seed);
-  if (a.workload == "table4") return workload::make_table4_workload(c, rng);
-  if (a.workload == "swim") {
-    workload::SwimParams sp;
-    sp.n_jobs = a.jobs;
-    return workload::make_swim_workload(sp, c, rng).workload;
-  }
-  if (a.workload == "random") {
-    workload::RandomWorkloadParams wp;
-    wp.n_tasks = a.tasks;
-    return workload::make_random_workload(wp, c, rng);
-  }
-  std::cerr << "unknown workload: " << a.workload << "\n";
-  std::exit(2);
 }
 
 [[noreturn]] void sweep_usage(const char* argv0) {
@@ -275,6 +273,13 @@ int sweep_main(int argc, char** argv) {
   cfg.stop.batch_seeds = 8;
   cfg.stop.target_half_width = 0.02;
   std::string out_file;
+  SpecBinder numbers("flag");
+  numbers.count("--threads", &cfg.threads)
+      .seed("--seed", &cfg.seed)
+      .count("--seeds", &cfg.stop.max_seeds)
+      .count("--min-seeds", &cfg.stop.min_seeds)
+      .count("--batch-seeds", &cfg.stop.batch_seeds)
+      .number("--target-halfwidth", &cfg.stop.target_half_width);
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto value = [&]() -> std::string {
@@ -282,24 +287,10 @@ int sweep_main(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--cell") {
-      try {
-        cfg.cells.push_back(farm::parse_scenario_spec(value()));
-      } catch (const std::exception& e) {
-        std::cerr << "bad --cell spec: " << e.what() << "\n";
-        return 2;
-      }
-    } else if (flag == "--threads") {
-      cfg.threads = std::strtoul(value().c_str(), nullptr, 10);
-    } else if (flag == "--seed") {
-      cfg.seed = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (flag == "--seeds") {
-      cfg.stop.max_seeds = std::strtoul(value().c_str(), nullptr, 10);
-    } else if (flag == "--min-seeds") {
-      cfg.stop.min_seeds = std::strtoul(value().c_str(), nullptr, 10);
-    } else if (flag == "--batch-seeds") {
-      cfg.stop.batch_seeds = std::strtoul(value().c_str(), nullptr, 10);
-    } else if (flag == "--target-halfwidth") {
-      cfg.stop.target_half_width = std::atof(value().c_str());
+      cfg.cells.push_back(or_reject(
+          "bad --cell spec: ", [&] { return farm::parse_scenario_spec(value()); }));
+    } else if (numbers.binds(flag)) {
+      or_reject("lipsctl sweep: ", [&] { numbers.apply(flag, value()); });
     } else if (flag == "--out") {
       out_file = value();
     } else {
@@ -430,6 +421,8 @@ int replay_main(int argc, char** argv) {
   std::string cell = "name=replay,nodes=8,jobs=3";
   std::string session = "replay";
   std::uint64_t seed = 2013;
+  SpecBinder numbers("flag");
+  numbers.seed("--seed", &seed);
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto value = [&]() -> std::string {
@@ -442,8 +435,13 @@ int replay_main(int argc, char** argv) {
       cell = value();
     } else if (flag == "--session") {
       session = value();
-    } else if (flag == "--seed") {
-      seed = std::strtoull(value().c_str(), nullptr, 10);
+    } else if (numbers.binds(flag)) {
+      try {
+        numbers.apply(flag, value());
+      } catch (const PreconditionError& e) {
+        std::cerr << "lipsctl replay: " << e.what() << "\n";
+        return 64;  // EX_USAGE
+      }
     } else {
       std::cerr << "lipsctl replay: unknown flag: " << flag << "\n";
       replay_usage(argv[0]);
@@ -488,50 +486,48 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "replay") == 0)
     return replay_main(argc - 1, argv + 1);
   const Args args = parse(argc, argv);
-  const cluster::Cluster c =
-      cluster::make_ec2_cluster(args.nodes, args.c1, args.zones, args.small);
-  const workload::Workload w = make_workload(args, c);
+  const farm::ScenarioSpec& spec = args.spec;
+  // make_run_inputs validates the whole spec first (scheduler names, counts,
+  // epoch), so bad input stops here, before any run.
+  const farm::RunInputs world = or_reject(
+      "lipsctl: ", [&] { return farm::make_run_inputs(spec, args.seed); });
+  const cluster::Cluster& c = world.cluster;
+  const workload::Workload& w = world.workload;
+
+  // One storm shared by every scheduler: the comparison is apples-to-apples
+  // because each run absorbs the identical fault sequence. The storm is
+  // seeded by the spec's own seed= key, not by --seed.
+  sim::FaultPlan fault_plan;
+  if (!args.faults.empty()) {
+    fault_plan = or_reject("bad --faults spec: ", [&] {
+      return sim::make_fault_storm(sim::parse_fault_spec(args.faults),
+                                   c.machine_count(), c.store_count());
+    });
+  }
+  lp::SolverFaultConfig solver_fault_config;
+  if (!args.solver_faults.empty()) {
+    solver_fault_config = or_reject("bad --solver-faults spec: ", [&] {
+      return lp::parse_solver_fault_spec(args.solver_faults);
+    });
+  }
+  ckpt::SnapshotFaultConfig ckpt_fault_config;
+  if (!args.checkpoint_faults.empty()) {
+    ckpt_fault_config = or_reject("bad --checkpoint-faults spec: ", [&] {
+      return ckpt::parse_snapshot_fault_spec(args.checkpoint_faults);
+    });
+  }
+  if (args.checkpoint_dir.empty() &&
+      (args.restore || !args.checkpoint_faults.empty()))
+    reject("--restore/--checkpoint-faults require --checkpoint-dir");
 
   if (!args.csv) {
-    std::cout << "cluster: " << args.nodes << " nodes / " << args.zones
-              << " zones (" << args.c1 * 100 << "% c1.medium, "
-              << args.small * 100 << "% m1.small)\n"
+    std::cout << "cluster: " << spec.nodes << " nodes / " << spec.zones
+              << " zones (" << spec.c1_fraction * 100 << "% c1.medium, "
+              << spec.small_fraction * 100 << "% m1.small)\n"
               << "workload: " << w.job_count() << " jobs, " << w.total_tasks()
               << " tasks, " << Table::num(w.total_input_mb() / kMBPerGB, 1)
               << " GB, " << Table::num(w.total_cpu_ecu_s(), 0)
               << " ECU-seconds\n\n";
-  }
-
-  // One storm shared by every scheduler: the comparison is apples-to-apples
-  // because each run absorbs the identical fault sequence.
-  sim::FaultPlan fault_plan;
-  if (!args.faults.empty()) {
-    try {
-      fault_plan = sim::make_fault_storm(sim::parse_fault_spec(args.faults),
-                                         c.machine_count(), c.store_count());
-    } catch (const std::exception& e) {
-      std::cerr << "bad --faults spec: " << e.what() << "\n";
-      std::exit(2);
-    }
-  }
-  lp::SolverFaultConfig solver_fault_config;
-  if (!args.solver_faults.empty()) {
-    try {
-      solver_fault_config = lp::parse_solver_fault_spec(args.solver_faults);
-    } catch (const std::exception& e) {
-      std::cerr << "bad --solver-faults spec: " << e.what() << "\n";
-      std::exit(2);
-    }
-  }
-  ckpt::SnapshotFaultConfig ckpt_fault_config;
-  if (!args.checkpoint_faults.empty()) {
-    try {
-      ckpt_fault_config =
-          ckpt::parse_snapshot_fault_spec(args.checkpoint_faults);
-    } catch (const std::exception& e) {
-      std::cerr << "bad --checkpoint-faults spec: " << e.what() << "\n";
-      std::exit(2);
-    }
   }
 
   Table t;
@@ -542,7 +538,7 @@ int main(int argc, char** argv) {
     header.insert(header.end(), {"killed", "retries", "lost", "slowdowns",
                                  "wasted_usd"});
   }
-  const bool spec_cols = args.speculation != "off";
+  const bool spec_cols = spec.schedulers.front().speculation != "off";
   if (spec_cols) header.insert(header.end(), {"spec", "spec_usd"});
   t.set_header(header);
   bool all_completed = true;
@@ -551,34 +547,20 @@ int main(int argc, char** argv) {
   const bool want_obs = !args.metrics_out.empty() ||
                         !args.trace_out.empty() || !args.ledger_out.empty();
 
-  std::stringstream names(args.schedulers);
-  std::string name;
-  while (std::getline(names, name, ',')) {
-    sim::SimConfig cfg;
-    cfg.hdfs_replication = args.replication;
-    cfg.task_timeout_s = 600.0;
+  for (const farm::SchedulerSpec& ss : spec.schedulers) {
+    const std::string& name = ss.name;
+    // Replica placement keeps seed 1, the seed every lipsctl table has been
+    // printed with; --seed draws the workload only.
+    sim::SimConfig cfg = farm::make_sim_config(spec, ss, 1);
     cfg.record_trace = !args.trace_file.empty();
     cfg.faults = fault_plan;
-    std::unique_ptr<sched::Scheduler> policy;
-    core::LipsPolicy* lips_policy = nullptr;  // for LP telemetry below
     // Fresh injector per run: its RNG stream is part of the run's identity,
     // and it must outlive the policy that holds a pointer to it.
     std::unique_ptr<lp::SolverFaultInjector> injector;
-    if (name == "default") {
-      cfg.speculative_execution = true;
-      cfg.speculation.mode = sim::SpeculationConfig::Mode::Naive;
-      policy = std::make_unique<sched::FifoLocalityScheduler>();
-    } else if (name == "delay") {
-      cfg.speculative_execution = true;
-      cfg.speculation.mode = sim::SpeculationConfig::Mode::Naive;
-      policy = std::make_unique<sched::DelayScheduler>();
-    } else if (name == "fair") {
-      policy = std::make_unique<sched::FairScheduler>();
-    } else if (name == "quincy") {
-      policy = std::make_unique<sched::QuincyFlowScheduler>();
-    } else if (name == "lips") {
-      core::LipsPolicyOptions lo;
-      lo.epoch_s = args.epoch_s;
+    std::unique_ptr<sched::Scheduler> policy;
+    core::LipsPolicy* lips_policy = nullptr;  // for LP telemetry below
+    if (name == "lips") {
+      core::LipsPolicyOptions lo = farm::make_lips_options(spec, ss);
       if (args.patience > 0) {
         lo.model.fake_node_pricing =
             core::ModelOptions::FakeNodePricing::PatienceMin;
@@ -588,35 +570,16 @@ int main(int argc, char** argv) {
             core::ModelOptions::FakeNodePricing::ProhibitiveMax;
         lo.model.fake_node_price_factor = 1000.0;
       }
-      if (args.nodes > 30) {
-        lo.model.max_candidate_machines = 12;
-        lo.model.max_candidate_stores = 8;
-      }
-      lo.throughput_feedback = args.feedback;
-      if (!args.feedback) lo.quarantine_below = 0.0;
       if (!args.solver_faults.empty()) {
         injector =
             std::make_unique<lp::SolverFaultInjector>(solver_fault_config);
         lo.model.solver_options.fault_injector = injector.get();
       }
-      cfg.hdfs_replication = 1;  // LiPS manages placement itself
-      cfg.task_timeout_s = 1200.0;
       auto lips = std::make_unique<core::LipsPolicy>(lo);
       lips_policy = lips.get();
       policy = std::move(lips);
     } else {
-      std::cerr << "unknown scheduler: " << name << "\n";
-      return 2;
-    }
-    // --speculation overrides each scheduler's paper default.
-    if (args.speculation == "off") {
-      cfg.speculative_execution = false;
-    } else if (args.speculation == "naive") {
-      cfg.speculative_execution = true;
-      cfg.speculation.mode = sim::SpeculationConfig::Mode::Naive;
-    } else if (args.speculation == "cost") {
-      cfg.speculative_execution = true;
-      cfg.speculation.mode = sim::SpeculationConfig::Mode::CostAware;
+      policy = farm::make_policy(spec, ss);
     }
     // Fresh sinks per run: the ledger folds posts in billing order, so a
     // ledger shared across runs would reconcile against neither.
@@ -667,9 +630,6 @@ int main(int argc, char** argv) {
                     << ": no usable snapshot, starting fresh\n";
         }
       }
-    } else if (args.restore || !args.checkpoint_faults.empty()) {
-      std::cerr << "--restore/--checkpoint-faults require --checkpoint-dir\n";
-      return 2;
     }
     sim::SimResult r;
     try {
