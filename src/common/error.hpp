@@ -5,6 +5,7 @@
 // (e.g. an infeasible LP is a *result*, not an error).
 #pragma once
 
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -12,10 +13,30 @@
 namespace lips {
 
 /// Thrown when a documented precondition of a public API is violated.
+/// what() carries the failed expression and source location for the
+/// developer; reason() is the caller's own text, the part a user should see.
 class PreconditionError : public std::logic_error {
  public:
-  explicit PreconditionError(const std::string& what) : std::logic_error(what) {}
+  /// `what` from offset `reason_at` on is the reason (all of it by default).
+  explicit PreconditionError(const std::string& what,
+                             std::size_t reason_at = 0)
+      : std::logic_error(what), reason_at_(reason_at) {}
+
+  [[nodiscard]] const char* reason() const noexcept {
+    return what() + reason_at_;
+  }
+
+ private:
+  std::size_t reason_at_;
 };
+
+/// The text of `e` meant for a user: a PreconditionError's reason, else
+/// what().
+[[nodiscard]] inline const char* user_message(
+    const std::exception& e) noexcept {
+  const auto* pre = dynamic_cast<const PreconditionError*>(&e);
+  return pre != nullptr ? pre->reason() : e.what();
+}
 
 /// Thrown when an internal invariant fails; indicates a library bug.
 class InternalError : public std::logic_error {
@@ -29,8 +50,10 @@ namespace detail {
                                             int line, const std::string& msg) {
   std::ostringstream os;
   os << "precondition failed: (" << expr << ") at " << file << ":" << line;
-  if (!msg.empty()) os << " — " << msg;
-  throw PreconditionError(os.str());
+  if (!msg.empty()) os << " — ";
+  const auto reason_at = static_cast<std::size_t>(os.tellp());
+  os << msg;
+  throw PreconditionError(os.str(), msg.empty() ? 0 : reason_at);
 }
 
 [[noreturn]] inline void throw_internal(const char* expr, const char* file,

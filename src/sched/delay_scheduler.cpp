@@ -1,7 +1,5 @@
 #include "sched/delay_scheduler.hpp"
 
-#include <unordered_set>
-
 namespace lips::sched {
 
 int DelayScheduler::allowed_level(std::size_t job, double now) const {
@@ -16,59 +14,30 @@ int DelayScheduler::allowed_level(std::size_t job, double now) const {
 std::optional<LaunchDecision> DelayScheduler::on_slot_available(
     MachineId machine, const ClusterState& state) {
   const double now = state.now();
-  // Scan jobs in FIFO order; unlike the default scheduler, a job that cannot
-  // launch within its allowed locality level is *skipped*, not served
-  // remotely.
-  std::optional<std::size_t> seen_job;
-  std::optional<LaunchDecision> job_best;
-  int job_best_level = 4;
-
-  auto finish_job = [&](std::size_t job) -> std::optional<LaunchDecision> {
-    const int allowed = allowed_level(job, now);
-    if (job_best && job_best_level <= allowed) {
-      if (job_best_level == 0) {
-        wait_since_.erase(job);  // locality achieved: reset the clock
-      }
-      return job_best;
-    }
-    // Job yields; start (or continue) its wait clock.
-    wait_since_.try_emplace(job, now);
-    return std::nullopt;
-  };
-
-  std::unordered_set<std::size_t> seen_data;
-  for (std::size_t id : state.pending()) {
+  // Scan jobs in FIFO order, one pending run per job: every task of a job
+  // reads the same object, so the run's first task stands for all of them.
+  // Unlike the default scheduler, a job that cannot launch within its
+  // allowed locality level is *skipped*, not served remotely.
+  const std::span<const std::size_t> pending = state.pending();
+  for (std::size_t i = 0; i < pending.size();
+       i = job_run_end(pending, i, state)) {
+    const std::size_t id = pending[i];
     const SimTask& t = state.task(id);
-    if (seen_job && t.job.value() != *seen_job) {
-      if (auto d = finish_job(*seen_job)) return d;
-      job_best.reset();
-      job_best_level = 4;
-      seen_data.clear();
-    }
-    seen_job = t.job.value();
     if (!t.data) {
       return LaunchDecision{id, std::nullopt};  // input-free: always "local"
     }
-    // Tasks of a job reading the same object are interchangeable for
-    // placement: evaluate each (job, data) combination once per scan.
-    if (!seen_data.insert(t.data->value()).second) continue;
+    const std::size_t job = t.job.value();
     const Locality loc = best_locality(machine, *t.data, state);
-    if (loc.level < job_best_level && loc.store) {
-      job_best_level = loc.level;
-      job_best = LaunchDecision{id, loc.store};
+    if (loc.store && loc.level <= allowed_level(job, now)) {
+      if (loc.level == 0) {
+        wait_since_.erase(job);  // locality achieved: reset the clock
+      }
+      return LaunchDecision{id, loc.store};
     }
-  }
-  if (seen_job) {
-    if (auto d = finish_job(*seen_job)) return d;
+    // Job yields; start (or continue) its wait clock.
+    wait_since_.try_emplace(job, now);
   }
   return std::nullopt;
-}
-
-void DelayScheduler::on_task_complete(std::size_t task, MachineId machine,
-                                      const ClusterState& state) {
-  (void)task;
-  (void)machine;
-  (void)state;
 }
 
 }  // namespace lips::sched

@@ -31,9 +31,6 @@ class DelayScheduler : public FifoLocalityScheduler {
   [[nodiscard]] std::optional<LaunchDecision> on_slot_available(
       MachineId machine, const ClusterState& state) override;
 
-  void on_task_complete(std::size_t task, MachineId machine,
-                        const ClusterState& state) override;
-
   // Checkpoint hooks (DESIGN.md §11): the wait clocks are decision state.
   void save_state(ckpt::Writer& w) const override { fields(w, *this); }
   void load_state(ckpt::Reader& r) override { fields(r, *this); }

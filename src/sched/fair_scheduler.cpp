@@ -1,11 +1,5 @@
 #include "sched/fair_scheduler.hpp"
 
-#include <algorithm>
-#include <limits>
-#include <map>
-#include <unordered_set>
-#include <vector>
-
 namespace lips::sched {
 
 void FairScheduler::assign_pool(JobId job, std::string pool, double weight) {
@@ -14,56 +8,58 @@ void FairScheduler::assign_pool(JobId job, std::string pool, double weight) {
   pool_assignment_[job.value()] = std::move(pool);
 }
 
-std::string FairScheduler::pool_of(JobId job) const {
+void FairScheduler::pool_of(JobId job, std::string& out) const {
   const auto it = pool_assignment_.find(job.value());
-  if (it != pool_assignment_.end()) return it->second;
-  return "job-" + std::to_string(job.value());  // default: per-job pool
+  if (it != pool_assignment_.end()) {
+    out = it->second;
+  } else {
+    out = "job-";  // default: per-job pool
+    out += std::to_string(job.value());
+  }
 }
 
 std::optional<LaunchDecision> FairScheduler::on_slot_available(
     MachineId machine, const ClusterState& state) {
-  // Gather pools with pending work, in deficit order (running / weight).
-  struct PoolView {
-    double deficit;
-    std::vector<std::size_t> tasks;  // pending task ids, FIFO
-  };
-  std::map<std::string, PoolView> pools;
-  for (const std::size_t id : state.pending()) {
-    const std::string pool = pool_of(state.task(id).job);
-    auto [it, inserted] = pools.try_emplace(pool);
-    if (inserted) {
-      const auto rit = running_.find(pool);
-      const double running =
-          rit == running_.end() ? 0.0 : static_cast<double>(rit->second);
-      const auto wit = pool_weight_.find(pool);
-      const double weight = wit == pool_weight_.end() ? 1.0 : wit->second;
-      it->second.deficit = running / weight;
-    }
-    it->second.tasks.push_back(id);
+  // Gather the pending jobs in FIFO order, one run of pending tasks each,
+  // with their pools' deficits (running / weight).
+  const std::span<const std::size_t> pending = state.pending();
+  std::size_t jobs = 0;
+  for (std::size_t i = 0; i < pending.size();
+       i = job_run_end(pending, i, state)) {
+    if (jobs == runs_.size()) runs_.emplace_back();
+    JobRun& run = runs_[jobs++];
+    run.first = i;
+    pool_of(state.task(pending[i]).job, run.pool);
+    const auto rit = running_.find(run.pool);
+    const double running =
+        rit == running_.end() ? 0.0 : static_cast<double>(rit->second);
+    const auto wit = pool_weight_.find(run.pool);
+    const double weight = wit == pool_weight_.end() ? 1.0 : wit->second;
+    run.deficit = running / weight;
   }
-  if (pools.empty()) return std::nullopt;
+  if (jobs == 0) return std::nullopt;
 
   // Most-starved pool first (ties: lexicographic pool name, deterministic).
-  const PoolView* best_pool = nullptr;
-  const std::string* best_name = nullptr;
-  for (const auto& [name, view] : pools) {
-    if (!best_pool || view.deficit < best_pool->deficit) {
-      best_pool = &view;
-      best_name = &name;
-    }
+  const JobRun* starved = &runs_[0];
+  for (std::size_t k = 1; k < jobs; ++k) {
+    const JobRun& run = runs_[k];
+    if (run.deficit < starved->deficit ||
+        (run.deficit == starved->deficit && run.pool < starved->pool))
+      starved = &run;
   }
 
   // Within the pool: FIFO job order, greedy locality (same as default).
+  // Every task of a job reads one object, so its first task stands for all.
   std::optional<LaunchDecision> best;
   int best_level = 4;
-  std::unordered_set<std::size_t> seen_data;
-  for (const std::size_t id : best_pool->tasks) {
+  for (std::size_t k = 0; k < jobs; ++k) {
+    if (runs_[k].pool != starved->pool) continue;
+    const std::size_t id = pending[runs_[k].first];
     const SimTask& t = state.task(id);
     if (!t.data) {
       best = LaunchDecision{id, std::nullopt};
       break;
     }
-    if (!seen_data.insert(t.data->value()).second) continue;
     const Locality loc = best_locality(machine, *t.data, state);
     if (loc.level < best_level && loc.store) {
       best_level = loc.level;
@@ -72,8 +68,8 @@ std::optional<LaunchDecision> FairScheduler::on_slot_available(
     }
   }
   if (best) {
-    running_[*best_name] += 1;
-    task_pool_[best->task] = *best_name;
+    running_[starved->pool] += 1;
+    task_pool_[best->task] = starved->pool;
   }
   return best;
 }

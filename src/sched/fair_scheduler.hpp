@@ -13,6 +13,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "sched/fifo_scheduler.hpp"
 
@@ -45,7 +46,18 @@ class FairScheduler : public FifoLocalityScheduler {
        ckpt::sorted(self.running_), ckpt::sorted(self.task_pool_));
   }
 
-  [[nodiscard]] std::string pool_of(JobId job) const;
+  /// Write `job`'s pool name into `out` (reusing its buffer).
+  void pool_of(JobId job, std::string& out) const;
+
+  /// One pending job as an offer sees it.
+  struct JobRun {
+    std::size_t first = 0;  ///< pending() index of the job's first task
+    std::string pool;
+    double deficit = 0.0;  ///< the pool's running tasks / weight
+  };
+  /// Offer scratch, reused so an offer allocates nothing in steady state
+  /// (not decision state: rebuilt by every offer).
+  std::vector<JobRun> runs_;
 
   std::unordered_map<std::size_t, std::string> pool_assignment_;
   std::unordered_map<std::string, double> pool_weight_;

@@ -1,6 +1,6 @@
 #include "sched/fifo_scheduler.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 
 namespace lips::sched {
 
@@ -8,9 +8,8 @@ FifoLocalityScheduler::Locality FifoLocalityScheduler::best_locality(
     MachineId machine, DataId d, const ClusterState& state) {
   const cluster::Cluster& c = state.cluster();
   Locality best;
-  for (std::size_t s = 0; s < c.store_count(); ++s) {
-    const StoreId store{s};
-    if (state.stored_fraction(d, store) <= 0.0) continue;
+  state.holders(d, holders_);
+  for (const StoreId store : holders_) {
     const cluster::DataStore& ds = c.store(store);
     int level = 2;
     if (ds.colocated_machine == machine.value()) {
@@ -27,39 +26,48 @@ FifoLocalityScheduler::Locality FifoLocalityScheduler::best_locality(
   return best;
 }
 
-std::optional<LaunchDecision> FifoLocalityScheduler::on_slot_available(
-    MachineId machine, const ClusterState& state) {
-  // Group pending tasks by job, preserving FIFO (pending() is FIFO-ordered,
-  // jobs arrive in order, so the first task of each job appears in job
-  // arrival order).
-  // Within the first job that has any runnable task, pick the task with the
-  // best locality level for this machine.
-  std::optional<std::size_t> current_job;
-  std::optional<LaunchDecision> best;
-  int best_level = 4;
-  std::unordered_set<std::size_t> seen_data;  // tasks on the same object are
-                                              // interchangeable: check once
-  for (std::size_t id : state.pending()) {
-    const SimTask& t = state.task(id);
-    if (current_job && t.job.value() != *current_job) {
-      // Finished scanning the FIFO-head job; Hadoop default does not skip
-      // ahead to younger jobs as long as the head job has pending tasks.
-      break;
-    }
-    current_job = t.job.value();
-    if (!t.data) {
-      // Input-free task: runnable anywhere, "locality" is trivially local.
-      return LaunchDecision{id, std::nullopt};
-    }
-    if (!seen_data.insert(t.data->value()).second) continue;
-    const Locality loc = best_locality(machine, *t.data, state);
-    if (loc.level < best_level && loc.store) {
-      best_level = loc.level;
-      best = LaunchDecision{id, loc.store};
-      if (best_level == 0) break;
+std::size_t FifoLocalityScheduler::job_run_end(
+    std::span<const std::size_t> pending, std::size_t begin,
+    const ClusterState& state) {
+  const JobId job = state.task(pending[begin]).job;
+  const auto in_run = [&](std::size_t i) {
+    return state.task(pending[i]).job == job;
+  };
+  // Invariant: pending[lo] is in the run; hi is past it or the end.
+  std::size_t lo = begin;
+  std::size_t hi = begin + 1;
+  for (std::size_t step = 1; hi < pending.size() && in_run(hi); step *= 2) {
+    lo = hi;
+    hi = begin + 2 * step;
+  }
+  hi = std::min(hi, pending.size());
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (in_run(mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
     }
   }
-  return best;
+  return hi;
+}
+
+std::optional<LaunchDecision> FifoLocalityScheduler::on_slot_available(
+    MachineId machine, const ClusterState& state) {
+  // Hadoop default serves the FIFO-head job and does not skip ahead to
+  // younger jobs while it has pending tasks. All of the head job's tasks
+  // read one object, so its first pending task is as good as any.
+  const std::span<const std::size_t> pending = state.pending();
+  if (pending.empty()) return std::nullopt;
+  const std::size_t id = pending.front();
+  const SimTask& t = state.task(id);
+  if (!t.data) {
+    // Input-free task: runnable anywhere, "locality" is trivially local.
+    return LaunchDecision{id, std::nullopt};
+  }
+  const Locality loc = best_locality(machine, *t.data, state);
+  if (!loc.store) return std::nullopt;
+  return LaunchDecision{id, loc.store};
 }
 
 }  // namespace lips::sched

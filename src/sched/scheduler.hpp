@@ -27,7 +27,10 @@ struct SimTask {
   std::size_t index_in_job = 0;
   double input_mb = 0.0;              ///< input this task reads
   double cpu_ecu_s = 0.0;             ///< CPU work (ECU-seconds)
-  std::optional<DataId> data;         ///< data object read (nullopt: Pi-like)
+  /// Data object read (nullopt: Pi-like). Contract: every task of a job
+  /// reads the same object (the simulator attributes a multi-object job's
+  /// tasks to its largest object), so placement need be judged once per job.
+  std::optional<DataId> data;
 };
 
 /// Scheduler's verdict for a free slot: launch `task` (a simulator task id)
@@ -55,8 +58,9 @@ class ClusterState {
   [[nodiscard]] virtual const cluster::Cluster& cluster() const = 0;
   [[nodiscard]] virtual const workload::Workload& workload() const = 0;
 
-  /// Simulator task ids that are pending (arrived, not launched), in FIFO
-  /// order of their jobs' arrival.
+  /// Simulator task ids that are pending (arrived, not launched), sorted by
+  /// (job arrival, job rank, index in job). Contract: each job's pending
+  /// tasks form one contiguous run, so a policy can visit jobs, not tasks.
   [[nodiscard]] virtual std::span<const std::size_t> pending() const = 0;
 
   /// Task descriptor by simulator task id.
@@ -67,6 +71,11 @@ class ClusterState {
 
   /// Fraction of data object `d` currently present on store `s`.
   [[nodiscard]] virtual double stored_fraction(DataId d, StoreId s) const = 0;
+
+  /// Replace `out` with the stores holding part of `d` (stored_fraction > 0)
+  /// in ascending id: a handful of holders, where a scan over every store
+  /// would ask stored_fraction once per store.
+  virtual void holders(DataId d, std::vector<StoreId>& out) const = 0;
 
   /// Free map slots on `m` right now.
   [[nodiscard]] virtual int free_slots(MachineId m) const = 0;

@@ -414,6 +414,11 @@ class Engine final : public ClusterState {
     const auto it = row.find(s.value());
     return it == row.end() ? 0.0 : it->second;
   }
+  void holders(DataId d, std::vector<StoreId>& out) const override {
+    out.clear();
+    for (const auto& [s, f] : presence_.at(d.value()))
+      if (f > 0.0) out.push_back(StoreId{s});
+  }
   [[nodiscard]] int free_slots(MachineId m) const override {
     return slots_free_.at(m.value());
   }

@@ -40,11 +40,25 @@ void MirrorState::apply(const WireState& ws) {
     throughput_[m] = f;
   }
   fractions_.clear();
-  for (const WireFraction& f : ws.fractions)
+  for (const WireFraction& f : ws.fractions) {
+    LIPS_REQUIRE(f.data < workload_->data_count() &&
+                     f.store < store_down_.size(),
+                 "state spec: fraction cell out of range");
     fractions_[{f.data, f.store}] = f.fraction;
+  }
 }
 
 void MirrorState::add_tasks(const std::vector<WireTask>& tasks) {
+  std::map<std::size_t, std::optional<std::size_t>> batch;
+  for (const WireTask& t : tasks) {
+    const auto known = job_data_.find(t.job);
+    const auto it = batch.try_emplace(
+        t.job, known == job_data_.end() ? t.data : known->second).first;
+    LIPS_REQUIRE(it->second == t.data,
+                 "JOB spec: tasks of job " + std::to_string(t.job) +
+                     " read different data objects");
+  }
+  job_data_.merge(batch);
   std::size_t max_id = 0;
   for (const WireTask& t : tasks) max_id = std::max(max_id, t.id + 1);
   if (tasks_.size() < max_id) {
@@ -76,6 +90,14 @@ bool MirrorState::is_pending(std::size_t id) const {
 double MirrorState::stored_fraction(DataId d, StoreId s) const {
   const auto it = fractions_.find({d.value(), s.value()});
   return it == fractions_.end() ? 0.0 : it->second;
+}
+
+void MirrorState::holders(DataId d, std::vector<StoreId>& out) const {
+  out.clear();
+  const auto first = fractions_.lower_bound({d.value(), 0});
+  const auto last = fractions_.lower_bound({d.value() + 1, 0});
+  for (auto it = first; it != last; ++it)
+    if (it->second > 0.0) out.push_back(StoreId{it->first.second});
 }
 
 int MirrorState::free_slots(MachineId m) const {

@@ -4,11 +4,11 @@
 // it: the client streams the relevant slice of world state ahead of each
 // event (`STATE`), and MirrorState replays those values through the
 // sched::ClusterState interface the policy already consumes. The policy's
-// read set is fully enumerable (pending/task/is_pending, stored_fraction,
-// machine_up/store_up, observed_throughput, cluster/workload — and now()
-// through the ClockSource seam), so a mirror fed bit-exact values produces
-// bit-exact plans; tests/test_svc.cpp and the svc-smoke CI lane hold that
-// bar end to end.
+// read set is fully enumerable (pending/task/is_pending, stored_fraction and
+// holders, machine_up/store_up, observed_throughput, cluster/workload — and
+// now() through the ClockSource seam), so a mirror fed bit-exact values
+// produces bit-exact plans; tests/test_svc.cpp and the svc-smoke CI lane
+// hold that bar end to end.
 //
 // The static side (cluster topology, workload definition) is NOT streamed:
 // both ends rebuild it deterministically from the session's
@@ -20,6 +20,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -40,7 +41,9 @@ class LIPS_EXTERNALLY_SYNCHRONIZED MirrorState final
   void apply(const WireState& ws);
   /// Register task descriptors streamed with a JOB command. Ids may arrive
   /// in any order; re-registering an id overwrites (harmless — descriptors
-  /// are immutable facts about the task).
+  /// are immutable facts about the task). Throws PreconditionError, and
+  /// registers nothing, when two tasks of one job name different objects
+  /// (the SimTask::data contract), in this batch or against an earlier one.
   void add_tasks(const std::vector<WireTask>& tasks);
 
   // --- sched::ClusterState ---------------------------------------------------
@@ -57,6 +60,7 @@ class LIPS_EXTERNALLY_SYNCHRONIZED MirrorState final
   [[nodiscard]] const sched::SimTask& task(std::size_t id) const override;
   [[nodiscard]] bool is_pending(std::size_t id) const override;
   [[nodiscard]] double stored_fraction(DataId d, StoreId s) const override;
+  void holders(DataId d, std::vector<StoreId>& out) const override;
   /// The mirror does not track slot occupancy — the driving engine owns it
   /// and the hosted LiPS policy never reads it (it serves pinned queues).
   /// Fail fast rather than fabricate a value for a future policy.
@@ -78,6 +82,8 @@ class LIPS_EXTERNALLY_SYNCHRONIZED MirrorState final
   /// that have arrived (task() on an unknown id is a hard error).
   std::vector<sched::SimTask> tasks_;
   std::vector<char> known_;
+  /// The object each registered job's tasks read (nullopt: input-free).
+  std::map<std::size_t, std::optional<std::size_t>> job_data_;
   /// Non-zero presence cells, keyed (data, store).
   std::map<std::pair<std::size_t, std::size_t>, double> fractions_;
 };

@@ -124,7 +124,7 @@ Reply Service::open_session(ConnectionCtx& ctx, const std::string& spec) {
   } catch (const ckpt::SnapshotError& e) {
     return Reply::error(err::kSnapshot, one_line(e.what()));
   } catch (const PreconditionError& e) {
-    return Reply::error(err::kBadSpec, one_line(e.what()));
+    return Reply::error(err::kBadSpec, one_line(e.reason()));
   } catch (const std::exception& e) {
     return Reply::error(err::kInternal, one_line(e.what()));
   }

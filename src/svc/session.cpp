@@ -148,7 +148,7 @@ Reply Session::handle(const std::string& verb, const std::string& rest) {
       reply = Reply::error(err::kBadCommand, "unknown command: " + verb);
     }
   } catch (const PreconditionError& e) {
-    reply = Reply::error(err::kBadSpec, one_line(e.what()));
+    reply = Reply::error(err::kBadSpec, one_line(e.reason()));
   } catch (const std::exception& e) {
     reply = Reply::error(err::kInternal, one_line(e.what()));
   }

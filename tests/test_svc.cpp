@@ -31,6 +31,7 @@
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
 #include "svc/daemon.hpp"
+#include "svc/mirror.hpp"
 #include "svc/queue.hpp"
 #include "svc/server.hpp"
 #include "svc/service.hpp"
@@ -278,6 +279,76 @@ TEST(ProtocolEdges, SessionLevelErrors) {
   // Malformed STATE payload.
   r = s.handle("STATE", "now=zzz");
   EXPECT_EQ(r.status, Reply::Status::Err);
+  EXPECT_EQ(r.code, "bad-spec");
+}
+
+TEST(ProtocolEdges, BadSpecDetailIsTheReasonAlone) {
+  // ERR details reach remote tenants: the caller's reason only, never the
+  // failed expression or the source path behind it.
+  ServiceFixture f;
+  EXPECT_TRUE(f.feed("OPEN session"));
+  const std::string reply = f.sink->last();
+  EXPECT_EQ(err_code(reply), "bad-spec");
+  EXPECT_NE(reply.find("OPEN spec entry must be key=value: session"),
+            std::string::npos)
+      << reply;
+  EXPECT_EQ(reply.find("precondition failed"), std::string::npos) << reply;
+  EXPECT_EQ(reply.find(".cpp:"), std::string::npos) << reply;
+}
+
+TEST(MirrorHolders, AscendingIdsWithoutZeroCells) {
+  const farm::RunInputs in =
+      farm::make_run_inputs(farm::parse_scenario_spec("nodes=6,jobs=2"), 3);
+  ASSERT_GE(in.workload.data_count(), 2u);
+  MirrorState mirror(in.cluster, in.workload);
+  WireState ws;
+  ws.fractions = {{1, 5, 0.5}, {0, 4, 1.0}, {1, 0, 0.25},
+                  {1, 3, 0.0}, {1, 2, 0.25}};
+  mirror.apply(ws);
+  std::vector<StoreId> h{StoreId{9}};  // stale contents are replaced
+  mirror.holders(DataId{1}, h);
+  EXPECT_EQ(h, (std::vector<StoreId>{StoreId{0}, StoreId{2}, StoreId{5}}));
+  mirror.holders(DataId{0}, h);
+  EXPECT_EQ(h, (std::vector<StoreId>{StoreId{4}}));
+
+  // A lost store: the simulator wiped its cells, so the next STATE carries
+  // none of them and the mirror drops it.
+  ws.stores_down = {2};
+  ws.fractions = {{1, 5, 0.5}, {0, 4, 1.0}, {1, 0, 0.25}};
+  mirror.apply(ws);
+  mirror.holders(DataId{1}, h);
+  EXPECT_EQ(h, (std::vector<StoreId>{StoreId{0}, StoreId{5}}));
+
+  // A cell outside the world is refused, not mirrored.
+  ws.fractions = {{1, in.cluster.store_count(), 1.0}};
+  EXPECT_THROW(mirror.apply(ws), PreconditionError);
+}
+
+TEST(MirrorHolders, JobWhoseTasksReadDifferentObjectsIsBadSpec) {
+  SessionOptions so;
+  Session s("t", farm::parse_scenario_spec("name=mixed,nodes=4,jobs=2"), 2,
+            so);
+  const auto task = [](std::size_t id, std::size_t data) {
+    WireTask t;
+    t.id = id;
+    t.job = 0;
+    t.index_in_job = id;
+    t.input_mb = 64.0;
+    t.cpu_ecu_s = 100.0;
+    t.data = data;
+    return t;
+  };
+  Reply r = s.handle("JOB", "job=0,tasks=" + encode_tasks({task(0, 0),
+                                                           task(1, 1)}));
+  EXPECT_EQ(r.status, Reply::Status::Err);
+  EXPECT_EQ(r.code, "bad-spec");
+  // The detail is the reason alone: no failed expression, no source path.
+  EXPECT_EQ(r.detail, "JOB spec: tasks of job 0 read different data objects");
+  // One object per job is accepted; a later JOB naming another is not.
+  r = s.handle("JOB", "job=0,tasks=" + encode_tasks({task(0, 0),
+                                                     task(1, 0)}));
+  EXPECT_EQ(r.status, Reply::Status::Ok) << r.detail;
+  r = s.handle("JOB", "job=0,tasks=" + encode_tasks({task(2, 1)}));
   EXPECT_EQ(r.code, "bad-spec");
 }
 

@@ -1,6 +1,7 @@
 # A bad flag value is bad input, not a crash: lipsctl exits 2 (64 for
 # `replay`) with its reason on stderr, never aborts with an uncaught
-# exception, never reads "7x" as 7 or "abc" as 0, and prints no table.
+# exception, never reads "7x" as 7 or "abc" as 0, and prints no table. The
+# reason is the user's: no failed C++ expression, no source path.
 #
 #   cmake -DLIPSCTL=<lipsctl> -P bad_flags.cmake
 set(failures "")
@@ -14,6 +15,9 @@ function(expect_rejected want)
   endif()
   if(err MATCHES "terminate called")
     set(failures "${failures}\n[${args}] aborted: ${err}")
+  endif()
+  if(err MATCHES "precondition failed" OR err MATCHES "src/[^ ]*\\.cpp:")
+    set(failures "${failures}\n[${args}] leaked code internals: ${err}")
   endif()
   if(NOT out STREQUAL "")
     set(failures "${failures}\n[${args}] printed to stdout:\n${out}")

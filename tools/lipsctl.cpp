@@ -51,7 +51,10 @@
 //           [--checkpoint-dir DIR]
 //                            (crash-consistent snapshots, one subdirectory
 //                             per scheduler — DESIGN.md §11; written every
-//                             --checkpoint-every epochs, default 1)
+//                             --checkpoint-every epochs. Left out (or 0),
+//                             about every 300 simulated seconds: each
+//                             400 s LiPS epoch, each 10th 30 s quincy
+//                             round, every 300 s for default/delay/fair)
 //           [--restore]      (resume each run from its newest good snapshot
 //                             in --checkpoint-dir; bit-identical to the
 //                             uninterrupted run. Corrupt/torn snapshots are
@@ -80,6 +83,7 @@
 //   lipsctl --faults slowdown=2,slowdown_factor=4 --speculation cost
 //
 // Exit code 0 when every requested run completed within the horizon.
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -129,10 +133,22 @@ struct Args {
   std::string faults;  // fault-storm spec; empty = fault-free
   std::string solver_faults;  // LP solver chaos spec; empty = no injection
   std::string checkpoint_dir;     // empty = checkpointing off
-  std::size_t checkpoint_every = 1;  // epochs between snapshots
+  std::size_t checkpoint_every = 0;  // epochs between snapshots; 0 = auto
   std::string checkpoint_faults;  // snapshot write-fault spec; empty = none
   bool restore = false;           // resume from the newest good snapshot
 };
+
+/// Epochs between snapshots when --checkpoint-every is left out: about one
+/// per SimConfig::checkpoint_interval_s of simulated time, so a policy with
+/// short epochs (quincy's 30 s flow rounds) does not write and fsync a
+/// snapshot on every tick. Epoch-less policies already tick at that interval.
+std::size_t auto_checkpoint_every(const sched::Scheduler& policy,
+                                  const sim::SimConfig& cfg) {
+  const double epoch_s = policy.epoch_s();
+  if (epoch_s <= 0.0 || cfg.checkpoint_interval_s <= 0.0) return 1;
+  return static_cast<std::size_t>(
+      std::max(1.0, std::ceil(cfg.checkpoint_interval_s / epoch_s)));
+}
 
 /// Bad input exits 2 with one line on stderr, before any table is printed.
 [[noreturn]] void reject(const std::string& what) {
@@ -146,7 +162,7 @@ auto or_reject(const std::string& what, Fn fn) {
   try {
     return fn();
   } catch (const std::exception& e) {
-    reject(what + e.what());
+    reject(what + user_message(e));
   }
 }
 
@@ -317,7 +333,7 @@ int sweep_main(int argc, char** argv) {
   try {
     sweep = farm::run_sweep(cfg);
   } catch (const std::exception& e) {
-    std::cerr << "sweep failed: " << e.what() << "\n";
+    std::cerr << "sweep failed: " << user_message(e) << "\n";
     return 1;
   }
   const double wall_s =
@@ -397,7 +413,7 @@ int serve_main(int argc, char** argv) {
   try {
     server.listen_unix(args.socket_path);
   } catch (const std::exception& e) {
-    std::cerr << "lipsctl serve: " << e.what() << "\n";
+    std::cerr << "lipsctl serve: " << user_message(e) << "\n";
     return 1;
   }
   std::cerr << "lipsctl serve: listening on " << server.socket_path()
@@ -439,7 +455,7 @@ int replay_main(int argc, char** argv) {
       try {
         numbers.apply(flag, value());
       } catch (const PreconditionError& e) {
-        std::cerr << "lipsctl replay: " << e.what() << "\n";
+        std::cerr << "lipsctl replay: " << e.reason() << "\n";
         return 64;  // EX_USAGE
       }
     } else {
@@ -455,7 +471,7 @@ int replay_main(int argc, char** argv) {
   try {
     cmp = svc::replay_and_compare(socket, cell, seed, session);
   } catch (const std::exception& e) {
-    std::cerr << "lipsctl replay: " << e.what() << "\n";
+    std::cerr << "lipsctl replay: " << user_message(e) << "\n";
     return 1;
   }
   std::cout << "replay: cell \"" << cell << "\" seed " << seed
@@ -602,7 +618,8 @@ int main(int argc, char** argv) {
                                                        "/" + name);
       cfg.checkpoint_dir = ckpt_dir.get();
       cfg.checkpoint_every_epochs =
-          args.checkpoint_every > 0 ? args.checkpoint_every : 1;
+          args.checkpoint_every > 0 ? args.checkpoint_every
+                                    : auto_checkpoint_every(*policy, cfg);
       cfg.checkpoint_label = name + ":seed=" + std::to_string(args.seed);
       if (!args.checkpoint_faults.empty()) {
         ckpt_faults =

@@ -15,6 +15,7 @@
 #include <iostream>
 
 #include "common/build_info.hpp"
+#include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "svc/daemon.hpp"
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
   try {
     server.listen_unix(args.socket_path);
   } catch (const std::exception& e) {
-    std::cerr << "lipsd: " << e.what() << "\n";
+    std::cerr << "lipsd: " << lips::user_message(e) << "\n";
     return 1;
   }
   std::cerr << "lipsd: listening on " << server.socket_path() << "\n";
