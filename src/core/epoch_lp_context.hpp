@@ -25,9 +25,9 @@
 //
 // Clock independence: the context never reads a clock of any kind — time
 // enters only through ModelOptions::price_time, stamped by the caller
-// (LipsPolicy resolves it through its ClockSource seam, common/clock.hpp).
-// That is what lets one EpochLpContext serve a lipsd session with no
-// simulator behind it.
+// (LipsPolicy reads ClusterState::now(), which a lipsd session's mirror
+// serves from each STATE). That is what lets one EpochLpContext serve a
+// lipsd session with no simulator behind it.
 #pragma once
 
 #include <vector>

@@ -15,6 +15,12 @@ namespace lips::core {
 
 namespace {
 
+/// Throughput feedback quarantines a live machine whose observed throughput
+/// sits below kQuarantineBelow, and lets it back in as a probe on every
+/// kQuarantineProbeEvery-th consecutive quarantined replan.
+constexpr double kQuarantineBelow = 0.4;
+constexpr std::size_t kQuarantineProbeEvery = 4;
+
 const char* rung_label(LipsPolicy::DegradationRung rung) {
   switch (rung) {
     case LipsPolicy::DegradationRung::Primary:
@@ -170,7 +176,7 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
 
   lp_solves_ += 1;
   ModelOptions model = options_.model;
-  model.price_time = decision_time(state);  // honor spot-price schedules
+  model.price_time = state.now();  // honor spot-price schedules
   // Down machines cannot run work and spot-warned ones are about to die;
   // wiped stores must not be chosen as placement targets. Straggler
   // feedback can add further exclusions (quarantine) on top.
@@ -229,21 +235,18 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
     if (attempt.model_reused) lp_model_reuses_ += 1;
     if (attempt.cold_fallback) lp_cold_fallbacks_ += 1;
     if (!attempt.optimal()) continue;
-    if (options_.validate_schedules) {
-      const ValidationReport verdict = validate_schedule(
-          c, w, model, attempt, subset, remaining, origins);
-      schedules_validated_ += 1;
-      if (!verdict.ok) {
-        // A "successful" solve that decodes to garbage: reject it before
-        // the simulator bills a single millicent of it.
-        validation_failures_ += 1;
-        if (obs_.metrics != nullptr)
-          obs_.metrics->counter("lips_schedule_validation_failures_total")
-              .inc();
-        if (obs_.tracer != nullptr && obs_.tracer->enabled())
-          obs_.tracer->instant("lips-validation-failure", "sched");
-        continue;
-      }
+    const ValidationReport verdict =
+        validate_schedule(c, w, model, attempt, subset, remaining, origins);
+    schedules_validated_ += 1;
+    if (!verdict.ok) {
+      // A "successful" solve that decodes to garbage: reject it before the
+      // simulator bills a single millicent of it.
+      validation_failures_ += 1;
+      if (obs_.metrics != nullptr)
+        obs_.metrics->counter("lips_schedule_validation_failures_total").inc();
+      if (obs_.tracer != nullptr && obs_.tracer->enabled())
+        obs_.tracer->instant("lips-validation-failure", "sched");
+      continue;
     }
     lp = std::move(attempt);
     accepted = true;
@@ -398,20 +401,15 @@ void LipsPolicy::apply_throughput_feedback(const sched::ClusterState& state,
   if (any_degraded) model.machine_throughput_factor = factors;
 
   quarantined_.clear();
-  if (options_.quarantine_below <= 0.0) {
-    quarantine_age_.clear();
-    return;
-  }
   std::vector<std::size_t> slow;
   for (std::size_t m = 0; m < c.machine_count(); ++m) {
     if (excluded[m]) continue;  // already out for another reason
-    if (factors[m] >= options_.quarantine_below) {
+    if (factors[m] >= kQuarantineBelow) {
       quarantine_age_.erase(m);
       continue;
     }
     const std::size_t age = quarantine_age_[m]++;
-    if (options_.quarantine_probe_epochs > 0 && age > 0 &&
-        age % options_.quarantine_probe_epochs == 0) {
+    if (age > 0 && age % kQuarantineProbeEvery == 0) {
       // Probe replan: let the machine take work so fresh samples can lift
       // its EWMA back above the threshold once the slowdown clears.
       quarantine_probes_ += 1;
@@ -471,7 +469,7 @@ void LipsPolicy::fallback_plan(const sched::ClusterState& state) {
         if (!state.machine_up(MachineId{m}) || doomed_.count(m) > 0) continue;
         if (pass == 0 && quarantined_.count(m) > 0) continue;
         Millicents cost = CpuSeconds::ecu_s(t.cpu_ecu_s) *
-                          c.cpu_price_mc_at(MachineId{m}, decision_time(state));
+                          c.cpu_price_mc_at(MachineId{m}, state.now());
         if (source)
           cost += Bytes::mb(t.input_mb) *
                   c.ms_cost_mc_per_mb(MachineId{m}, *source);

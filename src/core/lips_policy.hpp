@@ -24,7 +24,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/clock.hpp"
 #include "core/epoch_lp_context.hpp"
 #include "core/lp_models.hpp"
 #include "core/rounding.hpp"
@@ -50,30 +49,13 @@ struct LipsPolicyOptions {
   /// Straggler feedback: budget each machine's epoch-LP capacity row at its
   /// *observed* throughput (ClusterState::observed_throughput) instead of
   /// its nameplate TP(M). On a healthy cluster every factor is exactly 1.0
-  /// and the model is bit-identical to the feedback-free one.
+  /// and the model is bit-identical to the feedback-free one. With feedback
+  /// on, a live machine whose observed throughput sits below 0.4 is also
+  /// quarantined: excluded from plans outright (its cheap nameplate price is
+  /// a trap at a fraction of the speed), except on every 4th consecutive
+  /// quarantined replan, when it is let back in as a probe so fresh task
+  /// samples can lift its EWMA once the slowdown clears.
   bool throughput_feedback = true;
-  /// Quarantine: a live machine whose observed throughput sits below this
-  /// threshold is excluded from plans outright (its cheap nameplate price
-  /// is a trap at a fraction of the speed). 0 disables quarantining.
-  double quarantine_below = 0.4;
-  /// Every Nth consecutive quarantined replan the machine is let back into
-  /// the plan as a probe, so fresh task samples can lift its EWMA once the
-  /// slowdown clears. 0 = never probe (quarantine is then permanent unless
-  /// idle-machine recovery lifts the EWMA some other way).
-  std::size_t quarantine_probe_epochs = 4;
-
-  /// Run the independent schedule validation gate (core/schedule_validator)
-  /// on every decoded LP schedule before acting on it; a schedule that
-  /// fails validation is treated like a failed solve and the degradation
-  /// ladder escalates. One extra O(nnz) pass per replan.
-  bool validate_schedules = true;
-
-  /// Time source for spot-price resolution and epoch-model stamping
-  /// (common/clock.hpp). Null (the default) reads ClusterState::now() — the
-  /// simulator path, bit-identical to the pre-seam behavior. lipsd sessions
-  /// inject a ManualClock advanced from wire events, which is how the policy
-  /// runs without a simulator at all. Non-owning; must outlive the policy.
-  const ClockSource* clock = nullptr;
 };
 
 class LipsPolicy : public sched::Scheduler {
@@ -216,12 +198,6 @@ class LipsPolicy : public sched::Scheduler {
     double required_fraction = 0.0;  ///< presence threshold to open
   };
 
-  /// The policy's notion of "now": the injected ClockSource when one is
-  /// configured, the simulator clock otherwise. Every time read inside the
-  /// policy goes through here — the decoupling seam the service relies on.
-  [[nodiscard]] double decision_time(const sched::ClusterState& state) const {
-    return options_.clock != nullptr ? options_.clock->now_s() : state.now();
-  }
   template <class Ar, class Self>
   static void fields(Ar& ar, Self& self);
 

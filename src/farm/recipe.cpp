@@ -49,7 +49,6 @@ core::LipsPolicyOptions make_lips_options(const ScenarioSpec& spec,
   lo.model.max_candidate_machines = spec.prune_machines;
   lo.model.max_candidate_stores = spec.prune_stores;
   lo.throughput_feedback = ss.feedback;
-  if (!ss.feedback) lo.quarantine_below = 0.0;
   return lo;
 }
 

@@ -44,7 +44,6 @@ constexpr double kZeroSnap = 1e-11;
 }  // namespace
 
 LpSolution DenseSimplexSolver::solve(const LpModel& model) const {
-  const double tol = options_.tolerance;
   const std::size_t n_user = model.num_variables();
 
   LpSolution out;
@@ -303,11 +302,11 @@ LpSolution DenseSimplexSolver::solve(const LpModel& model) const {
       // Entering column: Dantzig rule normally, Bland when stalling.
       const bool bland = stall > m + 16;
       std::size_t pc = cols;
-      double best = -tol;
+      double best = -kTolerance;
       for (std::size_t c = 0; c < limit_cols; ++c) {
         if (banned[c]) continue;
         const double rc = z[c];
-        if (rc < -tol) {
+        if (rc < -kTolerance) {
           if (bland) {
             pc = c;
             break;
@@ -325,7 +324,7 @@ LpSolution DenseSimplexSolver::solve(const LpModel& model) const {
       double best_ratio = std::numeric_limits<double>::infinity();
       for (std::size_t r = 0; r < m; ++r) {
         const double arc = t.at(r, pc);
-        if (arc > tol) {
+        if (arc > kTolerance) {
           const double ratio = t.rhs[r] / arc;
           if (ratio < best_ratio - 1e-12 ||
               (ratio < best_ratio + 1e-12 && pr != m &&

@@ -86,7 +86,6 @@ class Engine {
   Engine(const LpModel& model, const SolverOptions& options)
       : model_(model),
         opt_(options),
-        tol_(options.tolerance),
         n_user_(model.num_variables()),
         m_(model.num_constraints()),
         chaos_(options.fault_injector),
@@ -139,7 +138,6 @@ class Engine {
 
   const LpModel& model_;
   const SolverOptions& opt_;
-  const double tol_;
   const std::size_t n_user_;
   const std::size_t m_;
   SolverFaultInjector* const chaos_;  // may be null
@@ -473,11 +471,11 @@ SolveStatus Engine::run_primal(const std::vector<double>& cost,
       const double d = cost[j] - sparse_dot_y(c);
       int dir = 0;
       if (status_[j] == Status::AtLower || status_[j] == Status::FreeAtZero) {
-        if (d < -tol_) dir = +1;
+        if (d < -kTolerance) dir = +1;
       }
       if (dir == 0 &&
           (status_[j] == Status::AtUpper || status_[j] == Status::FreeAtZero)) {
-        if (d > tol_) dir = -1;
+        if (d > kTolerance) dir = -1;
       }
       if (dir == 0) return;
       const double score = devex ? (d * d) / devex_[j] : std::fabs(d);
@@ -524,9 +522,9 @@ SolveStatus Engine::run_primal(const std::vector<double>& cost,
       const Column& bc = cols_[basis_[i]];
       double limit = kInfD;
       bool hits_upper = false;
-      if (delta > tol_) {
+      if (delta > kTolerance) {
         if (bc.lower > -kInf) limit = (value_[basis_[i]] - bc.lower) / delta;
-      } else if (delta < -tol_) {
+      } else if (delta < -kTolerance) {
         if (bc.upper < kInf) {
           limit = (value_[basis_[i]] - bc.upper) / delta;
           hits_upper = true;
@@ -610,7 +608,7 @@ SolveStatus Engine::run_dual() {
 
     // Leaving variable: the most-violated basic.
     std::size_t r = m_;
-    double worst = tol_;
+    double worst = kTolerance;
     bool above = false;
     for (std::size_t i = 0; i < m_; ++i) {
       const Column& c = cols_[basis_[i]];
@@ -705,11 +703,11 @@ std::size_t Engine::flip_to_dual_feasible() {
     const Column& c = cols_[j];
     if (!(c.lower > -kInf) || !(c.upper < kInf) || c.lower == c.upper) continue;
     const double d = cost2_[j] - sparse_dot_y(c);
-    if (status_[j] == Status::AtLower && d < -tol_) {
+    if (status_[j] == Status::AtLower && d < -kTolerance) {
       status_[j] = Status::AtUpper;
       value_[j] = c.upper;
       ++flips;
-    } else if (status_[j] == Status::AtUpper && d > tol_) {
+    } else if (status_[j] == Status::AtUpper && d > kTolerance) {
       status_[j] = Status::AtLower;
       value_[j] = c.lower;
       ++flips;
@@ -724,8 +722,8 @@ std::size_t Engine::count_primal_infeasible() const {
   for (std::size_t i = 0; i < m_; ++i) {
     const Column& c = cols_[basis_[i]];
     const double v = value_[basis_[i]];
-    if ((c.lower > -kInf && c.lower - v > tol_) ||
-        (c.upper < kInf && v - c.upper > tol_))
+    if ((c.lower > -kInf && c.lower - v > kTolerance) ||
+        (c.upper < kInf && v - c.upper > kTolerance))
       ++bad;
   }
   return bad;
@@ -741,13 +739,13 @@ std::size_t Engine::count_dual_infeasible() {
     const double d = cost2_[j] - sparse_dot_y(c);
     switch (status_[j]) {
       case Status::AtLower:
-        if (d < -tol_) ++bad;
+        if (d < -kTolerance) ++bad;
         break;
       case Status::AtUpper:
-        if (d > tol_) ++bad;
+        if (d > kTolerance) ++bad;
         break;
       case Status::FreeAtZero:
-        if (std::fabs(d) > tol_) ++bad;
+        if (std::fabs(d) > kTolerance) ++bad;
         break;
       case Status::Basic:
         break;

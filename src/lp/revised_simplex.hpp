@@ -20,6 +20,12 @@
 //
 // It is deliberately an independent implementation from DenseSimplexSolver;
 // the test suite cross-checks the two on randomized models.
+//
+// Only lp::make_solver constructs it (the constructor is private), so every
+// solver in the tree comes from the one factory; epoch re-solves go through
+// core::EpochLpContext, which keeps warm-start basis reuse and iteration
+// budgets in one place. tests/compile_fail/direct_solver_ctor.cpp proves a
+// direct construction does not compile.
 #pragma once
 
 #include "lp/solver.hpp"
@@ -28,14 +34,16 @@ namespace lips::lp {
 
 class RevisedSimplexSolver final : public LpSolver {
  public:
-  explicit RevisedSimplexSolver(const SolverOptions& options = {})
-      : options_(options) {}
-
   [[nodiscard]] LpSolution solve(const LpModel& model) const override;
   [[nodiscard]] LpSolution solve_with_basis(const LpModel& model,
                                             const Basis& start) const override;
 
  private:
+  friend std::unique_ptr<LpSolver> make_solver(SolverKind kind,
+                                               const SolverOptions& options);
+  explicit RevisedSimplexSolver(const SolverOptions& options)
+      : options_(options) {}
+
   [[nodiscard]] LpSolution solve_impl(const LpModel& model,
                                       const Basis* start) const;
 

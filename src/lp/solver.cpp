@@ -34,7 +34,8 @@ std::unique_ptr<LpSolver> make_solver(SolverKind kind,
     case SolverKind::DenseSimplex:
       return std::make_unique<DenseSimplexSolver>(options);
     case SolverKind::RevisedSimplex:
-      return std::make_unique<RevisedSimplexSolver>(options);
+      // make_unique is not a friend of the private constructor.
+      return std::unique_ptr<LpSolver>(new RevisedSimplexSolver(options));
   }
   LIPS_ASSERT(false, "unknown solver kind");
 }

@@ -89,9 +89,11 @@ enum class PricingRule {
 
 class SolverFaultInjector;  // lp/solver_faults.hpp
 
-/// Numeric / budget options common to both solvers.
+/// Feasibility and reduced-cost tolerance of both solvers.
+inline constexpr double kTolerance = 1e-7;
+
+/// Budget and pricing options common to both solvers.
 struct SolverOptions {
-  double tolerance = 1e-7;          ///< feasibility & reduced-cost tolerance
   std::size_t max_iterations = 0;   ///< 0 = automatic (see
                                     ///< automatic_iteration_budget)
   PricingRule pricing = PricingRule::Devex;  ///< revised simplex only

@@ -74,6 +74,27 @@ using sched::ClusterState;
 using sched::LaunchDecision;
 using sched::SimTask;
 
+/// Weight of the newest per-instance progress-rate sample in the observed
+/// per-machine throughput EWMA (ClusterState::observed_throughput).
+constexpr double kThroughputEwmaAlpha = 0.4;
+/// Timeout kills after which a task is allowed to run to completion.
+constexpr std::size_t kTimeoutRetries = 3;
+/// Hard stop for the simulated clock: 60 days.
+constexpr double kHorizonS = 60.0 * 24.0 * 3600.0;
+/// Requeue backoff after a fault kill: min(base · 2^(kills−1), max).
+constexpr double kFaultBackoffBaseS = 5.0;
+constexpr double kFaultBackoffMaxS = 320.0;
+/// Fault kills a task is requeued after; the next one abandons it.
+constexpr std::size_t kFaultRetryBudget = 8;
+/// LATE detector (SpeculationConfig::Mode::CostAware): straggler threshold
+/// relative to the peer-median remaining time, duplicates per task, the
+/// cluster-wide duplicate cap as a fraction of all map slots, and the
+/// expected saving a duplicate must exceed.
+constexpr double kLateThreshold = 1.3;
+constexpr std::size_t kLateDuplicatesPerTask = 1;
+constexpr double kLateCapFraction = 0.2;
+constexpr Millicents kLateMinSaving = Millicents::zero();
+
 enum class EventKind : unsigned char {
   JobArrival,
   InstanceFinish,
@@ -368,11 +389,10 @@ class Engine final : public ClusterState {
         // First tick fires with the t=0 arrivals already queued (arrival
         // events were enqueued first and therefore sort earlier).
         push_event(0.0, EventKind::EpochTick, 0);
-      } else if (cfg_.checkpoint_dir != nullptr &&
-                 cfg_.checkpoint_interval_s > 0) {
+      } else if (cfg_.checkpoint_dir != nullptr) {
         // Epoch-less schedulers (fifo/delay/fair) never tick, so they need
         // their own checkpoint cadence carrier.
-        push_event(cfg_.checkpoint_interval_s, EventKind::CheckpointTick, 0);
+        push_event(kCheckpointIntervalS, EventKind::CheckpointTick, 0);
       }
       for (std::size_t f = 0; f < fault_events_.size(); ++f)
         push_event(fault_events_[f].time_s, EventKind::Fault, f);
@@ -381,7 +401,7 @@ class Engine final : public ClusterState {
     while (!events_.empty()) {
       const Event ev = events_.top();
       events_.pop();
-      if (ev.time > cfg_.horizon_s) break;
+      if (ev.time > kHorizonS) break;
       now_ = ev.time;
       const obs::Span span(tracer_, span_name(ev.kind), "sim");
       dispatch(ev);
@@ -835,8 +855,7 @@ class Engine final : public ClusterState {
     if (sample > 1.0 || std::abs(sample - 1.0) < 1e-9) sample = 1.0;
     double& ewma = tp_ewma_[inst.machine];
     if (sample == 1.0 && ewma == 1.0) return;
-    const double a = cfg_.throughput_ewma_alpha;
-    ewma = a * sample + (1.0 - a) * ewma;
+    ewma = kThroughputEwmaAlpha * sample + (1.0 - kThroughputEwmaAlpha) * ewma;
   }
 
   // ---- fault handling ----------------------------------------------------
@@ -1132,7 +1151,7 @@ class Engine final : public ClusterState {
     if (status_[tid] != TaskStatus::Running || !running_of_task_[tid].empty())
       return;  // a duplicate survives, or the task was already abandoned
     if (job_aborted_[tasks_[tid].job.value()] ||
-        fault_kills_[tid] >= cfg_.fault_retry_budget) {
+        fault_kills_[tid] >= kFaultRetryBudget) {
       mark_task_lost(tid);
       return;
     }
@@ -1140,9 +1159,9 @@ class Engine final : public ClusterState {
     result_.fault_retries += 1;
     status_[tid] = TaskStatus::Backoff;
     const double backoff =
-        std::min(cfg_.fault_backoff_base_s *
+        std::min(kFaultBackoffBaseS *
                      std::pow(2.0, static_cast<double>(fault_kills_[tid] - 1)),
-                 cfg_.fault_backoff_max_s);
+                 kFaultBackoffMaxS);
     trace(TraceEvent::Kind::TaskRequeued, tasks_[tid].job.value(), tid, machine,
           SIZE_MAX, backoff);
     push_event(now_ + backoff, EventKind::TaskRetry, tid);
@@ -1163,7 +1182,7 @@ class Engine final : public ClusterState {
     for (const std::size_t iid : active) {
       if (instances_[iid].settled || instances_[iid].cancelled) continue;
       result_.tasks_in_flight_at_horizon += 1;
-      settle(iid, cfg_.horizon_s);
+      settle(iid, kHorizonS);
     }
     for (PendingMove& mv : moves_) {
       if (mv.finished || mv.aborted) continue;
@@ -1171,7 +1190,7 @@ class Engine final : public ClusterState {
       const double frac_done =
           mv.duration_s <= 0.0
               ? 1.0
-              : std::clamp((cfg_.horizon_s - mv.start_s) / mv.duration_s, 0.0,
+              : std::clamp((kHorizonS - mv.start_s) / mv.duration_s, 0.0,
                            1.0);
       const Millicents part = frac_done * mv.cost_mc;
       result_.placement_transfer_cost_mc += part;
@@ -1255,7 +1274,7 @@ class Engine final : public ClusterState {
     inst.speculative = speculative;
 
     if (cfg_.task_timeout_s > 0 && effective > cfg_.task_timeout_s &&
-        retries_[d.task] < cfg_.timeout_retries) {
+        retries_[d.task] < kTimeoutRetries) {
       retries_[d.task] += 1;
       inst.timeout_kill = true;
       inst.finish = now_ + cfg_.task_timeout_s;
@@ -1343,7 +1362,7 @@ class Engine final : public ClusterState {
   bool try_speculative_cost_aware(std::size_t machine) {
     // Cluster-wide cap on concurrently running duplicates.
     const std::size_t max_live = std::max<std::size_t>(
-        1, static_cast<std::size_t>(cfg_.speculation.cap_fraction *
+        1, static_cast<std::size_t>(kLateCapFraction *
                                     static_cast<double>(total_slots_)));
     std::size_t live_dups = 0;
     for (const std::size_t iid : active_instances_) {
@@ -1372,7 +1391,7 @@ class Engine final : public ClusterState {
       }
       if (iid != rep) continue;
       remaining.push_back(inst.finish - now_);
-      if (copies.size() < 1 + cfg_.speculation.per_task_duplicates)
+      if (copies.size() < 1 + kLateDuplicatesPerTask)
         candidates.push_back(iid);
     }
     if (candidates.empty()) return false;
@@ -1392,7 +1411,7 @@ class Engine final : public ClusterState {
       const auto mid = rem.begin() + static_cast<std::ptrdiff_t>(rem.size() / 2);
       std::nth_element(rem.begin(), mid, rem.end());
       const double median = *mid;
-      if (orig.finish - now_ < cfg_.speculation.late_threshold * median)
+      if (orig.finish - now_ < kLateThreshold * median)
         return false;
     }
 
@@ -1421,7 +1440,7 @@ class Engine final : public ClusterState {
               c_.cpu_price_mc_at(MachineId{machine}, now_) /
               cpu_factor_[machine] +
           dup_read;
-      if (saved - dup_cost <= cfg_.speculation.min_saving_mc) return false;
+      if (saved - dup_cost <= kLateMinSaving) return false;
     }
     launch(LaunchDecision{orig.task, orig.store}, machine,
            /*speculative=*/true);
@@ -1463,14 +1482,13 @@ class Engine final : public ClusterState {
   /// replanning tick to piggyback a checkpoint on). The tick must not touch
   /// observable simulation state — no trace, no pending/assignment work — so
   /// a run with checkpointing enabled behaves exactly like one without. The
-  /// requeue is gated on the interval rather than the checkpoint dir so a
-  /// run resumed *without* a dir replays the identical event stream the
-  /// crashed run would have produced.
+  /// requeue does not depend on the checkpoint dir, so a run resumed
+  /// *without* a dir replays the identical event stream the crashed run
+  /// would have produced.
   void on_checkpoint_tick() {
     ckpt_ticks_ += 1;
-    if (work_remains() && cfg_.checkpoint_interval_s > 0)
-      push_event(now_ + cfg_.checkpoint_interval_s, EventKind::CheckpointTick,
-                 0);
+    if (work_remains())
+      push_event(now_ + kCheckpointIntervalS, EventKind::CheckpointTick, 0);
     if (cfg_.checkpoint_dir == nullptr || cfg_.checkpoint_every_epochs == 0)
       return;
     if (ckpt_ticks_ % cfg_.checkpoint_every_epochs != 0) return;

@@ -31,7 +31,7 @@
 
 namespace lips::sim {
 
-/// Straggler-mitigation (speculative execution) tuning. Active only when
+/// Which straggler detector speculative execution uses. Active only when
 /// SimConfig::speculative_execution is set.
 struct SpeculationConfig {
   enum class Mode : unsigned char {
@@ -40,27 +40,24 @@ struct SpeculationConfig {
     /// beat it. Time-only; ignores money, caps, and thresholds.
     Naive,
     /// LATE-style cost-aware detector: a task is a straggler only when its
-    /// estimated remaining time exceeds `late_threshold` × the median
-    /// remaining time of its running peers (a lone survivor is always a
-    /// candidate); duplicates are capped cluster-wide and per task, and a
-    /// duplicate launches only when its expected dollar saving — the
-    /// straggler's projected remaining bill minus the duplicate's full
-    /// bill — exceeds `min_saving_mc`.
+    /// estimated remaining time exceeds 1.3 × the median remaining time of
+    /// its running peers (a lone survivor is always a candidate); at most
+    /// 20% of the cluster's map slots run duplicates (at least one is always
+    /// allowed) and a task has at most one, and a duplicate launches only
+    /// when its expected dollar saving — the straggler's projected remaining
+    /// bill minus the duplicate's full bill — is positive.
     CostAware,
   };
   Mode mode = Mode::CostAware;
-  /// Straggler threshold relative to the peer-median remaining time.
-  double late_threshold = 1.3;
-  /// Maximum concurrent duplicates per task (beyond the original).
-  std::size_t per_task_duplicates = 1;
-  /// Cap on concurrently running speculative instances as a fraction of
-  /// the cluster's total map slots (at least one is always allowed).
-  double cap_fraction = 0.2;
-  /// Required expected saving before a duplicate launches.
-  Millicents min_saving_mc = Millicents::zero();
 };
 
-/// Simulation knobs.
+/// Simulated seconds between the checkpoint ticks of an epoch-less run
+/// (SimConfig::checkpoint_dir). lipsctl derives its default snapshot cadence
+/// for epoch policies from it.
+inline constexpr double kCheckpointIntervalS = 300.0;
+
+/// Simulation knobs. Whatever they say, the simulated clock stops at 60 days
+/// (a safety net for stuck policies).
 struct SimConfig {
   /// HDFS-style ingest replication factor. Hadoop's default pipeline writes
   /// every block 3×, placing the 2nd replica in a different zone ("off
@@ -74,33 +71,23 @@ struct SimConfig {
   /// Launch speculative duplicates of straggler tasks on otherwise-idle
   /// slots (Hadoop default behavior; off for LiPS runs, per the paper).
   bool speculative_execution = false;
-  /// Straggler detector and cost rule used when speculation is on.
+  /// Straggler detector used when speculation is on.
   SpeculationConfig speculation;
-  /// Smoothing for the observed per-machine throughput EWMA exposed to
-  /// policies via ClusterState::observed_throughput (weight of the newest
-  /// per-instance progress-rate sample).
-  double throughput_ewma_alpha = 0.4;
   /// Kill a task whose projected duration exceeds this and requeue it
   /// (0 disables; Hadoop default is 600 s, the paper's LiPS setting 1200 s).
+  /// After 3 timeout kills a task is allowed to run to completion (prevents
+  /// livelock on genuinely slow links).
   double task_timeout_s = 0.0;
-  /// After this many timeout kills a task is allowed to run to completion
-  /// (prevents livelock on genuinely slow links).
-  std::size_t timeout_retries = 3;
-  /// Hard stop for the simulated clock (safety net for stuck policies).
-  double horizon_s = 60.0 * 24.0 * 3600.0;
   /// Record a full event trace into SimResult::trace (off by default:
   /// large runs generate hundreds of thousands of events).
   bool record_trace = false;
 
   /// Fault injection (sim/faults.hpp). Empty = fault-free: the simulator
   /// schedules no fault events and is bit-identical to the pre-fault path.
+  /// A fault-killed task is requeued after min(5 · 2^(kills−1), 320) s; its
+  /// 9th fault kill abandons it and accounts it lost (a budget of 8 retries,
+  /// the analogue of Hadoop's mapred.map.max.attempts).
   FaultPlan faults;
-  /// Requeue backoff after a fault kill: min(base · 2^(kills−1), max).
-  double fault_backoff_base_s = 5.0;
-  double fault_backoff_max_s = 320.0;
-  /// After this many fault kills a task is abandoned and accounted lost
-  /// (the analogue of Hadoop's mapred.map.max.attempts).
-  std::size_t fault_retry_budget = 8;
 
   /// Observability sinks (src/obs): metrics registry, Chrome-trace tracer,
   /// and cost ledger, each optional (null = off, zero overhead beyond one
@@ -117,13 +104,11 @@ struct SimConfig {
   /// the next tick are queued). Snapshot writes are atomic
   /// (tmp + fsync + rename); a write failure is counted, never fatal.
   const ckpt::CheckpointDir* checkpoint_dir = nullptr;
+  /// Epoch-less schedulers (fifo/delay/fair) have no replanning tick to
+  /// piggyback on: for them the engine seeds an invisible CheckpointTick
+  /// event every kCheckpointIntervalS simulated seconds and snapshots at
+  /// every `checkpoint_every_epochs`-th tick.
   std::size_t checkpoint_every_epochs = 1;
-  /// Checkpoint cadence for epoch-less schedulers (fifo/delay/fair have no
-  /// replanning tick to piggyback on): the engine seeds an invisible
-  /// CheckpointTick event every this many simulated seconds and snapshots at
-  /// every `checkpoint_every_epochs`-th tick. Ignored when the policy has a
-  /// positive epoch; <= 0 disables checkpointing for epoch-less runs.
-  double checkpoint_interval_s = 300.0;
   /// Label stamped into snapshot headers (e.g. "<scheduler>:<seed>").
   std::string checkpoint_label;
   /// Testing only: perturbs snapshot bytes before they reach disk so the

@@ -8,13 +8,31 @@ namespace lips::svc {
 
 MirrorState::MirrorState(const cluster::Cluster& cluster,
                          const workload::Workload& workload)
-    : cluster_(&cluster), workload_(&workload) {
+    : cluster_(&cluster),
+      workload_(&workload),
+      task_count_(workload.total_tasks()) {
   machine_down_.assign(cluster.machine_count(), 0);
   store_down_.assign(cluster.store_count(), 0);
   throughput_.assign(cluster.machine_count(), 1.0);
 }
 
 void MirrorState::apply(const WireState& ws) {
+  for (const std::size_t id : ws.pending)
+    LIPS_REQUIRE(id < task_count_, "state spec: pending task id out of range");
+  for (const std::size_t m : ws.machines_down)
+    LIPS_REQUIRE(m < machine_down_.size(),
+                 "state spec: down machine id out of range");
+  for (const std::size_t s : ws.stores_down)
+    LIPS_REQUIRE(s < store_down_.size(),
+                 "state spec: down store id out of range");
+  for (const auto& [m, f] : ws.throughput)
+    LIPS_REQUIRE(m < throughput_.size(),
+                 "state spec: throughput machine id out of range");
+  for (const WireFraction& f : ws.fractions)
+    LIPS_REQUIRE(f.data < workload_->data_count() &&
+                     f.store < store_down_.size(),
+                 "state spec: fraction cell out of range");
+
   now_ = ws.now;
   pending_ = ws.pending;
   std::size_t max_id = 0;
@@ -22,35 +40,23 @@ void MirrorState::apply(const WireState& ws) {
   is_pending_.assign(std::max(is_pending_.size(), max_id), 0);
   for (const std::size_t id : pending_) is_pending_[id] = 1;
   std::fill(machine_down_.begin(), machine_down_.end(), char{0});
-  for (const std::size_t m : ws.machines_down) {
-    LIPS_REQUIRE(m < machine_down_.size(),
-                 "state spec: down machine id out of range");
-    machine_down_[m] = 1;
-  }
+  for (const std::size_t m : ws.machines_down) machine_down_[m] = 1;
   std::fill(store_down_.begin(), store_down_.end(), char{0});
-  for (const std::size_t s : ws.stores_down) {
-    LIPS_REQUIRE(s < store_down_.size(),
-                 "state spec: down store id out of range");
-    store_down_[s] = 1;
-  }
+  for (const std::size_t s : ws.stores_down) store_down_[s] = 1;
   std::fill(throughput_.begin(), throughput_.end(), 1.0);
-  for (const auto& [m, f] : ws.throughput) {
-    LIPS_REQUIRE(m < throughput_.size(),
-                 "state spec: throughput machine id out of range");
-    throughput_[m] = f;
-  }
+  for (const auto& [m, f] : ws.throughput) throughput_[m] = f;
   fractions_.clear();
-  for (const WireFraction& f : ws.fractions) {
-    LIPS_REQUIRE(f.data < workload_->data_count() &&
-                     f.store < store_down_.size(),
-                 "state spec: fraction cell out of range");
+  for (const WireFraction& f : ws.fractions)
     fractions_[{f.data, f.store}] = f.fraction;
-  }
 }
 
 void MirrorState::add_tasks(const std::vector<WireTask>& tasks) {
   std::map<std::size_t, std::optional<std::size_t>> batch;
   for (const WireTask& t : tasks) {
+    LIPS_REQUIRE(t.id < task_count_ && t.job < workload_->job_count() &&
+                     (!t.data || *t.data < workload_->data_count()),
+                 "JOB spec: task " + std::to_string(t.id) +
+                     " names an id outside the world");
     const auto known = job_data_.find(t.job);
     const auto it = batch.try_emplace(
         t.job, known == job_data_.end() ? t.data : known->second).first;

@@ -5,10 +5,14 @@
 // event (`STATE`), and MirrorState replays those values through the
 // sched::ClusterState interface the policy already consumes. The policy's
 // read set is fully enumerable (pending/task/is_pending, stored_fraction and
-// holders, machine_up/store_up, observed_throughput, cluster/workload — and
-// now() through the ClockSource seam), so a mirror fed bit-exact values
-// produces bit-exact plans; tests/test_svc.cpp and the svc-smoke CI lane
-// hold that bar end to end.
+// holders, machine_up/store_up, observed_throughput, cluster/workload, and
+// now(), the policy's only clock), so a mirror fed bit-exact values produces
+// bit-exact plans; tests/test_svc.cpp and the svc-smoke CI lane hold that
+// bar end to end.
+//
+// Wire input is untrusted: every task, job, data, machine and store id a
+// STATE or JOB carries is checked against the session's world before the
+// mirror writes anything, so a refused line leaves the mirror as it was.
 //
 // The static side (cluster topology, workload definition) is NOT streamed:
 // both ends rebuild it deterministically from the session's
@@ -37,14 +41,18 @@ class LIPS_EXTERNALLY_SYNCHRONIZED MirrorState final
   MirrorState(const cluster::Cluster& cluster,
               const workload::Workload& workload);
 
-  /// Overwrite the dynamic state wholesale (last STATE wins).
+  /// Overwrite the dynamic state wholesale (last STATE wins). Throws
+  /// PreconditionError, and changes nothing, when an id is outside the world.
   void apply(const WireState& ws);
   /// Register task descriptors streamed with a JOB command. Ids may arrive
   /// in any order; re-registering an id overwrites (harmless — descriptors
   /// are immutable facts about the task). Throws PreconditionError, and
-  /// registers nothing, when two tasks of one job name different objects
-  /// (the SimTask::data contract), in this batch or against an earlier one.
+  /// registers nothing, when a task, job or data id is outside the world, or
+  /// when two tasks of one job name different objects (the SimTask::data
+  /// contract), in this batch or against an earlier one.
   void add_tasks(const std::vector<WireTask>& tasks);
+  /// Set the time alone (snapshot restore); the next STATE overwrites it.
+  void set_now(double t) { now_ = t; }
 
   // --- sched::ClusterState ---------------------------------------------------
   [[nodiscard]] double now() const override { return now_; }
@@ -72,6 +80,7 @@ class LIPS_EXTERNALLY_SYNCHRONIZED MirrorState final
  private:
   const cluster::Cluster* cluster_;
   const workload::Workload* workload_;
+  std::size_t task_count_;  ///< Σ num_tasks: every task id is below it
   double now_ = 0.0;
   std::vector<std::size_t> pending_;
   std::vector<char> is_pending_;  ///< indexed by task id

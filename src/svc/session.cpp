@@ -14,14 +14,6 @@ namespace {
 /// policy's own save_state bytes; bump when the session schema changes.
 constexpr std::uint64_t kSessionPayloadVersion = 1;
 
-core::LipsPolicyOptions session_policy_options(const farm::ScenarioSpec& spec,
-                                               const ClockSource& clock) {
-  core::LipsPolicyOptions lo =
-      farm::make_lips_options(spec, farm::SchedulerSpec{});
-  lo.clock = &clock;
-  return lo;
-}
-
 /// Error details travel on one status line; fold any embedded newlines.
 std::string one_line(std::string s) {
   for (char& c : s)
@@ -56,7 +48,7 @@ Session::Session(std::string name, farm::ScenarioSpec spec, std::uint64_t seed,
       options_(std::move(options)),
       inputs_(farm::make_run_inputs(spec_, seed_)),
       mirror_(inputs_.cluster, inputs_.workload),
-      policy_(session_policy_options(spec_, clock_)),
+      policy_(farm::make_lips_options(spec_, farm::SchedulerSpec{})),
       queue_(options_.queue_capacity) {
   LIPS_REQUIRE(!name_.empty(), "svc: session name must be non-empty");
   policy_.set_observer(
@@ -157,11 +149,9 @@ Reply Session::handle(const std::string& verb, const std::string& rest) {
 }
 
 Reply Session::handle_state(const std::string& rest) {
-  const WireState ws = decode_state(rest);
-  // The manual clock is the policy's only time source (ClockSource seam):
-  // advancing it here is what replaces the simulator clock end to end.
-  clock_.set(ws.now);
-  mirror_.apply(ws);
+  // The mirror's now() is the policy's only time source: applying the
+  // STATE's time here is what replaces the simulator clock end to end.
+  mirror_.apply(decode_state(rest));
   return Reply::ok();
 }
 
@@ -327,7 +317,7 @@ Reply Session::handle_snapshot() {
   snap.meta.compiler = build.compiler;
   snap.meta.build_type = build.build_type;
   snap.meta.label = "svc:" + name_;
-  snap.meta.sim_time_s = clock_.now_s();
+  snap.meta.sim_time_s = mirror_.now();
   snap.meta.epoch = epochs_;
   snap.meta.sequence = ++snapshot_seq_;
   snap.payload = w.take();
@@ -366,7 +356,7 @@ void Session::payload_fields(Ar& ar, Self& self) {
                    throw PreconditionError(
                        "svc: snapshot was written with a different seed");
                  }),
-     ckpt::via(self.clock_, &ManualClock::now_s, &ManualClock::set),
+     ckpt::via(self.mirror_, &MirrorState::now, &MirrorState::set_now),
      self.epochs_, ckpt::state(self.ledger_), ckpt::state(self.policy_));
 }
 

@@ -1,12 +1,12 @@
 // One tenant of the lipsd scheduler service.
 //
 // A Session owns everything one scheduling tenant needs and nothing more:
-// a LipsPolicy with its incremental EpochLpContext, a ManualClock injected
-// through the policy's ClockSource seam, a MirrorState fed from the wire, a
-// per-tenant CostLedger, and a bounded command queue drained by the
-// session's own worker thread. Tenants therefore never contend on scheduler
-// state — the only shared sinks are the daemon-wide MetricRegistry and
-// Tracer, which are internally synchronized.
+// a LipsPolicy with its incremental EpochLpContext, a MirrorState fed from
+// the wire (it is also the policy's clock: ClusterState::now() reads the
+// last STATE's time), a per-tenant CostLedger, and a bounded command queue
+// drained by the session's own worker thread. Tenants therefore never
+// contend on scheduler state — the only shared sinks are the daemon-wide
+// MetricRegistry and Tracer, which are internally synchronized.
 //
 // Command flow (DESIGN.md §14): connection reader threads parse lines and
 // try_push Command records; the queue is bounded, and a full queue is
@@ -18,7 +18,7 @@
 // Restore-on-start: OPEN with restore=1 loads the newest snapshot from the
 // session's own checkpoint subdirectory (two tenants never share a
 // directory — ckpt/store.hpp retention discipline) and resumes the policy,
-// ledger, clock, and epoch counter bit-identically (verified in
+// ledger, mirror time, and epoch counter bit-identically (verified in
 // tests/test_svc.cpp).
 #pragma once
 
@@ -29,7 +29,6 @@
 #include <thread>
 
 #include "ckpt/store.hpp"
-#include "common/clock.hpp"
 #include "core/lips_policy.hpp"
 #include "farm/recipe.hpp"
 #include "obs/ledger.hpp"
@@ -122,8 +121,8 @@ class Session {
   [[nodiscard]] Reply handle_metrics();
   [[nodiscard]] Reply handle_snapshot();
   /// Snapshot payload (DESIGN.md §11): version, owner name and seed
-  /// (a mismatch of either is a PreconditionError), clock, epoch count,
-  /// ledger, policy.
+  /// (a mismatch of either is a PreconditionError), the mirror's time, epoch
+  /// count, ledger, policy.
   template <class Ar, class Self>
   static void payload_fields(Ar& ar, Self& self);
   void restore_from_snapshot();
@@ -136,7 +135,6 @@ class Session {
 
   // World + policy, touched only by the worker (single-consumer queue).
   farm::RunInputs inputs_;
-  ManualClock clock_ LIPS_PER_THREAD;
   MirrorState mirror_ LIPS_PER_THREAD;
   core::LipsPolicy policy_ LIPS_PER_THREAD;
   obs::CostLedger ledger_ LIPS_PER_THREAD;

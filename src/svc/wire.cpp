@@ -1,5 +1,6 @@
 #include "svc/wire.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -28,9 +29,11 @@ std::uint64_t parse_u64(const std::string& s) {
   for (const char c : s)
     LIPS_REQUIRE(c >= '0' && c <= '9', "wire: not an integer: " + s);
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
   LIPS_REQUIRE(end != nullptr && *end == '\0',
                "wire: not an integer: " + s);
+  LIPS_REQUIRE(errno != ERANGE, "wire: integer out of range: " + s);
   return static_cast<std::uint64_t>(v);
 }
 

@@ -58,7 +58,8 @@ inline constexpr const char* kInternal = "internal";
 [[nodiscard]] std::string hex_f64(double v);
 /// strtod over the full value; throws PreconditionError on trailing junk.
 [[nodiscard]] double parse_f64(const std::string& s);
-/// Non-negative integer; throws PreconditionError on anything else.
+/// Non-negative integer below 2^64; throws PreconditionError on anything
+/// else.
 [[nodiscard]] std::uint64_t parse_u64(const std::string& s);
 /// Split on `sep`, skipping empty segments ("a::b" → {a, b}).
 [[nodiscard]] std::vector<std::string> split(const std::string& s, char sep);

@@ -52,6 +52,16 @@ SwimWorkload drafts_to_workload(std::vector<JobDraft> drafts,
   return out;
 }
 
+// SWIM's published job-class mix: the remaining 10% are large jobs.
+constexpr double kInteractiveFraction = 0.62;  ///< 1–10 map tasks, <= ~1 GB
+constexpr double kMediumFraction = 0.28;       ///< 10–150 tasks, ~1–20 GB
+
+// Lognormal input-size parameters per class, in MB (medians ~55 MB, ~3 GB
+// and ~29 GB).
+constexpr double kInteractiveMu = 4.0, kInteractiveSigma = 1.2;
+constexpr double kMediumMu = 8.0, kMediumSigma = 0.8;
+constexpr double kLargeMu = 10.3, kLargeSigma = 0.6;
+
 /// Size-threshold class assignment for loaded traces (the synthesizer knows
 /// the class it drew from; a trace only records the size).
 SwimClass class_of_size(double input_mb) {
@@ -66,9 +76,6 @@ SwimWorkload make_swim_workload(const SwimParams& params,
                                 const cluster::Cluster& cluster, Rng& rng) {
   LIPS_REQUIRE(params.n_jobs > 0, "SWIM workload needs jobs");
   LIPS_REQUIRE(params.duration_s > 0, "duration must be positive");
-  LIPS_REQUIRE(params.interactive_fraction >= 0 && params.medium_fraction >= 0 &&
-                   params.interactive_fraction + params.medium_fraction <= 1.0,
-               "class fractions must be a sub-distribution");
   LIPS_REQUIRE(cluster.store_count() > 0, "cluster has no data stores");
 
   std::vector<JobDraft> drafts;
@@ -78,17 +85,17 @@ SwimWorkload make_swim_workload(const SwimParams& params,
     JobDraft d;
     d.arrival = rng.uniform(0.0, params.duration_s);
     const double u = rng.uniform01();
-    if (u < params.interactive_fraction) {
+    if (u < kInteractiveFraction) {
       d.cls = SwimClass::Interactive;
-      d.input_mb = rng.lognormal(params.interactive_mu, params.interactive_sigma);
-    } else if (u < params.interactive_fraction + params.medium_fraction) {
+      d.input_mb = rng.lognormal(kInteractiveMu, kInteractiveSigma);
+    } else if (u < kInteractiveFraction + kMediumFraction) {
       d.cls = SwimClass::Medium;
-      d.input_mb = rng.lognormal(params.medium_mu, params.medium_sigma);
+      d.input_mb = rng.lognormal(kMediumMu, kMediumSigma);
     } else {
       d.cls = SwimClass::Large;
-      d.input_mb = rng.lognormal(params.large_mu, params.large_sigma);
+      d.input_mb = rng.lognormal(kLargeMu, kLargeSigma);
     }
-    d.input_mb = std::clamp(d.input_mb, 1.0, params.max_input_mb);
+    d.input_mb = std::clamp(d.input_mb, 1.0, kSwimMaxInputMb);
     // CPU intensiveness: sample the Table-I spectrum (Grep 20 … WordCount 90
     // ECU-seconds per block) uniformly — Facebook's mix spans I/O-bound log
     // scans to CPU-bound aggregation.
@@ -99,10 +106,8 @@ SwimWorkload make_swim_workload(const SwimParams& params,
 }
 
 SwimWorkload load_swim_trace(std::istream& in,
-                             const cluster::Cluster& cluster, Rng& rng,
-                             double max_input_mb) {
+                             const cluster::Cluster& cluster, Rng& rng) {
   LIPS_REQUIRE(cluster.store_count() > 0, "cluster has no data stores");
-  LIPS_REQUIRE(max_input_mb > 0, "max_input_mb must be positive");
 
   std::vector<JobDraft> drafts;
   std::string line;
@@ -129,7 +134,7 @@ SwimWorkload load_swim_trace(std::istream& in,
     if (d.arrival < 0) bad("arrival must be >= 0");
     if (d.input_mb <= 0) bad("input MB must be positive");
 
-    d.input_mb = std::min(d.input_mb, max_input_mb);
+    d.input_mb = std::min(d.input_mb, kSwimMaxInputMb);
     d.cls = class_of_size(d.input_mb);
     // The rng draw happens whether or not the field is present, so adding an
     // explicit CPU column to one line does not shift every later job's draw.

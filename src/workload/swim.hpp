@@ -17,24 +17,16 @@
 
 namespace lips::workload {
 
-/// Knobs of the synthetic Facebook-like day. The defaults reproduce the
-/// paper's setup (400 jobs / 24 hours) with SWIM's published class mix.
+/// Size and span of the synthetic Facebook-like day. The defaults reproduce
+/// the paper's setup (400 jobs / 24 hours); the class mix is SWIM's
+/// published one (swim.cpp).
 struct SwimParams {
   std::size_t n_jobs = 400;
   double duration_s = 24.0 * 3600.0;
-
-  // Job-class mix (fractions must sum to <= 1; remainder goes to `large`).
-  double interactive_fraction = 0.62;  ///< 1–10 map tasks, <= ~1 GB input
-  double medium_fraction = 0.28;       ///< 10–150 tasks, ~1–20 GB
-
-  // Lognormal input-size parameters per class (MB).
-  double interactive_mu = 4.0, interactive_sigma = 1.2;  ///< median ~55 MB
-  double medium_mu = 8.0, medium_sigma = 0.8;            ///< median ~3 GB
-  double large_mu = 10.3, large_sigma = 0.6;             ///< median ~29 GB
-
-  /// Cap on any single job's input (keeps the tail within cluster capacity).
-  double max_input_mb = 100.0 * 1024.0;
 };
+
+/// Cap on any single job's input (keeps the tail within cluster capacity).
+inline constexpr double kSwimMaxInputMb = 100.0 * 1024.0;
 
 /// Per-job class annotation, parallel to the generated workload's job list
 /// (useful for reporting short/medium/long statistics).
@@ -65,13 +57,13 @@ struct SwimWorkload {
 /// `rng` also scatters each job's input object over the cluster's stores, so
 /// a fixed seed yields a bit-identical workload for the same trace.
 ///
+/// Inputs above kSwimMaxInputMb are capped to it.
+///
 /// Throws PreconditionError (with the 1-based line number) on malformed
 /// lines — wrong field count, unparsable numbers, negative arrival,
 /// non-positive size — and on a trace with no jobs.
 [[nodiscard]] SwimWorkload load_swim_trace(std::istream& in,
                                            const cluster::Cluster& cluster,
-                                           Rng& rng,
-                                           double max_input_mb = 100.0 *
-                                                                 1024.0);
+                                           Rng& rng);
 
 }  // namespace lips::workload

@@ -145,7 +145,8 @@ TEST(EdgeCases, SolversAgreeOnWideModels) {
       m.add_constraint(es, lp::Sense::LessEqual, rng.uniform(2.0, 8.0));
     }
     const lp::LpSolution a = lp::DenseSimplexSolver().solve(m);
-    const lp::LpSolution b = lp::RevisedSimplexSolver().solve(m);  // lips-lint: allow(direct-solver-ctor)
+    const lp::LpSolution b =
+        lp::make_solver(lp::SolverKind::RevisedSimplex)->solve(m);
     ASSERT_TRUE(a.optimal());
     ASSERT_TRUE(b.optimal());
     EXPECT_NEAR(a.objective, b.objective, 1e-5 * (1 + std::fabs(a.objective)))
@@ -181,7 +182,8 @@ TEST(EdgeCases, TallModelsWithManyEqualities) {
       }
     }
     const lp::LpSolution a = lp::DenseSimplexSolver().solve(m);
-    const lp::LpSolution b = lp::RevisedSimplexSolver().solve(m);  // lips-lint: allow(direct-solver-ctor)
+    const lp::LpSolution b =
+        lp::make_solver(lp::SolverKind::RevisedSimplex)->solve(m);
     ASSERT_TRUE(a.optimal()) << "trial " << trial;
     ASSERT_TRUE(b.optimal()) << "trial " << trial;
     EXPECT_NEAR(a.objective, b.objective, 1e-5 * (1 + std::fabs(a.objective)));
@@ -196,7 +198,8 @@ TEST(EdgeCases, TinyCoefficientsStayStable) {
   m.add_variable(0.0, 1e9, 2e-7);
   m.add_constraint(std::vector<lp::Entry>{{0, 1e-6}, {1, 1e-6}},
                    lp::Sense::GreaterEqual, 1e-3);
-  const lp::LpSolution s = lp::RevisedSimplexSolver().solve(m);  // lips-lint: allow(direct-solver-ctor)
+  const lp::LpSolution s =
+      lp::make_solver(lp::SolverKind::RevisedSimplex)->solve(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.values[0], 1000.0, 1e-3);  // cheapest variable does it all
 }
@@ -276,9 +279,8 @@ TEST(EdgeCases, HorizonCutsOffLongRuns) {
   j.num_tasks = 10;
   w.add_job(std::move(j));
   sched::FifoLocalityScheduler fifo;
-  sim::SimConfig cfg;
-  cfg.horizon_s = 100.0;
-  const sim::SimResult r = sim::simulate(c, w, fifo, cfg);
+  // Each task needs 6.4e6 s, past the simulator's 60-day horizon.
+  const sim::SimResult r = sim::simulate(c, w, fifo);
   EXPECT_FALSE(r.completed);
   EXPECT_LT(r.tasks_completed, 10u);
 }

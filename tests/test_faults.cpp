@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/lips_policy.hpp"
@@ -246,16 +247,29 @@ TEST(MachineFaults, PermanentCrashShiftsWorkToSurvivor) {
 }
 
 TEST(MachineFaults, RetryBudgetExhaustionAbandonsTheJob) {
-  const Cluster c = two_nodes(1.0, 1.0, /*slots=*/2);
-  const Workload w = one_job(1.0, 2 * 64.0, 2);
+  // One 6400 s task; both machines crash together every 1000 s and come
+  // back a second later, so every crash kills the task wherever it runs.
+  // The first 8 kills requeue it with a doubling backoff capped at 320 s;
+  // the 9th exhausts the retry budget and the task is lost.
+  const Cluster c = two_nodes();
+  const Workload w = one_job(100.0, 64.0, 1);
   sched::FifoLocalityScheduler fifo;
   SimConfig cfg;
-  cfg.fault_retry_budget = 0;  // first fault kill is fatal
-  cfg.faults.crash(30.0, 0, /*repair_s=*/100.0);
+  cfg.record_trace = true;
+  for (int k = 1; k <= 9; ++k) {
+    cfg.faults.crash(1000.0 * k, 0, /*repair_s=*/1.0);
+    cfg.faults.crash(1000.0 * k, 1, /*repair_s=*/1.0);
+  }
   const SimResult r = simulate(c, w, fifo, cfg);
+  std::vector<double> backoffs;
+  for (const TraceEvent& e : r.trace)
+    if (e.kind == TraceEvent::Kind::TaskRequeued) backoffs.push_back(e.amount);
+  EXPECT_EQ(backoffs, (std::vector<double>{5.0, 10.0, 20.0, 40.0, 80.0, 160.0,
+                                           320.0, 320.0}));
+  EXPECT_EQ(r.tasks_killed_by_faults, 9u);
+  EXPECT_EQ(r.fault_retries, 8u);
+  EXPECT_EQ(r.tasks_lost, 1u);
   EXPECT_FALSE(r.completed);
-  EXPECT_GE(r.tasks_lost, 1u);
-  EXPECT_EQ(r.fault_retries, 0u);
   EXPECT_TRUE(std::isnan(r.job_finish_s[0]));
 }
 

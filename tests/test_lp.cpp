@@ -322,7 +322,7 @@ TEST_P(BothSolvers, TransportationProblem) {
 TEST(LpCrossCheck, RandomFeasibleBoundedModels) {
   Rng rng(2024);
   DenseSimplexSolver dense;
-  RevisedSimplexSolver revised;  // lips-lint: allow(direct-solver-ctor)
+  const auto revised = make_solver(SolverKind::RevisedSimplex);
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t n = 2 + rng.index(6);
     const std::size_t k = 1 + rng.index(6);
@@ -355,7 +355,7 @@ TEST(LpCrossCheck, RandomFeasibleBoundedModels) {
       }
     }
     const LpSolution a = dense.solve(m);
-    const LpSolution b = revised.solve(m);
+    const LpSolution b = revised->solve(m);
     ASSERT_TRUE(a.optimal()) << "trial " << trial;
     ASSERT_TRUE(b.optimal()) << "trial " << trial;
     EXPECT_NEAR(a.objective, b.objective, 1e-5 * (1 + std::fabs(a.objective)))
@@ -369,7 +369,7 @@ TEST(LpCrossCheck, RandomFeasibleBoundedModels) {
 TEST(LpCrossCheck, RandomInfeasibleModels) {
   Rng rng(777);
   DenseSimplexSolver dense;
-  RevisedSimplexSolver revised;  // lips-lint: allow(direct-solver-ctor)
+  const auto revised = make_solver(SolverKind::RevisedSimplex);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 1 + rng.index(4);
     LpModel m;
@@ -379,7 +379,7 @@ TEST(LpCrossCheck, RandomInfeasibleModels) {
     for (std::size_t j = 0; j < n; ++j) es.push_back({j, 1.0});
     m.add_constraint(es, Sense::GreaterEqual, static_cast<double>(n) + 1.0);
     EXPECT_EQ(dense.solve(m).status, SolveStatus::Infeasible);
-    EXPECT_EQ(revised.solve(m).status, SolveStatus::Infeasible);
+    EXPECT_EQ(revised->solve(m).status, SolveStatus::Infeasible);
   }
 }
 
@@ -387,7 +387,7 @@ TEST(LpCrossCheck, RandomInfeasibleModels) {
 // the objective at any feasible point we know (x0 from construction).
 TEST(LpCrossCheck, OptimumDominatesKnownFeasiblePoint) {
   Rng rng(31337);
-  RevisedSimplexSolver solver;  // lips-lint: allow(direct-solver-ctor)
+  const auto solver = make_solver(SolverKind::RevisedSimplex);
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t n = 2 + rng.index(8);
     LpModel m;
@@ -406,7 +406,7 @@ TEST(LpCrossCheck, OptimumDominatesKnownFeasiblePoint) {
       }
       m.add_constraint(es, Sense::LessEqual, lhs);
     }
-    const LpSolution s = solver.solve(m);
+    const LpSolution s = solver->solve(m);
     ASSERT_TRUE(s.optimal());
     EXPECT_LE(s.objective, m.objective_value(x0) + 1e-6);
   }
@@ -416,7 +416,7 @@ TEST(LpCrossCheck, OptimumDominatesKnownFeasiblePoint) {
 // the optimum and preserves an optimal solution set member's feasibility.
 TEST(LpCrossCheck, ObjectiveScalingInvariance) {
   Rng rng(99);
-  RevisedSimplexSolver solver;  // lips-lint: allow(direct-solver-ctor)
+  const auto solver = make_solver(SolverKind::RevisedSimplex);
   LpModel m;
   LpModel m_scaled;
   const std::size_t n = 6;
@@ -429,8 +429,8 @@ TEST(LpCrossCheck, ObjectiveScalingInvariance) {
   for (std::size_t j = 0; j < n; ++j) es.push_back({j, 1.0});
   m.add_constraint(es, Sense::LessEqual, 2.5);
   m_scaled.add_constraint(es, Sense::LessEqual, 2.5);
-  const LpSolution a = solver.solve(m);
-  const LpSolution b = solver.solve(m_scaled);
+  const LpSolution a = solver->solve(m);
+  const LpSolution b = solver->solve(m_scaled);
   ASSERT_TRUE(a.optimal());
   ASSERT_TRUE(b.optimal());
   EXPECT_NEAR(b.objective, 7.5 * a.objective, 1e-6);
@@ -475,7 +475,7 @@ namespace {
 // implies the variable sits on the matching bound.
 TEST(LpDuality, StrongDualityAndComplementarySlackness) {
   Rng rng(20260707);
-  RevisedSimplexSolver solver;  // lips-lint: allow(direct-solver-ctor)
+  const auto solver = make_solver(SolverKind::RevisedSimplex);
   DenseSimplexSolver dense;
   for (int trial = 0; trial < 25; ++trial) {
     const std::size_t n = 2 + rng.index(6);
@@ -505,7 +505,7 @@ TEST(LpDuality, StrongDualityAndComplementarySlackness) {
         m.add_constraint(es, Sense::Equal, lhs);
       }
     }
-    const LpSolution revised_sol = solver.solve(m);
+    const LpSolution revised_sol = solver->solve(m);
     const LpSolution dense_sol = dense.solve(m);
     const struct {
       const LpSolution* s;
@@ -576,8 +576,8 @@ TEST(LpDuality, ShadowPricePredictsRelaxation) {
   m.add_constraint(std::vector<Entry>{{0, 1.0}, {1, 1.0}},
                    Sense::GreaterEqual, 10.0);
   m.add_constraint(std::vector<Entry>{{0, 1.0}}, Sense::LessEqual, 4.0);
-  RevisedSimplexSolver solver;  // lips-lint: allow(direct-solver-ctor)
-  const LpSolution s = solver.solve(m);
+  const auto solver = make_solver(SolverKind::RevisedSimplex);
+  const LpSolution s = solver->solve(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 4.0 * 1 + 6.0 * 5, 1e-6);
   // Capacity row dual: adding one cheap unit saves 5 - 1 = 4 → dual = -4.
@@ -597,7 +597,7 @@ TEST(LpDuality, ShadowPricePredictsRelaxation) {
   relaxed.add_constraint(std::vector<Entry>{{0, 1.0}, {1, 1.0}},
                          Sense::GreaterEqual, 10.0);
   relaxed.add_constraint(std::vector<Entry>{{0, 1.0}}, Sense::LessEqual, 5.0);
-  const LpSolution r = solver.solve(relaxed);
+  const LpSolution r = solver->solve(relaxed);
   ASSERT_TRUE(r.optimal());
   EXPECT_NEAR(r.objective, s.objective + s.duals[1], 1e-6);
 }

@@ -485,25 +485,4 @@ TEST(SolverChaos, NoFaultsTakesPrimaryRungOnly) {
   EXPECT_NE(prom.str().find("lips_degradation_total"), std::string::npos);
 }
 
-TEST(SolverChaos, ValidationGateDoesNotChangeHealthyCost) {
-  const cluster::Cluster c = cluster::make_ec2_cluster(8, 0.5, 2);
-  Rng rng(2013);
-  workload::SwimParams sp;
-  sp.n_jobs = 12;
-  sp.duration_s = 2000.0;
-  const workload::SwimWorkload sw = workload::make_swim_workload(sp, c, rng);
-
-  const auto run_with = [&](bool validate) {
-    core::LipsPolicyOptions lo;
-    lo.epoch_s = 400.0;
-    lo.validate_schedules = validate;
-    LipsPolicy lips(lo);
-    sim::SimConfig cfg;
-    cfg.hdfs_replication = 1;
-    cfg.task_timeout_s = 1200.0;
-    return sim::simulate(c, sw.workload, lips, cfg).total_cost_mc;
-  };
-  EXPECT_EQ(run_with(true), run_with(false));
-}
-
 }  // namespace

@@ -274,7 +274,6 @@ TEST(Timeouts, KillsExactlyRetryBudgetThenRunsToCompletion) {
   sched::FifoLocalityScheduler fifo;
   SimConfig cfg;
   cfg.task_timeout_s = 600.0;
-  cfg.timeout_retries = 3;
   cfg.record_trace = true;
   const SimResult r = simulate(c, w, fifo, cfg);
   ASSERT_TRUE(r.completed);
@@ -287,21 +286,6 @@ TEST(Timeouts, KillsExactlyRetryBudgetThenRunsToCompletion) {
   // 3 killed runs of 600 s each, then one full run (6400 s read + 0.64 s
   // CPU); each kill also re-polls the queue immediately.
   EXPECT_GT(r.makespan_s, 3 * 600.0 + 6400.0 - 1e-6);
-}
-
-TEST(Timeouts, ZeroRetriesDisablesKilling) {
-  Cluster c = two_nodes(1.0, 1.0);
-  const Workload w = one_job(0.01, 64.0, 1, StoreId{1});
-  c.set_bandwidth_mb_s(MachineId{0}, StoreId{1}, BytesPerSec::mb_per_s(0.01));
-  c.set_bandwidth_mb_s(MachineId{1}, StoreId{1}, BytesPerSec::mb_per_s(0.01));
-  sched::FifoLocalityScheduler fifo;
-  SimConfig cfg;
-  cfg.task_timeout_s = 600.0;
-  cfg.timeout_retries = 0;  // the guard engages immediately: never kill
-  const SimResult r = simulate(c, w, fifo, cfg);
-  ASSERT_TRUE(r.completed);
-  EXPECT_EQ(r.timeout_kills, 0u);
-  EXPECT_EQ(r.tasks_completed, 1u);
 }
 
 // ------------------------------------------------------------ LiPS policy -

@@ -250,7 +250,7 @@ TEST(ObservedThroughput, EwmaDropsUnderSlowdownAndRecovers) {
   const Cluster c = two_nodes();
   const Workload w = one_job(1.0, 4 * 64.0, 4);
   PinZeroPolicy pin;
-  SimConfig cfg;  // throughput_ewma_alpha = 0.4
+  SimConfig cfg;
   // Half speed on [0, 200): task 1 runs fully slowed (129.6 s wall, sample
   // 0.5), task 2 straddles the restore (100 s wall, sample 0.648), tasks
   // 3–4 run at full speed (sample 1.0). EWMA with α = 0.4 starting at 1.0:
@@ -282,15 +282,14 @@ TEST(ObservedThroughput, HealthyMachineReadsExactlyOne) {
 
 TEST(LipsFeedback, QuarantinesPersistentlySlowMachineAndProbes) {
   // Machine 0 is the cheap one (the LP's natural favorite) but runs at 10%
-  // speed for the whole run. After its first task completes (EWMA 0.64 <
-  // 0.7) the policy must quarantine it, shift the queue to the dear-but-fast
-  // machine 1, and periodically probe the quarantined machine.
+  // speed for the whole run. Once its EWMA falls below 0.4 (0.64, 0.424,
+  // 0.2944 after its first three tasks) the policy must quarantine it, shift
+  // the queue to the dear-but-fast machine 1, and probe the quarantined
+  // machine every 4th replan.
   const Cluster c = two_nodes(1.0, 2.0);
   const Workload w = one_job(1.0, 32 * 64.0, 32);
   core::LipsPolicyOptions lo;
   lo.epoch_s = 200.0;
-  lo.quarantine_below = 0.7;
-  lo.quarantine_probe_epochs = 2;
   core::LipsPolicy lips(lo);
   SimConfig cfg;
   cfg.faults.slow_machine(0.0, 0, /*factor=*/0.1, /*window_s=*/1e6);

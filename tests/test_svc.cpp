@@ -1,15 +1,16 @@
 // Tests for the lipsd co-scheduler service (src/svc): the strict lipsd flag
 // contract, protocol framing edges (oversized lines, NUL bytes, truncated
 // commands, duplicate sessions, QUIT mid-stream), bounded-queue
-// backpressure, the ClockSource seam (manual clock vs simulator clock, bit
-// for bit), SNAPSHOT/restore bit-identity, and — the tentpole gate — a
-// seeded workload replayed through a real lipsd socket yielding plans and
-// ledgers bit-identical to the in-process run, single- and multi-tenant.
+// backpressure, wire integers and ids outside the world, SNAPSHOT/restore
+// bit-identity, and — the tentpole gate — a seeded workload replayed through
+// a real lipsd socket yielding plans and ledgers bit-identical to the
+// in-process run, single- and multi-tenant.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,7 +20,6 @@
 #include "ckpt/codec.hpp"
 #include "ckpt/digest.hpp"
 #include "ckpt/store.hpp"
-#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "common/spec.hpp"
 #include "common/thread_annotations.hpp"
@@ -388,117 +388,102 @@ TEST(ProtocolEdges, DuplicateSessionAndQuitMidStream) {
 }
 
 // ---------------------------------------------------------------------------
-// ClockSource seam (satellite: manual clock ≡ simulator clock, bit for bit)
+// Untrusted wire input: integers past 2^64 and ids outside the world
 
-/// LipsPolicy behind a ManualClock that the wrapper advances from
-/// state.now() before every callback — the exact discipline a lipsd session
-/// uses, but driven in-process so it can be diffed against the
-/// simulator-clock fallback path (options.clock == nullptr).
-class ManualClockLips final : public sched::Scheduler {
- public:
-  explicit ManualClockLips(const core::LipsPolicyOptions& base)
-      : policy_(with_clock(base, clock_)) {}
-
-  [[nodiscard]] std::string name() const override { return policy_.name(); }
-  [[nodiscard]] double epoch_s() const override { return policy_.epoch_s(); }
-
-  void on_epoch(const sched::ClusterState& s) override {
-    sync(s);
-    policy_.on_epoch(s);
-  }
-  [[nodiscard]] std::vector<sched::DataMove> take_data_moves() override {
-    return policy_.take_data_moves();
-  }
-  [[nodiscard]] std::optional<sched::LaunchDecision> on_slot_available(
-      MachineId m, const sched::ClusterState& s) override {
-    sync(s);
-    return policy_.on_slot_available(m, s);
-  }
-  void on_job_arrival(JobId j, const sched::ClusterState& s) override {
-    sync(s);
-    policy_.on_job_arrival(j, s);
-  }
-  void on_task_complete(std::size_t t, MachineId m,
-                        const sched::ClusterState& s) override {
-    sync(s);
-    policy_.on_task_complete(t, m, s);
-  }
-  void on_machine_lost(MachineId m, const sched::ClusterState& s) override {
-    sync(s);
-    policy_.on_machine_lost(m, s);
-  }
-  void on_machine_restored(MachineId m,
-                           const sched::ClusterState& s) override {
-    sync(s);
-    policy_.on_machine_restored(m, s);
-  }
-  void on_store_lost(StoreId st, const sched::ClusterState& s) override {
-    sync(s);
-    policy_.on_store_lost(st, s);
-  }
-  void on_spot_warning(MachineId m, double at,
-                       const sched::ClusterState& s) override {
-    sync(s);
-    policy_.on_spot_warning(m, at, s);
-  }
-
-  [[nodiscard]] const core::LipsPolicy& policy() const { return policy_; }
-
- private:
-  static core::LipsPolicyOptions with_clock(core::LipsPolicyOptions o,
-                                            const ClockSource& c) {
-    o.clock = &c;
-    return o;
-  }
-  void sync(const sched::ClusterState& s) { clock_.set(s.now()); }
-
-  ManualClock clock_;
-  core::LipsPolicy policy_;
-};
-
-TEST(ClockSeam, ManualClockBitIdenticalToSimulatorClock) {
-  const farm::ScenarioSpec sc =
-      farm::parse_scenario_spec("name=clock,nodes=6,jobs=3");
-  const std::uint64_t seeds[] = {1, 7, 42, 1234, 2013};
-  for (const std::uint64_t seed : seeds) {
-    sim::SimResult ref;
-    std::size_t ref_solves = 0;
-    double ref_planned = 0.0;
-    double ref_carry = 0.0;
-    {
-      core::LipsPolicy policy(
-          farm::make_lips_options(sc, farm::SchedulerSpec{}));
-      const farm::RunInputs in = farm::make_run_inputs(sc, seed);
-      sim::SimConfig cfg;
-      cfg.faults = in.faults;
-      farm::apply_lips_sim_config(sc, seed, cfg);
-      ref = sim::simulate(in.cluster, in.workload, policy, cfg);
-      ref_solves = policy.lp_solves();
-      ref_planned = policy.planned_cost_mc().raw();
-      ref_carry = policy.fake_node_carry_mc().raw();
+TEST(WireCodec, IntegersPast64BitsAreRefused) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+  for (const char* s : {"18446744073709551616", "99999999999999999999999"}) {
+    try {
+      (void)parse_u64(s);
+      ADD_FAILURE() << s << " parsed";
+    } catch (const PreconditionError& e) {
+      EXPECT_EQ(std::string(e.reason()),
+                std::string("wire: integer out of range: ") + s);
     }
-    sim::SimResult man;
-    {
-      ManualClockLips wrapper(
-          farm::make_lips_options(sc, farm::SchedulerSpec{}));
-      const farm::RunInputs in = farm::make_run_inputs(sc, seed);
-      sim::SimConfig cfg;
-      cfg.faults = in.faults;
-      farm::apply_lips_sim_config(sc, seed, cfg);
-      man = sim::simulate(in.cluster, in.workload, wrapper, cfg);
-      EXPECT_EQ(wrapper.policy().lp_solves(), ref_solves) << "seed " << seed;
-      EXPECT_TRUE(
-          same_bits(wrapper.policy().planned_cost_mc().raw(), ref_planned))
-          << "seed " << seed;
-      EXPECT_TRUE(
-          same_bits(wrapper.policy().fake_node_carry_mc().raw(), ref_carry))
-          << "seed " << seed;
-    }
-    EXPECT_EQ(man.schedule_digest, ref.schedule_digest) << "seed " << seed;
-    EXPECT_TRUE(same_bits(man.total_cost_mc.raw(), ref.total_cost_mc.raw()))
-        << "seed " << seed;
-    EXPECT_TRUE(same_bits(man.makespan_s, ref.makespan_s)) << "seed " << seed;
   }
+  EXPECT_THROW(
+      (void)decode_state("now=0x0p+0,pending=99999999999999999999"),
+      PreconditionError);
+}
+
+TEST(MirrorIds, TaskJobAndDataIdsOutsideTheWorldAreRefused) {
+  const farm::RunInputs in =
+      farm::make_run_inputs(farm::parse_scenario_spec("nodes=4,jobs=2"), 3);
+  const std::size_t n = in.workload.total_tasks();
+  MirrorState mirror(in.cluster, in.workload);
+  WireState ws;
+  ws.pending = {n - 1};
+  mirror.apply(ws);
+  WireTask t;
+  for (const std::size_t id : {n, std::numeric_limits<std::size_t>::max()}) {
+    ws.pending = {id};
+    EXPECT_THROW(mirror.apply(ws), PreconditionError) << id;
+    t.id = id;
+    EXPECT_THROW(mirror.add_tasks({t}), PreconditionError) << id;
+  }
+  t.id = 0;
+  t.job = in.workload.job_count();
+  EXPECT_THROW(mirror.add_tasks({t}), PreconditionError);
+  t.job = 0;
+  t.data = in.workload.data_count();
+  EXPECT_THROW(mirror.add_tasks({t}), PreconditionError);
+}
+
+TEST(MirrorIds, RefusedStateLeavesThePreviousOneIntact) {
+  const farm::RunInputs in =
+      farm::make_run_inputs(farm::parse_scenario_spec("nodes=4,jobs=2"), 3);
+  ASSERT_GE(in.cluster.machine_count(), 4u);
+  ASSERT_GE(in.cluster.store_count(), 3u);
+  ASSERT_GE(in.workload.total_tasks(), 3u);
+  MirrorState mirror(in.cluster, in.workload);
+  WireState ws;
+  ws.now = 123.5;
+  ws.pending = {2, 0};
+  ws.machines_down = {1};
+  ws.stores_down = {0};
+  ws.throughput = {{2, 0.5}};
+  ws.fractions = {{0, 1, 0.75}};
+  mirror.apply(ws);
+
+  // Every field but the last is valid and differs from the applied STATE.
+  WireState bad;
+  bad.now = 999.0;
+  bad.pending = {1};
+  bad.machines_down = {3};
+  bad.stores_down = {2};
+  bad.throughput = {{3, 0.25}};
+  bad.fractions = {{0, in.cluster.store_count(), 1.0}};
+  EXPECT_THROW(mirror.apply(bad), PreconditionError);
+
+  EXPECT_EQ(mirror.now(), 123.5);
+  EXPECT_EQ(std::vector<std::size_t>(mirror.pending().begin(),
+                                     mirror.pending().end()),
+            ws.pending);
+  EXPECT_TRUE(mirror.is_pending(0));
+  EXPECT_FALSE(mirror.is_pending(1));
+  EXPECT_FALSE(mirror.machine_up(MachineId{1}));
+  EXPECT_TRUE(mirror.machine_up(MachineId{3}));
+  EXPECT_FALSE(mirror.store_up(StoreId{0}));
+  EXPECT_TRUE(mirror.store_up(StoreId{2}));
+  EXPECT_EQ(mirror.observed_throughput(MachineId{2}), 0.5);
+  EXPECT_EQ(mirror.observed_throughput(MachineId{3}), 1.0);
+  EXPECT_EQ(mirror.stored_fraction(DataId{0}, StoreId{1}), 0.75);
+}
+
+TEST(MirrorIds, SessionAnswersHostileIdsWithBadSpecAndKeepsServing) {
+  SessionOptions so;
+  Session s("t", farm::parse_scenario_spec("name=hostile,nodes=4,jobs=1"), 2,
+            so);
+  Reply r = s.handle("STATE", "now=0x0p+0,pending=18446744073709551615");
+  EXPECT_EQ(r.code, "bad-spec");
+  r = s.handle("JOB", "job=0,tasks=18446744073709551615:0:0:0x1p+0:0x1p+0:0");
+  EXPECT_EQ(r.code, "bad-spec");
+  r = s.handle("STATE", "now=0x1p+4");
+  EXPECT_EQ(r.status, Reply::Status::Ok) << r.detail;
+  r = s.handle("TICK", "");
+  EXPECT_EQ(r.status, Reply::Status::Ok) << r.detail;
+  EXPECT_EQ(r.detail, "epoch=1");
 }
 
 // ---------------------------------------------------------------------------

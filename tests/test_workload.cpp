@@ -168,7 +168,7 @@ TEST(SwimGenerator, HeavyTailedSizes) {
   // The tail must dominate the median by a large factor (heavy tail).
   EXPECT_GT(p95 / median, 10.0);
   // No job exceeds the configured cap.
-  EXPECT_LE(sizes.back(), SwimParams{}.max_input_mb + 1e-9);
+  EXPECT_LE(sizes.back(), kSwimMaxInputMb + 1e-9);
 }
 
 TEST(SwimGenerator, TasksScaleWithBlocks) {

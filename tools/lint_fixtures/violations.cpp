@@ -59,16 +59,6 @@ inline long bad_clock() {
          std::clock();               // lint-expect(nondet-time)
 }
 
-// --- direct-solver-ctor ----------------------------------------------------
-// This fixture lives under tools/, i.e. outside the src/lp//src/core layer.
-struct RevisedSimplexSolver {};      // lint-expect(direct-solver-ctor)
-inline void bad_solver_use() {
-  RevisedSimplexSolver engine;       // lint-expect(direct-solver-ctor)
-  (void)engine;
-}
-// A comment naming RevisedSimplexSolver must not fire; a suppressed use:
-using Engine = RevisedSimplexSolver;  // lips-lint: allow(direct-solver-ctor)
-
 // --- raw-stdout-in-lib -----------------------------------------------------
 // The fixture opts into the src/-only gate (see stdout_banned in the linter).
 inline void bad_report(double cost) {

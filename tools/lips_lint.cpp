@@ -34,11 +34,6 @@
 //   nondet-time          system_clock / steady_clock / high_resolution_clock
 //                        / gettimeofday / time(nullptr) / clock() outside
 //                        bench/ (benchmarks measure wall time by design)
-//   direct-solver-ctor   RevisedSimplexSolver named outside src/lp/ and
-//                        src/core/ — construct through lp::make_solver or
-//                        drive epoch re-solves via core::EpochLpContext so
-//                        warm-start basis reuse and iteration budgets stay
-//                        centralized
 //   raw-stdout-in-lib    printf/std::cout inside src/ library code — library
 //                        layers report through return values, exceptions, or
 //                        the obs exporters (which take a caller-supplied
@@ -213,11 +208,6 @@ bool ends_with(const std::string& s, const std::string& suffix) {
 
 bool in_bench(const std::string& path) {
   return path.find("bench/") != std::string::npos;
-}
-
-bool in_solver_layer(const std::string& path) {
-  return path.find("src/lp/") != std::string::npos ||
-         path.find("src/core/") != std::string::npos;
 }
 
 /// Checkpoint serialization layer, subject to unordered-serialize. Only the
@@ -478,19 +468,6 @@ struct FileLint {
     scan_regex(re, "nondet-time",
                "wall-clock read in deterministic code; thread simulated "
                "time through instead");
-  }
-
-  void rule_direct_solver_ctor() {
-    // The revised engine is an implementation detail of the lp/core layers;
-    // everyone else goes through lp::make_solver (cold solves) or
-    // core::EpochLpContext (warm-started epoch re-solves) so iteration
-    // budgets and warm-start telemetry stay centralized.
-    if (in_solver_layer(path)) return;
-    static const std::regex re(R"(\bRevisedSimplexSolver\b)");
-    scan_regex(re, "direct-solver-ctor",
-               "direct RevisedSimplexSolver use outside src/lp//src/core/; "
-               "construct via lp::make_solver or reuse "
-               "core::EpochLpContext");
   }
 
   void rule_raw_stdout_in_lib() {
@@ -764,7 +741,6 @@ struct FileLint {
     rule_unordered_iteration();
     rule_float_type();
     rule_nondet_time();
-    rule_direct_solver_ctor();
     rule_raw_stdout_in_lib();
     rule_unordered_serialize();
     rule_unchecked_solve_status();

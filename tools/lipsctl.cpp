@@ -139,15 +139,14 @@ struct Args {
 };
 
 /// Epochs between snapshots when --checkpoint-every is left out: about one
-/// per SimConfig::checkpoint_interval_s of simulated time, so a policy with
-/// short epochs (quincy's 30 s flow rounds) does not write and fsync a
-/// snapshot on every tick. Epoch-less policies already tick at that interval.
-std::size_t auto_checkpoint_every(const sched::Scheduler& policy,
-                                  const sim::SimConfig& cfg) {
+/// per sim::kCheckpointIntervalS of simulated time, so a policy with short
+/// epochs (quincy's 30 s flow rounds) does not write and fsync a snapshot on
+/// every tick. Epoch-less policies already tick at that interval.
+std::size_t auto_checkpoint_every(const sched::Scheduler& policy) {
   const double epoch_s = policy.epoch_s();
-  if (epoch_s <= 0.0 || cfg.checkpoint_interval_s <= 0.0) return 1;
+  if (epoch_s <= 0.0) return 1;
   return static_cast<std::size_t>(
-      std::max(1.0, std::ceil(cfg.checkpoint_interval_s / epoch_s)));
+      std::max(1.0, std::ceil(sim::kCheckpointIntervalS / epoch_s)));
 }
 
 /// Bad input exits 2 with one line on stderr, before any table is printed.
@@ -619,7 +618,7 @@ int main(int argc, char** argv) {
       cfg.checkpoint_dir = ckpt_dir.get();
       cfg.checkpoint_every_epochs =
           args.checkpoint_every > 0 ? args.checkpoint_every
-                                    : auto_checkpoint_every(*policy, cfg);
+                                    : auto_checkpoint_every(*policy);
       cfg.checkpoint_label = name + ":seed=" + std::to_string(args.seed);
       if (!args.checkpoint_faults.empty()) {
         ckpt_faults =
