@@ -207,9 +207,7 @@ LpSchedule EpochLpContext::solve(
   key_ = std::move(key);
   have_model_ = true;
 
-  const auto solver = lp::make_solver(options.solver, options.solver_options);
-  lp::LpSolution sol = start.empty() ? solver->solve(model_)
-                                     : solver->solve_with_basis(model_, start);
+  lp::LpSolution sol = lp::solve(model_, options.solver_options, &start);
 
   // Guard rail: an incrementally-obtained optimum must satisfy the model it
   // claims to solve. (The solver already falls back internally on repair
@@ -232,7 +230,7 @@ LpSchedule EpochLpContext::solve(
     lp::LpModel check;
     detail::ModelLayout check_layout;
     builder.build(nullptr, check, check_layout);
-    const lp::LpSolution cold = solver->solve(check);
+    const lp::LpSolution cold = lp::solve(check, options.solver_options);
     LIPS_ASSERT(cold.status == sol.status,
                 "incremental and cold solve status diverged");
     LIPS_ASSERT(std::fabs(cold.objective - sol.objective) <=
@@ -249,7 +247,7 @@ LpSchedule EpochLpContext::solve(
     builder.build(nullptr, fresh, fresh_layout);
     model_ = std::move(fresh);
     layout_ = std::move(fresh_layout);
-    sol = solver->solve(model_);
+    sol = lp::solve(model_, options.solver_options);
   }
 
   stats_.pivots += sol.iterations;
@@ -261,6 +259,8 @@ LpSchedule EpochLpContext::solve(
   sched.warm_start_used = sol.warm_start_used;
   sched.cold_fallback = cold_fallback;
   sched.lp_repair_iterations = sol.repair_iterations;
+  sched.certified =
+      detail::certify_solution(model_, sol, options.solver_options);
 
   if (obs_.metrics != nullptr) {
     obs::MetricRegistry& reg = *obs_.metrics;

@@ -16,8 +16,10 @@
 //  * any incremental solution that fails the model's own feasibility check
 //    triggers an automatic cold rebuild + cold solve (`cold_fallback` in the
 //    returned LpSchedule), so results are always as trustworthy as the
-//    one-shot `solve_co_scheduling`. Debug builds additionally cross-check
-//    the in-place-updated model against a cold build.
+//    one-shot `solve_co_scheduling`. Every optimal answer is then proved
+//    against the model it solved (lp::certify, LpSchedule::certified).
+//    Debug builds additionally cross-check the in-place-updated model
+//    against a cold build.
 //
 // A context is bound to one (cluster, workload) pair for its useful life;
 // pointing it at different objects is safe (the structure key mismatches and

@@ -235,6 +235,8 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
     if (attempt.model_reused) lp_model_reuses_ += 1;
     if (attempt.cold_fallback) lp_cold_fallbacks_ += 1;
     if (!attempt.optimal()) continue;
+    if (!attempt.certified && obs_.metrics != nullptr)
+      obs_.metrics->counter("lips_lp_certificate_failures_total").inc();
     const ValidationReport verdict =
         validate_schedule(c, w, model, attempt, subset, remaining, origins);
     schedules_validated_ += 1;
@@ -374,7 +376,11 @@ void LipsPolicy::register_resilience_metrics() {
   // Counters are registered (at zero) before any escalation can happen, so
   // a fault-free run still exports every lips_degradation_total series and
   // dashboards/CI can assert they are all zero rather than absent.
-  if (resilience_metrics_registered_ || obs_.metrics == nullptr) return;
+  if (obs_.metrics == nullptr) return;
+  // Snapshot payloads leave this series out (obs::deterministic_samples),
+  // so a restored run registers it here again.
+  obs_.metrics->counter("lips_lp_certificate_failures_total");
+  if (resilience_metrics_registered_) return;
   for (std::size_t r = 1; r < kNumDegradationRungs; ++r)
     obs_.metrics->counter(
         "lips_degradation_total",

@@ -216,8 +216,9 @@ class LipsPolicy : public sched::Scheduler {
   /// and (for escalations) the lips_degradation_total metric + a trace
   /// instant.
   void enter_rung(DegradationRung rung);
-  /// Pre-register the degradation/validation metric series at zero so a
-  /// fault-free run still exports them (CI greps for the name).
+  /// Pre-register the degradation, validation and LP-certificate metric
+  /// series at zero so a fault-free run still exports them (CI greps for
+  /// the name).
   void register_resilience_metrics();
 
   LipsPolicyOptions options_;

@@ -17,6 +17,19 @@ namespace detail {
 using cluster::Cluster;
 using workload::Workload;
 
+bool certify_solution(const lp::LpModel& model, const lp::LpSolution& sol,
+                      const lp::SolverOptions& options) {
+  if (!sol.optimal()) return false;
+  const bool ok = lp::certify(model, sol).ok();
+#ifndef NDEBUG
+  LIPS_ASSERT(ok || options.fault_injector != nullptr,
+              "optimal LP solution failed its KKT certificate");
+#else
+  (void)options;
+#endif
+  return ok;
+}
+
 ModelBuilder::ModelBuilder(const Cluster& cluster, const Workload& workload,
                            const ModelOptions& options, const JobSubset& subset,
                            const std::vector<double>& remaining,
@@ -552,8 +565,10 @@ LpSchedule ModelBuilder::run(const FixedPlacement* fixed) const {
   lp::LpModel model;
   ModelLayout layout;
   build(fixed, model, layout);
-  const auto solver = lp::make_solver(opt_.solver, opt_.solver_options);
-  return decode(solver->solve(model), layout);
+  const lp::LpSolution sol = lp::solve(model, opt_.solver_options);
+  LpSchedule sched = decode(sol, layout);
+  sched.certified = certify_solution(model, sol, opt_.solver_options);
+  return sched;
 }
 
 }  // namespace detail

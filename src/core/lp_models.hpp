@@ -85,6 +85,13 @@ struct LpSchedule {
   bool cold_fallback = false;
   std::size_t lp_repair_iterations = 0;
 
+  /// The solution passed lp::certify against the model it was solved from
+  /// (set by every solve path; false unless Optimal). Under solver-fault
+  /// injection the engine may solve a corrupted copy of that model, so an
+  /// optimal but uncertified plan is possible there; LipsPolicy counts it
+  /// in `lips_lp_certificate_failures_total`.
+  bool certified = false;
+
   [[nodiscard]] bool optimal() const {
     return status == lp::SolveStatus::Optimal;
   }
@@ -146,8 +153,7 @@ struct ModelOptions {
   /// schedules, Cluster::cpu_price_mc_at). Negative = use static prices.
   double price_time = -1.0;
 
-  /// LP solver selection and options.
-  lp::SolverKind solver = lp::SolverKind::RevisedSimplex;
+  /// LP solver options.
   lp::SolverOptions solver_options{};
 };
 

@@ -8,8 +8,8 @@
 //
 // This module is the solver-agnostic model: callers (the LiPS model builders
 // in src/core) create variables with bounds and objective coefficients, then
-// add sparse constraint rows. Solvers (dense tableau simplex and revised
-// simplex, both in this directory) consume the model read-only.
+// add sparse constraint rows. The solver (lp::solve, the revised simplex in
+// this directory) and its certificate (lp::certify) read the model only.
 //
 // The paper used GLPK; we implement the solver substrate from scratch (see
 // DESIGN.md §2).

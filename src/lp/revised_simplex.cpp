@@ -1,11 +1,33 @@
-#include "lp/revised_simplex.hpp"
-
+// Bounded-variable revised primal simplex with warm starting: the engine
+// behind lp::solve (lp/solver.hpp).
+//
+// It keeps the constraint matrix sparse (the scheduling LPs have ~3
+// nonzeros per column), handles the 0 <= x <= 1 bounds of the paper's
+// models natively via the upper-bounded simplex technique (bound flips
+// instead of explicit rows), and maintains an explicit dense basis inverse
+// that is eta-updated per pivot and periodically refactorized for
+// numerical hygiene.
+//
+// Pricing is devex (reference weights, partial pricing over column buckets)
+// by default; SolverOptions::pricing selects classic Dantzig.
+//
+// Warm starts: a `start` basis is refactorized, dual feasibility is
+// restored with bound flips on boxed columns, the remaining primal
+// infeasibility is repaired with a bounded-variable dual simplex phase, and
+// the primal phase polishes — no Phase-1-from-artificials. Any basis the
+// repair path cannot use (singular after import, a dual ray, a stalled
+// repair) falls back to the cold two-phase solve. See DESIGN.md §8.
+//
+// Callers prove each optimal answer with lp::certify; epoch re-solves go
+// through core::EpochLpContext, which keeps warm-start basis reuse,
+// iteration budgets and the certificate in one place.
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "common/error.hpp"
+#include "lp/solver.hpp"
 #include "lp/solver_faults.hpp"
 
 namespace lips::lp {
@@ -56,8 +78,9 @@ class DenseMatrix {
  public:
   explicit DenseMatrix(std::size_t m) : m_(m), a_(m * m, 0.0) {}
 
+  void set_zero() { std::fill(a_.begin(), a_.end(), 0.0); }
   void set_identity() {
-    std::fill(a_.begin(), a_.end(), 0.0);
+    set_zero();
     for (std::size_t i = 0; i < m_; ++i) at(i, i) = 1.0;
   }
 
@@ -151,6 +174,7 @@ class Engine {
   std::vector<double> value_;
   std::vector<std::size_t> basis_;
   DenseMatrix binv_;
+  std::vector<std::size_t> pivot_row_;  // refactorize's row swaps
   std::vector<bool> banned_;
   std::vector<double> y_;
   std::vector<double> w_;
@@ -318,44 +342,49 @@ bool Engine::import_basis(const Basis& start) {
 
 bool Engine::refactorize() {
   if (chaos_ != nullptr && chaos_->fail_refactorize()) return false;
-  // Gauss-Jordan on [B | I].
-  DenseMatrix bm(m_);
+  // Gauss–Jordan in place: B is built in binv_ and inverted there. Once a
+  // column is pivoted, its slot holds a column of the inverse (seeded with
+  // the identity's 1 before the pivot row is scaled). Partial pivoting's
+  // row swaps leave those columns permuted; they are swapped back, last
+  // swap first, at the end.
+  binv_.set_zero();
   for (std::size_t i = 0; i < m_; ++i) {
-    for (const Entry& e : cols_[basis_[i]].rows) bm.at(e.var, i) = e.coeff;
+    for (const Entry& e : cols_[basis_[i]].rows) binv_.at(e.var, i) = e.coeff;
   }
-  binv_.set_identity();
+  pivot_row_.resize(m_);
   for (std::size_t col = 0; col < m_; ++col) {
     // Partial pivoting.
     std::size_t piv = col;
-    double best = std::fabs(bm.at(col, col));
+    double best = std::fabs(binv_.at(col, col));
     for (std::size_t r = col + 1; r < m_; ++r) {
-      const double v = std::fabs(bm.at(r, col));
+      const double v = std::fabs(binv_.at(r, col));
       if (v > best) {
         best = v;
         piv = r;
       }
     }
     if (best < 1e-12) return false;  // singular basis
-    if (piv != col) {
-      for (std::size_t c = 0; c < m_; ++c) {
-        std::swap(bm.at(piv, c), bm.at(col, c));
-        std::swap(binv_.at(piv, c), binv_.at(col, c));
-      }
-    }
-    const double inv = 1.0 / bm.at(col, col);
-    for (std::size_t c = 0; c < m_; ++c) {
-      bm.at(col, c) *= inv;
-      binv_.at(col, c) *= inv;
-    }
+    pivot_row_[col] = piv;
+    if (piv != col)
+      std::swap_ranges(binv_.row(piv), binv_.row(piv) + m_, binv_.row(col));
+    double* prow = binv_.row(col);
+    const double inv = 1.0 / prow[col];
+    prow[col] = 1.0;
+    for (std::size_t c = 0; c < m_; ++c) prow[c] *= inv;
     for (std::size_t r = 0; r < m_; ++r) {
       if (r == col) continue;
-      const double f = bm.at(r, col);
+      double* rrow = binv_.row(r);
+      const double f = rrow[col];
       if (f == 0.0) continue;
-      for (std::size_t c = 0; c < m_; ++c) {
-        bm.at(r, c) -= f * bm.at(col, c);
-        binv_.at(r, c) -= f * binv_.at(col, c);
-      }
+      rrow[col] = 0.0;
+      for (std::size_t c = 0; c < m_; ++c) rrow[c] -= f * prow[c];
     }
+  }
+  for (std::size_t col = m_; col-- > 0;) {
+    const std::size_t piv = pivot_row_[col];
+    if (piv == col) continue;
+    for (std::size_t r = 0; r < m_; ++r)
+      std::swap(binv_.at(r, piv), binv_.at(r, col));
   }
   return true;
 }
@@ -953,18 +982,10 @@ LpSolution Engine::run(const Basis* start) {
 
 }  // namespace
 
-LpSolution RevisedSimplexSolver::solve(const LpModel& model) const {
-  return solve_impl(model, nullptr);
-}
-
-LpSolution RevisedSimplexSolver::solve_with_basis(const LpModel& model,
-                                                  const Basis& start) const {
-  return solve_impl(model, start.empty() ? nullptr : &start);
-}
-
-LpSolution RevisedSimplexSolver::solve_impl(const LpModel& model,
-                                            const Basis* start) const {
-  Engine engine(model, options_);
+LpSolution solve(const LpModel& model, const SolverOptions& options,
+                 const Basis* start) {
+  if (start != nullptr && start->empty()) start = nullptr;
+  Engine engine(model, options);
   return engine.run(start);
 }
 

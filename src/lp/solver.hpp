@@ -1,8 +1,9 @@
-// Solver interface shared by the two simplex implementations.
+// The LP solver's interface: one function, `lp::solve`, backed by the
+// bounded-variable revised simplex (lp/revised_simplex.cpp), and `certify`,
+// which proves each optimal answer against its model (DESIGN.md §2, §8).
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,9 +31,9 @@ enum class BasisStatus : unsigned char {
 };
 
 /// Exportable simplex basis: one status per model variable plus one per
-/// constraint row (the row's slack/surplus column). A solver that finishes
+/// constraint row (the row's slack/surplus column). A solve that finishes
 /// at `Optimal` records its final basis here; a later solve of a same-shaped
-/// model can start from it (`LpSolver::solve_with_basis`) and repair the few
+/// model can start from it (the `start` of `lp::solve`) and repair the few
 /// infeasibilities a small model delta introduced instead of cold-starting
 /// from an all-artificial basis.
 ///
@@ -49,7 +50,7 @@ struct Basis {
   bool operator==(const Basis&) const = default;
 };
 
-/// Solution returned by LpSolver::solve.
+/// Solution returned by lp::solve.
 struct LpSolution {
   SolveStatus status = SolveStatus::IterationLimit;
   double objective = 0.0;            ///< objective at `values` (if Optimal)
@@ -64,9 +65,8 @@ struct LpSolution {
   std::vector<double> duals;
   std::vector<double> reduced_costs;
 
-  /// Final basis at `Optimal` (empty otherwise, and empty for solvers that
-  /// do not support export). Feed it to `solve_with_basis` on the next
-  /// same-shaped model to warm-start.
+  /// Final basis at `Optimal` (empty otherwise). Pass it as the `start` of
+  /// the next same-shaped model's solve to warm-start.
   Basis basis;
 
   /// Warm-start telemetry. `warm_start_attempted` is set whenever a starting
@@ -89,14 +89,15 @@ enum class PricingRule {
 
 class SolverFaultInjector;  // lp/solver_faults.hpp
 
-/// Feasibility and reduced-cost tolerance of both solvers.
+/// Feasibility and reduced-cost tolerance of the solver, and the relative
+/// tolerance of its certificate.
 inline constexpr double kTolerance = 1e-7;
 
-/// Budget and pricing options common to both solvers.
+/// Budget and pricing options of a solve.
 struct SolverOptions {
   std::size_t max_iterations = 0;   ///< 0 = automatic (see
                                     ///< automatic_iteration_budget)
-  PricingRule pricing = PricingRule::Devex;  ///< revised simplex only
+  PricingRule pricing = PricingRule::Devex;
   /// Re-derive the engine's computational objective/RHS arrays from the
   /// (finiteness-guarded) LpModel right before pivoting, healing NaN/Inf
   /// and |c| >= 1e50 entries that crept in after ingest. This is the
@@ -104,8 +105,7 @@ struct SolverOptions {
   /// a healthy pipeline never needs it.
   bool sanitize_model = false;
   /// Deterministic chaos hook (lp/solver_faults.hpp); not owned, may be
-  /// null. The revised simplex consults it at its corruption seams; the
-  /// dense solver ignores it.
+  /// null. The engine consults it at its corruption seams.
   SolverFaultInjector* fault_injector = nullptr;
 };
 
@@ -123,34 +123,50 @@ struct SolverOptions {
     std::size_t num_rows, std::size_t num_columns,
     std::optional<std::size_t> warm_delta = std::nullopt);
 
-/// Abstract LP solver.
-class LpSolver {
- public:
-  virtual ~LpSolver() = default;
+/// Solve `model` (a minimization). A non-null, nonempty `start` is a basis
+/// exported by an earlier solve of a same-shaped model: the engine imports
+/// and repairs it instead of starting from an all-artificial basis, and
+/// abandons it for a cold solve when it cannot, so the answer is always as
+/// correct as a cold one. Never throws for infeasible or unbounded models —
+/// those are reported through the status.
+[[nodiscard]] LpSolution solve(const LpModel& model,
+                               const SolverOptions& options = {},
+                               const Basis* start = nullptr);
 
-  /// Solve `model` (a minimization). Never throws for infeasible/unbounded
-  /// inputs — those are reported via the status.
-  [[nodiscard]] virtual LpSolution solve(const LpModel& model) const = 0;
+/// The Karush–Kuhn–Tucker conditions of an optimal solution, checked
+/// against the model it claims to solve. Each field is the worst residual
+/// of one condition, relative to the magnitude of the terms it compares:
+/// row and bound violations to the row's (or bound's) own size, dual signs
+/// to the terms of each reduced cost, and complementarity and the gap to
+/// the objective's terms. A solution is certified when all four are within
+/// `kTolerance`; a NaN anywhere fails.
+struct Certificate {
+  /// The conditions, in the order `failure()` reports them.
+  enum class Check {
+    PrimalFeasibility,  ///< rows and bounds hold at `values`
+    DualFeasibility,    ///< duals and reduced costs have the signs of
+                        ///< LpSolution's convention
+    Complementarity,    ///< a nonzero dual needs a tight row, a nonzero
+                        ///< reduced cost a variable on that bound
+    DualityGap,         ///< `objective` equals the dual objective
+  };
 
-  /// Solve `model` starting from `start` (a basis exported by a previous
-  /// solve of a same-shaped model). Solvers without warm-start support
-  /// ignore the hint and solve cold; the result is always as correct as
-  /// `solve` — an unusable basis is repaired or abandoned internally.
-  [[nodiscard]] virtual LpSolution solve_with_basis(const LpModel& model,
-                                                    const Basis& start) const {
-    (void)start;
-    return solve(model);
-  }
+  double primal = 0.0;
+  double dual = 0.0;
+  double complementarity = 0.0;
+  double gap = 0.0;
+
+  /// The first condition outside the tolerance; nullopt when all hold.
+  [[nodiscard]] std::optional<Check> failure() const;
+  [[nodiscard]] bool ok() const { return !failure().has_value(); }
 };
 
-/// Which implementation to instantiate.
-enum class SolverKind {
-  DenseSimplex,    ///< two-phase tableau simplex; best for small models
-  RevisedSimplex,  ///< bounded-variable revised simplex; scales further
-};
-
-/// Factory for the built-in solvers.
-[[nodiscard]] std::unique_ptr<LpSolver> make_solver(
-    SolverKind kind, const SolverOptions& options = {});
+/// Certify an `Optimal` `solution` of `model` in O(nnz). It reads only
+/// `values`, `duals` and `objective`: reduced costs are recomputed as
+/// c − Aᵀy, never taken from `reduced_costs`, so the certificate does not
+/// trust the engine that produced them. The dual objective is
+/// bᵀy + Σ_j d_j·(the bound d_j's sign selects).
+[[nodiscard]] Certificate certify(const LpModel& model,
+                                  const LpSolution& solution);
 
 }  // namespace lips::lp

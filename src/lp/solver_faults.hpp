@@ -2,10 +2,10 @@
 // adversary that proves the scheduler-side resilience ladder works.
 //
 // A SolverFaultInjector is installed on a solve path by pointing
-// SolverOptions::fault_injector at it (lp::make_solver and
-// core::EpochLpContext both forward the options unchanged, so one injector
-// covers cold solves and warm epoch re-solves alike). The revised simplex
-// engine then consults it at four seams, mirroring the ways a real
+// SolverOptions::fault_injector at it (the one-shot model builder and
+// core::EpochLpContext both hand the options to lp::solve unchanged, so one
+// injector covers cold solves and warm epoch re-solves alike). The revised
+// simplex engine then consults it at four seams, mirroring the ways a real
 // long-running planner corrupts itself:
 //
 //   * objective corruption  — a NaN or huge (1e100) entry lands in the
@@ -30,8 +30,9 @@
 // Two runs with the same spec and the same solve sequence inject
 // identically. The injector is not thread-safe; install one per run.
 //
-// The DenseSimplexSolver ignores the injector (it exists as a reference
-// implementation, not a production path).
+// An injected objective or RHS corruption makes the engine solve a model
+// other than the caller's, so its "optimal" answer can fail lp::certify;
+// that is the one case in which an uncertified answer is not a solver bug.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "svc/mirror.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 
@@ -25,13 +26,20 @@ void MirrorState::apply(const WireState& ws) {
   for (const std::size_t s : ws.stores_down)
     LIPS_REQUIRE(s < store_down_.size(),
                  "state spec: down store id out of range");
-  for (const auto& [m, f] : ws.throughput)
+  for (const auto& [m, f] : ws.throughput) {
     LIPS_REQUIRE(m < throughput_.size(),
                  "state spec: throughput machine id out of range");
-  for (const WireFraction& f : ws.fractions)
+    LIPS_REQUIRE(std::isfinite(f) && f > 0.0,
+                 "state spec: throughput factor must be finite and > 0");
+  }
+  for (const WireFraction& f : ws.fractions) {
     LIPS_REQUIRE(f.data < workload_->data_count() &&
                      f.store < store_down_.size(),
                  "state spec: fraction cell out of range");
+    // The simulator clamps presence into [0, 1]; so does the check.
+    LIPS_REQUIRE(f.fraction >= 0.0 && f.fraction <= 1.0,
+                 "state spec: fraction must lie in [0, 1]");
+  }
 
   now_ = ws.now;
   pending_ = ws.pending;
@@ -57,6 +65,10 @@ void MirrorState::add_tasks(const std::vector<WireTask>& tasks) {
                      (!t.data || *t.data < workload_->data_count()),
                  "JOB spec: task " + std::to_string(t.id) +
                      " names an id outside the world");
+    LIPS_REQUIRE(std::isfinite(t.input_mb) && t.input_mb >= 0.0 &&
+                     std::isfinite(t.cpu_ecu_s) && t.cpu_ecu_s >= 0.0,
+                 "JOB spec: task " + std::to_string(t.id) +
+                     " needs finite, nonnegative input_mb and cpu_ecu_s");
     const auto known = job_data_.find(t.job);
     const auto it = batch.try_emplace(
         t.job, known == job_data_.end() ? t.data : known->second).first;

@@ -11,8 +11,10 @@
 // bar end to end.
 //
 // Wire input is untrusted: every task, job, data, machine and store id a
-// STATE or JOB carries is checked against the session's world before the
-// mirror writes anything, so a refused line leaves the mirror as it was.
+// STATE or JOB carries is checked against the session's world, and every
+// number against its domain (presence fractions in [0, 1], throughput
+// factors finite and positive, task sizes finite and nonnegative), before
+// the mirror writes anything, so a refused line leaves the mirror as it was.
 //
 // The static side (cluster topology, workload definition) is NOT streamed:
 // both ends rebuild it deterministically from the session's
@@ -42,14 +44,17 @@ class LIPS_EXTERNALLY_SYNCHRONIZED MirrorState final
               const workload::Workload& workload);
 
   /// Overwrite the dynamic state wholesale (last STATE wins). Throws
-  /// PreconditionError, and changes nothing, when an id is outside the world.
+  /// PreconditionError, and changes nothing, when an id is outside the world,
+  /// a fraction is not in [0, 1] or a throughput factor is not a finite
+  /// positive number (NaN fails both).
   void apply(const WireState& ws);
   /// Register task descriptors streamed with a JOB command. Ids may arrive
   /// in any order; re-registering an id overwrites (harmless — descriptors
   /// are immutable facts about the task). Throws PreconditionError, and
-  /// registers nothing, when a task, job or data id is outside the world, or
-  /// when two tasks of one job name different objects (the SimTask::data
-  /// contract), in this batch or against an earlier one.
+  /// registers nothing, when a task, job or data id is outside the world, a
+  /// task's input_mb or cpu_ecu_s is negative or not finite, or two tasks of
+  /// one job name different objects (the SimTask::data contract), in this
+  /// batch or against an earlier one.
   void add_tasks(const std::vector<WireTask>& tasks);
   /// Set the time alone (snapshot restore); the next STATE overwrites it.
   void set_now(double t) { now_ = t; }

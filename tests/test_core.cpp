@@ -10,6 +10,7 @@
 
 #include "core/baseline_cost.hpp"
 #include "core/breakeven.hpp"
+#include "core/epoch_lp_context.hpp"
 #include "core/lp_models.hpp"
 #include "core/rounding.hpp"
 #include "workload/workload.hpp"
@@ -320,14 +321,16 @@ TEST(CoScheduling, SolversAgree) {
   workload::RandomWorkloadParams p;
   p.n_tasks = 40;
   const Workload w = workload::make_random_workload(p, c, rng);
-  ModelOptions dense;
-  dense.solver = lp::SolverKind::DenseSimplex;
-  ModelOptions revised;
-  revised.solver = lp::SolverKind::RevisedSimplex;
-  const LpSchedule a = solve_co_scheduling(c, w, dense);
-  const LpSchedule b = solve_co_scheduling(c, w, revised);
+  // One solver: each answer proves itself optimal for its model
+  // (lp::certify, read back as LpSchedule::certified) on the one-shot path
+  // and on the incremental one, and the two agree on the optimal cost.
+  const LpSchedule a = solve_co_scheduling(c, w);
+  EpochLpContext ctx;
+  const LpSchedule b = ctx.solve(c, w, ModelOptions{});
   ASSERT_TRUE(a.optimal());
   ASSERT_TRUE(b.optimal());
+  EXPECT_TRUE(a.certified);
+  EXPECT_TRUE(b.certified);
   EXPECT_NEAR(a.objective_mc.mc(), b.objective_mc.mc(),
               1e-4 * (1.0 + a.objective_mc.mc()));
 }

@@ -3,13 +3,10 @@
 // cross-checks that don't fit the per-module suites.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "core/lips_policy.hpp"
 #include "core/lp_models.hpp"
 #include "core/rounding.hpp"
-#include "lp/dense_simplex.hpp"
-#include "lp/revised_simplex.hpp"
+#include "lp/solver.hpp"
 #include "sched/fifo_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "workload/workload.hpp"
@@ -131,7 +128,10 @@ TEST(EdgeCases, LipsPolicyOnEmptyWorkload) {
 // ---------------------------------------------------------- LP stress ------
 
 TEST(EdgeCases, SolversAgreeOnWideModels) {
-  // Many more variables than rows (the shape of scheduling LPs).
+  // Many more variables than rows (the shape of scheduling LPs). The
+  // certificate proves each answer optimal for its model; all-zero is
+  // feasible (every row is a <= with a positive rhs), so no optimum may
+  // cost more than 0.
   Rng rng(909);
   for (int trial = 0; trial < 6; ++trial) {
     lp::LpModel m;
@@ -144,18 +144,16 @@ TEST(EdgeCases, SolversAgreeOnWideModels) {
         if (rng.bernoulli(0.4)) es.push_back({j, rng.uniform(0.1, 2.0)});
       m.add_constraint(es, lp::Sense::LessEqual, rng.uniform(2.0, 8.0));
     }
-    const lp::LpSolution a = lp::DenseSimplexSolver().solve(m);
-    const lp::LpSolution b =
-        lp::make_solver(lp::SolverKind::RevisedSimplex)->solve(m);
-    ASSERT_TRUE(a.optimal());
+    const lp::LpSolution b = lp::solve(m);
     ASSERT_TRUE(b.optimal());
-    EXPECT_NEAR(a.objective, b.objective, 1e-5 * (1 + std::fabs(a.objective)))
-        << "trial " << trial;
+    EXPECT_TRUE(lp::certify(m, b).ok()) << "trial " << trial;
+    EXPECT_LE(b.objective, 0.0) << "trial " << trial;
   }
 }
 
 TEST(EdgeCases, TallModelsWithManyEqualities) {
-  // More rows than columns; phase-1 heavy.
+  // More rows than columns; phase-1 heavy. x0 is feasible by construction,
+  // so the certified optimum is no dearer than it.
   Rng rng(911);
   for (int trial = 0; trial < 6; ++trial) {
     lp::LpModel m;
@@ -181,13 +179,10 @@ TEST(EdgeCases, TallModelsWithManyEqualities) {
         m.add_constraint(es, lp::Sense::LessEqual, lhs + 1.0);
       }
     }
-    const lp::LpSolution a = lp::DenseSimplexSolver().solve(m);
-    const lp::LpSolution b =
-        lp::make_solver(lp::SolverKind::RevisedSimplex)->solve(m);
-    ASSERT_TRUE(a.optimal()) << "trial " << trial;
+    const lp::LpSolution b = lp::solve(m);
     ASSERT_TRUE(b.optimal()) << "trial " << trial;
-    EXPECT_NEAR(a.objective, b.objective, 1e-5 * (1 + std::fabs(a.objective)));
-    EXPECT_LE(m.max_violation(a.values), 1e-5);
+    EXPECT_TRUE(lp::certify(m, b).ok()) << "trial " << trial;
+    EXPECT_LE(b.objective, m.objective_value(x0) + 1e-9) << "trial " << trial;
     EXPECT_LE(m.max_violation(b.values), 1e-5);
   }
 }
@@ -198,9 +193,9 @@ TEST(EdgeCases, TinyCoefficientsStayStable) {
   m.add_variable(0.0, 1e9, 2e-7);
   m.add_constraint(std::vector<lp::Entry>{{0, 1e-6}, {1, 1e-6}},
                    lp::Sense::GreaterEqual, 1e-3);
-  const lp::LpSolution s =
-      lp::make_solver(lp::SolverKind::RevisedSimplex)->solve(m);
+  const lp::LpSolution s = lp::solve(m);
   ASSERT_TRUE(s.optimal());
+  EXPECT_TRUE(lp::certify(m, s).ok());
   EXPECT_NEAR(s.values[0], 1000.0, 1e-3);  // cheapest variable does it all
 }
 

@@ -1,18 +1,17 @@
 // Unit and property tests for the LP substrate (src/lp).
 //
-// The two simplex implementations are independent; the property tests here
-// generate random feasible/contrived models and require that both solvers
-// agree on status and optimal objective, and that every claimed optimum is
-// primal-feasible under LpModel::max_violation.
+// Every optimal answer of lp::solve is proved against its own model with
+// lp::certify (the KKT conditions); small models are also checked against
+// optima solved by hand, and random ones against points known feasible by
+// construction. The certificate itself is tested on a hand-solved LP and
+// on deliberately broken solutions, each of which must fail its own check.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "lp/dense_simplex.hpp"
 #include "lp/model.hpp"
-#include "lp/revised_simplex.hpp"
 #include "lp/solver.hpp"
 
 namespace lips::lp {
@@ -69,23 +68,26 @@ TEST(LpModel, ObjectiveAndViolation) {
 
 // --------------------------------------------------- solver correctness ---
 
-class BothSolvers : public ::testing::TestWithParam<SolverKind> {
- protected:
-  [[nodiscard]] LpSolution solve(const LpModel& m) const {
-    return make_solver(GetParam())->solve(m);
-  }
-};
+/// Passes when `s` is not optimal or its certificate holds; otherwise names
+/// the failed check and prints every residual.
+::testing::AssertionResult certified(const LpModel& m, const LpSolution& s) {
+  if (!s.optimal()) return ::testing::AssertionSuccess();
+  const Certificate cert = certify(m, s);
+  if (cert.ok()) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "certificate failed: primal " << cert.primal << ", dual "
+         << cert.dual << ", complementarity " << cert.complementarity
+         << ", gap " << cert.gap;
+}
 
-INSTANTIATE_TEST_SUITE_P(Solvers, BothSolvers,
-                         ::testing::Values(SolverKind::DenseSimplex,
-                                           SolverKind::RevisedSimplex),
-                         [](const auto& info) {
-                           return info.param == SolverKind::DenseSimplex
-                                      ? "Dense"
-                                      : "Revised";
-                         });
+/// lp::solve, with the certificate asserted on every optimal answer.
+LpSolution solve_certified(const LpModel& m, const SolverOptions& options = {}) {
+  LpSolution s = solve(m, options);
+  EXPECT_TRUE(certified(m, s));
+  return s;
+}
 
-TEST_P(BothSolvers, TextbookTwoVariable) {
+TEST(LpSolve, TextbookTwoVariable) {
   // max 3x + 5y s.t. x<=4, 2y<=12, 3x+2y<=18  → minimize negation.
   // Optimum x=2, y=6, objective -36.
   LpModel m;
@@ -94,14 +96,14 @@ TEST_P(BothSolvers, TextbookTwoVariable) {
   m.add_constraint(row({{0, 1.0}}), Sense::LessEqual, 4.0);
   m.add_constraint(row({{1, 2.0}}), Sense::LessEqual, 12.0);
   m.add_constraint(row({{0, 3.0}, {1, 2.0}}), Sense::LessEqual, 18.0);
-  const LpSolution s = solve(m);
+  const LpSolution s = solve_certified(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, -36.0, 1e-6);
   EXPECT_NEAR(s.values[0], 2.0, 1e-6);
   EXPECT_NEAR(s.values[1], 6.0, 1e-6);
 }
 
-TEST_P(BothSolvers, IterationBudgetExhaustionReturnsIterationLimit) {
+TEST(LpSolve, IterationBudgetExhaustionReturnsIterationLimit) {
   // The textbook model needs at least two pivots (both variables enter the
   // basis at the optimum). A budget of one iteration must come back as
   // IterationLimit cleanly — no hang, no assert — and the identical model
@@ -114,75 +116,75 @@ TEST_P(BothSolvers, IterationBudgetExhaustionReturnsIterationLimit) {
   m.add_constraint(row({{0, 3.0}, {1, 2.0}}), Sense::LessEqual, 18.0);
   SolverOptions tight;
   tight.max_iterations = 1;
-  const LpSolution limited = make_solver(GetParam(), tight)->solve(m);
+  const LpSolution limited = solve(m, tight);
   EXPECT_EQ(limited.status, SolveStatus::IterationLimit);
   EXPECT_FALSE(limited.optimal());
-  const LpSolution full = make_solver(GetParam())->solve(m);
+  const LpSolution full = solve_certified(m);
   ASSERT_TRUE(full.optimal());
   EXPECT_NEAR(full.objective, -36.0, 1e-6);
 }
 
-TEST_P(BothSolvers, EqualityConstraints) {
+TEST(LpSolve, EqualityConstraints) {
   // min x+2y  s.t. x+y = 10, x-y = 2 → x=6, y=4, obj 14.
   LpModel m;
   m.add_variable(0, kInf, 1.0);
   m.add_variable(0, kInf, 2.0);
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::Equal, 10.0);
   m.add_constraint(row({{0, 1.0}, {1, -1.0}}), Sense::Equal, 2.0);
-  const LpSolution s = solve(m);
+  const LpSolution s = solve_certified(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 14.0, 1e-6);
   EXPECT_NEAR(s.values[0], 6.0, 1e-6);
   EXPECT_NEAR(s.values[1], 4.0, 1e-6);
 }
 
-TEST_P(BothSolvers, GreaterEqualConstraints) {
+TEST(LpSolve, GreaterEqualConstraints) {
   // Diet-style: min 2x+3y s.t. x+y >= 4, x+3y >= 6 → x=3,y=1, obj 9.
   LpModel m;
   m.add_variable(0, kInf, 2.0);
   m.add_variable(0, kInf, 3.0);
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::GreaterEqual, 4.0);
   m.add_constraint(row({{0, 1.0}, {1, 3.0}}), Sense::GreaterEqual, 6.0);
-  const LpSolution s = solve(m);
+  const LpSolution s = solve_certified(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 9.0, 1e-6);
 }
 
-TEST_P(BothSolvers, UpperBoundedVariables) {
+TEST(LpSolve, UpperBoundedVariables) {
   // min -x-y s.t. x+y <= 1.5, 0<=x<=1, 0<=y<=1 → obj -1.5.
   LpModel m;
   m.add_variable(0, 1, -1.0);
   m.add_variable(0, 1, -1.0);
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::LessEqual, 1.5);
-  const LpSolution s = solve(m);
+  const LpSolution s = solve_certified(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, -1.5, 1e-6);
   EXPECT_LE(m.max_violation(s.values), 1e-6);
 }
 
-TEST_P(BothSolvers, NonzeroLowerBounds) {
+TEST(LpSolve, NonzeroLowerBounds) {
   // min x+y s.t. x+y >= 1, x >= 2, y >= 3 via bounds → obj 5.
   LpModel m;
   m.add_variable(2, kInf, 1.0);
   m.add_variable(3, kInf, 1.0);
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::GreaterEqual, 1.0);
-  const LpSolution s = solve(m);
+  const LpSolution s = solve_certified(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 5.0, 1e-6);
 }
 
-TEST_P(BothSolvers, NegativeLowerBounds) {
+TEST(LpSolve, NegativeLowerBounds) {
   // min x s.t. x >= -5 (bound), x + y = 0, y <= 3 → x=-3 at optimum.
   LpModel m;
   m.add_variable(-5, kInf, 1.0);
   m.add_variable(-kInf, 3, 0.0);
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::Equal, 0.0);
-  const LpSolution s = solve(m);
+  const LpSolution s = solve_certified(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, -3.0, 1e-6);
 }
 
-TEST_P(BothSolvers, FreeVariable) {
+TEST(LpSolve, FreeVariable) {
   // min x + 2y, y free, x in [0,10], x + y >= 4, y >= x - 2 rewritten:
   //   -x + y >= -2. Optimum: y as small as possible on the segment...
   // Solve by hand: minimize x+2y over {x+y>=4, y>=x-2, 0<=x<=10}.
@@ -194,53 +196,53 @@ TEST_P(BothSolvers, FreeVariable) {
   m.add_variable(-kInf, kInf, 2.0);
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::GreaterEqual, 4.0);
   m.add_constraint(row({{0, -1.0}, {1, 1.0}}), Sense::GreaterEqual, -2.0);
-  const LpSolution s = solve(m);
+  const LpSolution s = solve_certified(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 5.0, 1e-6);
 }
 
-TEST_P(BothSolvers, InfeasibleDetected) {
+TEST(LpSolve, InfeasibleDetected) {
   LpModel m;
   m.add_variable(0, 1, 1.0);
   m.add_constraint(row({{0, 1.0}}), Sense::GreaterEqual, 2.0);
-  EXPECT_EQ(solve(m).status, SolveStatus::Infeasible);
+  EXPECT_EQ(solve_certified(m).status, SolveStatus::Infeasible);
 }
 
-TEST_P(BothSolvers, InfeasibleEqualitySystem) {
+TEST(LpSolve, InfeasibleEqualitySystem) {
   LpModel m;
   m.add_variable(0, kInf, 0.0);
   m.add_variable(0, kInf, 0.0);
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::Equal, 1.0);
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::Equal, 2.0);
-  EXPECT_EQ(solve(m).status, SolveStatus::Infeasible);
+  EXPECT_EQ(solve_certified(m).status, SolveStatus::Infeasible);
 }
 
-TEST_P(BothSolvers, UnboundedDetected) {
+TEST(LpSolve, UnboundedDetected) {
   LpModel m;
   m.add_variable(0, kInf, -1.0);
   m.add_constraint(row({{0, -1.0}}), Sense::LessEqual, 0.0);  // x >= 0, vacuous
-  EXPECT_EQ(solve(m).status, SolveStatus::Unbounded);
+  EXPECT_EQ(solve_certified(m).status, SolveStatus::Unbounded);
 }
 
-TEST_P(BothSolvers, BoundsOnlyModel) {
+TEST(LpSolve, BoundsOnlyModel) {
   LpModel m;
   m.add_variable(1, 5, 3.0);   // wants lower → 1
   m.add_variable(1, 5, -2.0);  // wants upper → 5
   m.add_variable(-4, 9, 0.0);  // indifferent
-  const LpSolution s = solve(m);
+  const LpSolution s = solve_certified(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.values[0], 1.0, 1e-9);
   EXPECT_NEAR(s.values[1], 5.0, 1e-9);
   EXPECT_NEAR(s.objective, -7.0, 1e-9);
 }
 
-TEST_P(BothSolvers, BoundsOnlyUnbounded) {
+TEST(LpSolve, BoundsOnlyUnbounded) {
   LpModel m;
   m.add_variable(0, kInf, -1.0);
-  EXPECT_EQ(solve(m).status, SolveStatus::Unbounded);
+  EXPECT_EQ(solve_certified(m).status, SolveStatus::Unbounded);
 }
 
-TEST_P(BothSolvers, DegenerateModelDoesNotCycle) {
+TEST(LpSolve, DegenerateModelDoesNotCycle) {
   // Classic Beale cycling example (minimization form); anti-cycling must
   // terminate with the optimum -0.05.
   LpModel m;
@@ -253,12 +255,12 @@ TEST_P(BothSolvers, DegenerateModelDoesNotCycle) {
   m.add_constraint(row({{0, 0.5}, {1, -90.0}, {2, -0.02}, {3, 3.0}}),
                    Sense::LessEqual, 0.0);
   m.add_constraint(row({{2, 1.0}}), Sense::LessEqual, 1.0);
-  const LpSolution s = solve(m);
+  const LpSolution s = solve_certified(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, -0.05, 1e-6);
 }
 
-TEST_P(BothSolvers, RedundantConstraintsHandled) {
+TEST(LpSolve, RedundantConstraintsHandled) {
   LpModel m;
   m.add_variable(0, kInf, 1.0);
   m.add_variable(0, kInf, 1.0);
@@ -266,27 +268,27 @@ TEST_P(BothSolvers, RedundantConstraintsHandled) {
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::Equal, 4.0);
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::Equal, 4.0);
   m.add_constraint(row({{0, 2.0}, {1, 2.0}}), Sense::Equal, 8.0);
-  const LpSolution s = solve(m);
+  const LpSolution s = solve_certified(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 4.0, 1e-6);
 }
 
-TEST_P(BothSolvers, NegativeRhsRows) {
+TEST(LpSolve, NegativeRhsRows) {
   // min x+y s.t. -x - y <= -4  (i.e. x+y >= 4).
   LpModel m;
   m.add_variable(0, kInf, 1.0);
   m.add_variable(0, kInf, 1.0);
   m.add_constraint(row({{0, -1.0}, {1, -1.0}}), Sense::LessEqual, -4.0);
-  const LpSolution s = solve(m);
+  const LpSolution s = solve_certified(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 4.0, 1e-6);
 }
 
-TEST_P(BothSolvers, TransportationProblem) {
+TEST(LpSolve, TransportationProblem) {
   // 2 supplies (10, 15) × 3 demands (8, 7, 10); costs:
   //   s0: 4 6 9 / s1: 5 3 8  → known optimum 4*8+6*2+3*7+8*8 = 32+12+21+64=129?
-  // Compute properly below via assertion on feasibility + objective equal
-  // across solvers and <= a known feasible plan.
+  // Checked below by feasibility, the certificate, and a known feasible
+  // plan.
   LpModel m;
   const double cost[2][3] = {{4, 6, 9}, {5, 3, 8}};
   const double supply[2] = {10, 15};
@@ -304,25 +306,24 @@ TEST_P(BothSolvers, TransportationProblem) {
     for (int i = 0; i < 2; ++i) es.push_back({v[i][j], 1.0});
     m.add_constraint(es, Sense::GreaterEqual, demand[j]);
   }
-  const LpSolution s = solve(m);
+  const LpSolution s = solve_certified(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_LE(m.max_violation(s.values), 1e-6);
   // Feasible reference plan: x00=8, x02=2, x11=7, x12=8 → 32+18+21+64=135.
   EXPECT_LE(s.objective, 135.0 + 1e-6);
-  // Optimal is exactly 129 (x00=8 (32), x01=0, x02=2(18) → better to send
-  // s1's cheap 8s: x12=10 (80) + x11=7 (21) + x00=8 (32) uses s1=17 > 15.
-  // LP optimum validated by cross-solver agreement test below.
+  // That plan is optimal: supply duals u = (0, −1) and demand duals
+  // v = (4, 4, 9) leave both unused routes a reduced cost of 2 (6 − 0 − 4
+  // and 5 + 1 − 4).
+  EXPECT_NEAR(s.objective, 135.0, 1e-6);
 }
 
 // ------------------------------------------------------- property tests ---
 
 // Random dense-ish LPs constructed to be feasible by design: pick a random
 // point x0 in the box, then set each row's rhs so x0 satisfies it with
-// slack. Both solvers must agree on the objective value.
+// slack. Every solve must be optimal, certified, and no worse than x0.
 TEST(LpCrossCheck, RandomFeasibleBoundedModels) {
   Rng rng(2024);
-  DenseSimplexSolver dense;
-  const auto revised = make_solver(SolverKind::RevisedSimplex);
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t n = 2 + rng.index(6);
     const std::size_t k = 1 + rng.index(6);
@@ -354,22 +355,17 @@ TEST(LpCrossCheck, RandomFeasibleBoundedModels) {
         m.add_constraint(es, Sense::Equal, lhs);
       }
     }
-    const LpSolution a = dense.solve(m);
-    const LpSolution b = revised->solve(m);
-    ASSERT_TRUE(a.optimal()) << "trial " << trial;
+    const LpSolution b = solve(m);
     ASSERT_TRUE(b.optimal()) << "trial " << trial;
-    EXPECT_NEAR(a.objective, b.objective, 1e-5 * (1 + std::fabs(a.objective)))
-        << "trial " << trial;
-    EXPECT_LE(m.max_violation(a.values), 1e-6) << "trial " << trial;
+    EXPECT_TRUE(certified(m, b)) << "trial " << trial;
+    EXPECT_LE(b.objective, m.objective_value(x0) + 1e-9) << "trial " << trial;
     EXPECT_LE(m.max_violation(b.values), 1e-6) << "trial " << trial;
   }
 }
 
-// Both solvers must agree on infeasibility.
+// Models infeasible by construction are reported Infeasible.
 TEST(LpCrossCheck, RandomInfeasibleModels) {
   Rng rng(777);
-  DenseSimplexSolver dense;
-  const auto revised = make_solver(SolverKind::RevisedSimplex);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 1 + rng.index(4);
     LpModel m;
@@ -378,8 +374,7 @@ TEST(LpCrossCheck, RandomInfeasibleModels) {
     std::vector<Entry> es;
     for (std::size_t j = 0; j < n; ++j) es.push_back({j, 1.0});
     m.add_constraint(es, Sense::GreaterEqual, static_cast<double>(n) + 1.0);
-    EXPECT_EQ(dense.solve(m).status, SolveStatus::Infeasible);
-    EXPECT_EQ(revised->solve(m).status, SolveStatus::Infeasible);
+    EXPECT_EQ(solve(m).status, SolveStatus::Infeasible);
   }
 }
 
@@ -387,7 +382,6 @@ TEST(LpCrossCheck, RandomInfeasibleModels) {
 // the objective at any feasible point we know (x0 from construction).
 TEST(LpCrossCheck, OptimumDominatesKnownFeasiblePoint) {
   Rng rng(31337);
-  const auto solver = make_solver(SolverKind::RevisedSimplex);
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t n = 2 + rng.index(8);
     LpModel m;
@@ -406,7 +400,7 @@ TEST(LpCrossCheck, OptimumDominatesKnownFeasiblePoint) {
       }
       m.add_constraint(es, Sense::LessEqual, lhs);
     }
-    const LpSolution s = solver->solve(m);
+    const LpSolution s = solve_certified(m);
     ASSERT_TRUE(s.optimal());
     EXPECT_LE(s.objective, m.objective_value(x0) + 1e-6);
   }
@@ -416,7 +410,6 @@ TEST(LpCrossCheck, OptimumDominatesKnownFeasiblePoint) {
 // the optimum and preserves an optimal solution set member's feasibility.
 TEST(LpCrossCheck, ObjectiveScalingInvariance) {
   Rng rng(99);
-  const auto solver = make_solver(SolverKind::RevisedSimplex);
   LpModel m;
   LpModel m_scaled;
   const std::size_t n = 6;
@@ -429,8 +422,8 @@ TEST(LpCrossCheck, ObjectiveScalingInvariance) {
   for (std::size_t j = 0; j < n; ++j) es.push_back({j, 1.0});
   m.add_constraint(es, Sense::LessEqual, 2.5);
   m_scaled.add_constraint(es, Sense::LessEqual, 2.5);
-  const LpSolution a = solver->solve(m);
-  const LpSolution b = solver->solve(m_scaled);
+  const LpSolution a = solve_certified(m);
+  const LpSolution b = solve_certified(m_scaled);
   ASSERT_TRUE(a.optimal());
   ASSERT_TRUE(b.optimal());
   EXPECT_NEAR(b.objective, 7.5 * a.objective, 1e-6);
@@ -448,13 +441,10 @@ TEST(LpSolverOptions, IterationLimitReported) {
       es.push_back({static_cast<std::size_t>(j), 1.0 + ((i + j) % 3)});
     m.add_constraint(es, Sense::LessEqual, 50.0);
   }
-  DenseSimplexSolver dense(opts);
-  EXPECT_EQ(dense.solve(m).status, SolveStatus::IterationLimit);
+  EXPECT_EQ(solve(m, opts).status, SolveStatus::IterationLimit);
 }
 
-TEST(LpSolverFactory, MakesBothKinds) {
-  EXPECT_NE(make_solver(SolverKind::DenseSimplex), nullptr);
-  EXPECT_NE(make_solver(SolverKind::RevisedSimplex), nullptr);
+TEST(LpSolve, StatusNamesAreStable) {
   EXPECT_EQ(to_string(SolveStatus::Optimal), "optimal");
   EXPECT_EQ(to_string(SolveStatus::Infeasible), "infeasible");
   EXPECT_EQ(to_string(SolveStatus::Unbounded), "unbounded");
@@ -469,14 +459,13 @@ namespace lips::lp {
 namespace {
 
 // Strong duality and complementary slackness on random feasible models,
-// using both solvers' dual extraction. For a bounded-variable LP,
+// read from the solver's own duals and reduced costs (the certificate
+// recomputes the latter instead). For a bounded-variable LP,
 //   c'x* = y'b + Σ_j d_j x*_j   (d_j the reduced cost; zero on basics),
 // every nonzero dual implies a tight row, and every nonzero reduced cost
 // implies the variable sits on the matching bound.
 TEST(LpDuality, StrongDualityAndComplementarySlackness) {
   Rng rng(20260707);
-  const auto solver = make_solver(SolverKind::RevisedSimplex);
-  DenseSimplexSolver dense;
   for (int trial = 0; trial < 25; ++trial) {
     const std::size_t n = 2 + rng.index(6);
     const std::size_t k = 1 + rng.index(5);
@@ -505,61 +494,50 @@ TEST(LpDuality, StrongDualityAndComplementarySlackness) {
         m.add_constraint(es, Sense::Equal, lhs);
       }
     }
-    const LpSolution revised_sol = solver->solve(m);
-    const LpSolution dense_sol = dense.solve(m);
-    const struct {
-      const LpSolution* s;
-      const char* which;
-    } runs[] = {{&revised_sol, "revised"}, {&dense_sol, "dense"}};
-    for (const auto& run : runs) {
-      const LpSolution& s = *run.s;
-      ASSERT_TRUE(s.optimal()) << run.which << " trial " << trial;
-      ASSERT_EQ(s.duals.size(), m.num_constraints()) << run.which;
-      ASSERT_EQ(s.reduced_costs.size(), m.num_variables()) << run.which;
+    const LpSolution s = solve(m);
+    ASSERT_TRUE(s.optimal()) << "trial " << trial;
+    EXPECT_TRUE(certified(m, s)) << "trial " << trial;
+    ASSERT_EQ(s.duals.size(), m.num_constraints());
+    ASSERT_EQ(s.reduced_costs.size(), m.num_variables());
 
-      // Strong duality identity.
-      double dual_obj = 0.0;
-      for (std::size_t i = 0; i < m.num_constraints(); ++i)
-        dual_obj += s.duals[i] * m.constraint(i).rhs;
-      for (std::size_t j = 0; j < n; ++j)
-        dual_obj += s.reduced_costs[j] * s.values[j];
-      EXPECT_NEAR(dual_obj, s.objective, 1e-5 * (1.0 + std::fabs(s.objective)))
-          << run.which << " trial " << trial;
+    // Strong duality identity.
+    double dual_obj = 0.0;
+    for (std::size_t i = 0; i < m.num_constraints(); ++i)
+      dual_obj += s.duals[i] * m.constraint(i).rhs;
+    for (std::size_t j = 0; j < n; ++j)
+      dual_obj += s.reduced_costs[j] * s.values[j];
+    EXPECT_NEAR(dual_obj, s.objective, 1e-5 * (1.0 + std::fabs(s.objective)))
+        << "trial " << trial;
 
-      // Dual sign conventions + slackness on rows.
-      for (std::size_t i = 0; i < m.num_constraints(); ++i) {
-        const Constraint& row = m.constraint(i);
-        double lhs = 0.0;
-        for (const Entry& e : row.entries) lhs += e.coeff * s.values[e.var];
-        const double slack = row.rhs - lhs;
-        if (row.sense == Sense::LessEqual) {
-          EXPECT_LE(s.duals[i], 1e-6)
-              << run.which << " trial " << trial << " row " << i;
-          if (s.duals[i] < -1e-5) {
-            EXPECT_NEAR(slack, 0.0, 1e-5)
-                << run.which << " trial " << trial << " row " << i;
-          }
-        } else if (row.sense == Sense::GreaterEqual) {
-          EXPECT_GE(s.duals[i], -1e-6)
-              << run.which << " trial " << trial << " row " << i;
-          if (s.duals[i] > 1e-5) {
-            EXPECT_NEAR(slack, 0.0, 1e-5)
-                << run.which << " trial " << trial << " row " << i;
-          }
+    // Dual sign conventions + slackness on rows.
+    for (std::size_t i = 0; i < m.num_constraints(); ++i) {
+      const Constraint& row = m.constraint(i);
+      double lhs = 0.0;
+      for (const Entry& e : row.entries) lhs += e.coeff * s.values[e.var];
+      const double slack = row.rhs - lhs;
+      if (row.sense == Sense::LessEqual) {
+        EXPECT_LE(s.duals[i], 1e-6) << "trial " << trial << " row " << i;
+        if (s.duals[i] < -1e-5) {
+          EXPECT_NEAR(slack, 0.0, 1e-5) << "trial " << trial << " row " << i;
+        }
+      } else if (row.sense == Sense::GreaterEqual) {
+        EXPECT_GE(s.duals[i], -1e-6) << "trial " << trial << " row " << i;
+        if (s.duals[i] > 1e-5) {
+          EXPECT_NEAR(slack, 0.0, 1e-5) << "trial " << trial << " row " << i;
         }
       }
+    }
 
-      // Reduced-cost slackness on variable bounds.
-      for (std::size_t j = 0; j < n; ++j) {
-        const Variable& v = m.variable(j);
-        if (s.reduced_costs[j] > 1e-5) {
-          EXPECT_NEAR(s.values[j], v.lower, 1e-5)
-              << run.which << " trial " << trial << " var " << j;
-        }
-        if (s.reduced_costs[j] < -1e-5) {
-          EXPECT_NEAR(s.values[j], v.upper, 1e-5)
-              << run.which << " trial " << trial << " var " << j;
-        }
+    // Reduced-cost slackness on variable bounds.
+    for (std::size_t j = 0; j < n; ++j) {
+      const Variable& v = m.variable(j);
+      if (s.reduced_costs[j] > 1e-5) {
+        EXPECT_NEAR(s.values[j], v.lower, 1e-5)
+            << "trial " << trial << " var " << j;
+      }
+      if (s.reduced_costs[j] < -1e-5) {
+        EXPECT_NEAR(s.values[j], v.upper, 1e-5)
+            << "trial " << trial << " var " << j;
       }
     }
   }
@@ -576,20 +554,17 @@ TEST(LpDuality, ShadowPricePredictsRelaxation) {
   m.add_constraint(std::vector<Entry>{{0, 1.0}, {1, 1.0}},
                    Sense::GreaterEqual, 10.0);
   m.add_constraint(std::vector<Entry>{{0, 1.0}}, Sense::LessEqual, 4.0);
-  const auto solver = make_solver(SolverKind::RevisedSimplex);
-  const LpSolution s = solver->solve(m);
+  const LpSolution s = solve_certified(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 4.0 * 1 + 6.0 * 5, 1e-6);
-  // Capacity row dual: adding one cheap unit saves 5 - 1 = 4 → dual = -4.
+  // Nondegenerate optimum, solved by hand: both variables are basic, so
+  // their reduced costs vanish and y solves yᵀB = c_B: y0 + y1 = 1 and
+  // y0 = 5. The demand row's dual is the marginal (dear) source's price, 5;
+  // the capacity row's is −4: one more cheap unit saves 5 − 1.
+  EXPECT_NEAR(s.duals[0], 5.0, 1e-6);
   EXPECT_NEAR(s.duals[1], -4.0, 1e-6);
-  // Nondegenerate optimum → both solvers must extract identical duals.
-  DenseSimplexSolver dense;
-  const LpSolution ds = dense.solve(m);
-  ASSERT_TRUE(ds.optimal());
-  EXPECT_NEAR(ds.duals[0], s.duals[0], 1e-6);
-  EXPECT_NEAR(ds.duals[1], -4.0, 1e-6);
-  EXPECT_NEAR(ds.reduced_costs[0], s.reduced_costs[0], 1e-6);
-  EXPECT_NEAR(ds.reduced_costs[1], s.reduced_costs[1], 1e-6);
+  EXPECT_NEAR(s.reduced_costs[0], 0.0, 1e-6);
+  EXPECT_NEAR(s.reduced_costs[1], 0.0, 1e-6);
 
   LpModel relaxed;
   relaxed.add_variable(0, kInf, 1.0);
@@ -597,9 +572,107 @@ TEST(LpDuality, ShadowPricePredictsRelaxation) {
   relaxed.add_constraint(std::vector<Entry>{{0, 1.0}, {1, 1.0}},
                          Sense::GreaterEqual, 10.0);
   relaxed.add_constraint(std::vector<Entry>{{0, 1.0}}, Sense::LessEqual, 5.0);
-  const LpSolution r = solver->solve(relaxed);
+  const LpSolution r = solve_certified(relaxed);
   ASSERT_TRUE(r.optimal());
   EXPECT_NEAR(r.objective, s.objective + s.duals[1], 1e-6);
+}
+
+// ------------------------------------------------------- the certificate ---
+
+/// The two-row LP of LpDuality.ShadowPricePredictsRelaxation,
+///   min x0 + 5·x1  s.t.  x0 + x1 >= 10,  x0 <= 4,  x >= 0,
+/// and, with `third_source`, a dearer third source x2 (cost 7) in the
+/// demand row that the optimum leaves at its lower bound.
+LpModel shadow_price_lp(bool third_source) {
+  LpModel m;
+  m.add_variable(0, kInf, 1.0);
+  m.add_variable(0, kInf, 5.0);
+  std::vector<Entry> demand{{0, 1.0}, {1, 1.0}};
+  if (third_source) {
+    m.add_variable(0, kInf, 7.0);
+    demand.push_back({2, 1.0});
+  }
+  m.add_constraint(demand, Sense::GreaterEqual, 10.0);
+  m.add_constraint(std::vector<Entry>{{0, 1.0}}, Sense::LessEqual, 4.0);
+  return m;
+}
+
+/// Its optimum, solved by hand: x = (4, 6[, 0]), y = (5, −4), so
+/// d = c − Aᵀy = (0, 0[, 2]) and cᵀx = 34 = bᵀy = 10·5 + 4·(−4).
+LpSolution shadow_price_optimum(bool third_source) {
+  LpSolution s;
+  s.status = SolveStatus::Optimal;
+  s.values = {4.0, 6.0};
+  if (third_source) s.values.push_back(0.0);
+  s.duals = {5.0, -4.0};
+  s.objective = 34.0;
+  return s;
+}
+
+TEST(LpCertificate, HandSolvedLpCertifies) {
+  for (const bool third : {false, true}) {
+    const LpModel m = shadow_price_lp(third);
+    const Certificate cert = certify(m, shadow_price_optimum(third));
+    EXPECT_TRUE(cert.ok()) << "third source " << third;
+    // Small integers: every residual is exactly zero.
+    EXPECT_EQ(cert.primal, 0.0);
+    EXPECT_EQ(cert.dual, 0.0);
+    EXPECT_EQ(cert.complementarity, 0.0);
+    EXPECT_EQ(cert.gap, 0.0);
+    // And the solver's own answer certifies.
+    const LpSolution s = solve(m);
+    ASSERT_TRUE(s.optimal());
+    EXPECT_TRUE(certified(m, s));
+    EXPECT_NEAR(s.objective, 34.0, 1e-9);
+  }
+}
+
+TEST(LpCertificate, WrongSignDualFailsDualFeasibility) {
+  // The capacity row is <=, so its dual must be <= 0.
+  LpSolution s = shadow_price_optimum(true);
+  s.duals[1] = 4.0;
+  const Certificate cert = certify(shadow_price_lp(true), s);
+  EXPECT_EQ(cert.failure(), Certificate::Check::DualFeasibility);
+  EXPECT_LE(cert.primal, kTolerance);
+}
+
+TEST(LpCertificate, OffBoundValueWithNonzeroReducedCostFailsComplementarity) {
+  // x2 (reduced cost 2) leaves its lower bound; x1 gives way so the demand
+  // row stays tight and every other condition still holds.
+  LpSolution s = shadow_price_optimum(true);
+  s.values[2] = 0.5;
+  s.values[1] = 5.5;
+  const Certificate cert = certify(shadow_price_lp(true), s);
+  EXPECT_EQ(cert.failure(), Certificate::Check::Complementarity);
+  EXPECT_LE(cert.primal, kTolerance);
+  EXPECT_LE(cert.dual, kTolerance);
+  EXPECT_LE(cert.gap, kTolerance);
+}
+
+TEST(LpCertificate, RowViolatedByOneThousandthFailsPrimalFeasibility) {
+  LpSolution s = shadow_price_optimum(true);
+  s.values[1] -= 1e-3;  // x0 + x1 + x2 = 9.999 < 10
+  const Certificate cert = certify(shadow_price_lp(true), s);
+  EXPECT_EQ(cert.failure(), Certificate::Check::PrimalFeasibility);
+}
+
+TEST(LpCertificate, ShiftedObjectiveFailsDualityGap) {
+  LpSolution s = shadow_price_optimum(true);
+  s.objective += 1.0;
+  const Certificate cert = certify(shadow_price_lp(true), s);
+  EXPECT_EQ(cert.failure(), Certificate::Check::DualityGap);
+  EXPECT_LE(cert.primal, kTolerance);
+  EXPECT_LE(cert.dual, kTolerance);
+  EXPECT_LE(cert.complementarity, kTolerance);
+}
+
+TEST(LpCertificate, NonFiniteValueFails) {
+  LpSolution s = shadow_price_optimum(true);
+  s.values[0] = std::nan("");
+  EXPECT_FALSE(certify(shadow_price_lp(true), s).ok());
+  s = shadow_price_optimum(true);
+  s.duals[0] = std::nan("");
+  EXPECT_FALSE(certify(shadow_price_lp(true), s).ok());
 }
 
 }  // namespace

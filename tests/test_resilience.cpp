@@ -21,6 +21,8 @@
 #include "core/lips_policy.hpp"
 #include "core/lp_models.hpp"
 #include "core/schedule_validator.hpp"
+#include "farm/recipe.hpp"
+#include "farm/scenario.hpp"
 #include "lp/model.hpp"
 #include "lp/solver_faults.hpp"
 #include "obs/export.hpp"
@@ -483,6 +485,55 @@ TEST(SolverChaos, NoFaultsTakesPrimaryRungOnly) {
   std::ostringstream prom;
   obs::write_prometheus(run.metrics.snapshot(), prom);
   EXPECT_NE(prom.str().find("lips_degradation_total"), std::string::npos);
+}
+
+// ------------------------------------------------------- LP certificate ----
+
+/// The value of the registry's `lips_lp_certificate_failures_total`, or -1
+/// when the series was never registered.
+double certificate_failures(const obs::MetricRegistry& metrics) {
+  for (const obs::MetricRegistry::Sample& s : metrics.snapshot())
+    if (s.name == "lips_lp_certificate_failures_total") return s.value;
+  return -1.0;
+}
+
+// Every plan of a fault-free SWIM run is proved optimal for its own model
+// (lp::certify): the epochs whose model is updated in place and the ones
+// rebuilt when jobs arrive or finish, whose basis is remapped.
+TEST(LpCertificate, FaultFreeSwimRunCertifiesEveryPlan) {
+  // lipsctl --nodes 10 --workload swim --jobs 30 --schedulers lips.
+  const farm::ScenarioSpec spec = farm::parse_scenario_spec("nodes=10,jobs=30");
+  const farm::RunInputs in = farm::make_run_inputs(spec, 1);
+  const farm::SchedulerSpec ss;  // lips, the paper defaults
+  LipsPolicy lips(farm::make_lips_options(spec, ss));
+  sim::SimConfig cfg = farm::make_sim_config(spec, ss, 1);
+  ChaosRun run;
+  cfg.obs = obs::Observer{&run.metrics, &run.tracer, &run.ledger};
+  run.result = sim::simulate(in.cluster, in.workload, lips, cfg);
+
+  ASSERT_TRUE(run.result.completed);
+  EXPECT_EQ(lips.total_degradations(), 0u);
+  EXPECT_GT(lips.lp_model_reuses(), 0u);                     // in place
+  EXPECT_GE(lips.lp_solves() - lips.lp_model_reuses(), 2u);  // rebuilt
+  EXPECT_EQ(certificate_failures(run.metrics), 0.0);
+}
+
+// Injected objective corruption makes the engine solve another model than
+// the policy's: its optimal answers fail the certificate, which counts
+// them without stopping the run (and without the debug assert, which
+// stands down while an injector is installed).
+TEST(LpCertificate, InjectedCorruptionIsCounted) {
+  lp::SolverFaultConfig fault_cfg;
+  fault_cfg.huge_probability = 1.0;
+  fault_cfg.seed = 4;
+  ChaosRun run;
+  LipsPolicy* lips = nullptr;
+  std::unique_ptr<LipsPolicy> holder;
+  std::unique_ptr<lp::SolverFaultInjector> injector;
+  ASSERT_NO_THROW(chaos_run(4, fault_cfg, &run, &lips, &holder, &injector));
+  EXPECT_GT(injector->stats().objective_huges, 0u);
+  EXPECT_GT(certificate_failures(run.metrics), 0.0);
+  expect_bitwise_reconciled(run);
 }
 
 }  // namespace

@@ -486,6 +486,84 @@ TEST(MirrorIds, SessionAnswersHostileIdsWithBadSpecAndKeepsServing) {
   EXPECT_EQ(r.detail, "epoch=1");
 }
 
+// Numbers, not only ids, are checked before the mirror writes: a NaN or an
+// out-of-domain value must never reach the hosted policy's plan.
+TEST(MirrorValues, NonFiniteAndOutOfDomainNumbersAreRefused) {
+  const farm::RunInputs in =
+      farm::make_run_inputs(farm::parse_scenario_spec("nodes=4,jobs=2"), 3);
+  ASSERT_GE(in.cluster.store_count(), 3u);
+  MirrorState mirror(in.cluster, in.workload);
+  WireState ws;
+  ws.throughput = {{1, 0.5}};
+  ws.fractions = {{0, 1, 0.75}};
+  mirror.apply(ws);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double f : {nan, inf, -inf, -0.25, 1.5}) {
+    WireState bad = ws;
+    bad.fractions = {{0, 1, f}};
+    EXPECT_THROW(mirror.apply(bad), PreconditionError) << "fraction " << f;
+  }
+  for (const double tp : {nan, inf, 0.0, -1.0}) {
+    WireState bad = ws;
+    bad.throughput = {{1, tp}};
+    EXPECT_THROW(mirror.apply(bad), PreconditionError) << "throughput " << tp;
+  }
+  EXPECT_EQ(mirror.stored_fraction(DataId{0}, StoreId{1}), 0.75);
+  EXPECT_EQ(mirror.observed_throughput(MachineId{1}), 0.5);
+
+  WireTask t;
+  t.input_mb = 64.0;
+  t.cpu_ecu_s = 100.0;
+  mirror.add_tasks({t});
+  for (const double v : {nan, inf, -1.0}) {
+    WireTask bad = t;
+    bad.input_mb = v;
+    EXPECT_THROW(mirror.add_tasks({bad}), PreconditionError) << "input " << v;
+    bad = t;
+    bad.cpu_ecu_s = v;
+    EXPECT_THROW(mirror.add_tasks({bad}), PreconditionError) << "cpu " << v;
+  }
+  EXPECT_EQ(mirror.task(0).input_mb, 64.0);
+  EXPECT_EQ(mirror.task(0).cpu_ecu_s, 100.0);
+
+  // The ends of each domain are valid values.
+  WireState edge = ws;
+  edge.fractions = {{0, 1, 0.0}, {0, 2, 1.0}};
+  edge.throughput = {{1, 2.0}};
+  EXPECT_NO_THROW(mirror.apply(edge));
+  t.input_mb = 0.0;
+  t.cpu_ecu_s = 0.0;
+  EXPECT_NO_THROW(mirror.add_tasks({t}));
+}
+
+TEST(MirrorValues, SessionAnswersNanWithBadSpecAndPlansOnFiniteValues) {
+  SessionOptions so;
+  Session s("t", farm::parse_scenario_spec("name=nan,nodes=4,jobs=2"), 3, so);
+  Reply r = s.handle("JOB", "job=0,tasks=0:0:0:nan:0x1p+6:0");
+  EXPECT_EQ(r.code, "bad-spec");
+  r = s.handle("JOB", "job=0,tasks=0:0:0:0x1p+6:-0x1p+6:0");
+  EXPECT_EQ(r.code, "bad-spec");
+  r = s.handle("JOB", "job=0,tasks=0:0:0:0x1p+6:0x1p+6:0;1:0:1:0x1p+6:0x1p+6:0");
+  ASSERT_EQ(r.status, Reply::Status::Ok) << r.detail;
+  for (const char* spec :
+       {"now=0x0p+0,pending=0:1,frac=0:0:inf;0:1:nan",
+        "now=0x0p+0,pending=0:1,frac=0:1:0x1.8p+0",
+        "now=0x0p+0,pending=0:1,tp=0:nan;1:-0x1p+0"}) {
+    r = s.handle("STATE", spec);
+    EXPECT_EQ(r.code, "bad-spec") << spec;
+  }
+  r = s.handle("STATE", "now=0x0p+0,pending=0:1,frac=0:0:0x1p+0");
+  ASSERT_EQ(r.status, Reply::Status::Ok) << r.detail;
+  r = s.handle("TICK", "");
+  ASSERT_EQ(r.status, Reply::Status::Ok) << r.detail;
+  r = s.handle("MOVES?", "");
+  ASSERT_EQ(r.status, Reply::Status::Ok) << r.detail;
+  const std::string moves = r.render(1);
+  EXPECT_EQ(moves.find("nan"), std::string::npos) << moves;
+  EXPECT_EQ(moves.find("inf"), std::string::npos) << moves;
+}
+
 // ---------------------------------------------------------------------------
 // SNAPSHOT / restore-on-start bit-identity (ckpt-driven state)
 

@@ -2,7 +2,7 @@
 //
 // Three layers under test:
 //   * the automatic iteration budget formula (solver.hpp),
-//   * RevisedSimplexSolver basis export / import (round-trip determinism and
+//   * lp::solve's basis export / import (round-trip determinism and
 //     warm-vs-cold agreement under randomized model perturbations, including
 //     Infeasible and explicit IterationLimit outcomes),
 //   * core::EpochLpContext (in-place model deltas, structure-change rebuild
@@ -17,7 +17,6 @@
 #include "core/epoch_lp_context.hpp"
 #include "core/lp_models.hpp"
 #include "lp/model.hpp"
-#include "lp/revised_simplex.hpp"
 #include "lp/solver.hpp"
 #include "workload/workload.hpp"
 
@@ -90,21 +89,20 @@ LpModel random_feasible_model(Rng& rng, std::size_t n, std::size_t k) {
 // and the whole export is deterministic across repeated cold solves.
 TEST(BasisRoundTrip, BitIdenticalAndDeterministic) {
   Rng rng(460901);
-  const auto solver = make_solver(SolverKind::RevisedSimplex);
   for (int trial = 0; trial < 20; ++trial) {
     const LpModel m =
         random_feasible_model(rng, 3 + rng.index(6), 2 + rng.index(5));
-    const LpSolution cold = solver->solve(m);
+    const LpSolution cold = solve(m);
     ASSERT_TRUE(cold.optimal()) << "trial " << trial;
     ASSERT_EQ(cold.basis.variables.size(), m.num_variables());
     ASSERT_EQ(cold.basis.slacks.size(), m.num_constraints());
 
     // Determinism: an identical cold solve exports an identical basis.
-    const LpSolution again = solver->solve(m);
+    const LpSolution again = solve(m);
     EXPECT_EQ(again.basis, cold.basis) << "trial " << trial;
 
     // Round trip: warm solve from the optimal basis is a no-op.
-    const LpSolution warm = solver->solve_with_basis(m, cold.basis);
+    const LpSolution warm = solve(m, {}, &cold.basis);
     ASSERT_TRUE(warm.optimal()) << "trial " << trial;
     EXPECT_TRUE(warm.warm_start_attempted);
     EXPECT_TRUE(warm.warm_start_used) << "trial " << trial;
@@ -120,12 +118,11 @@ TEST(BasisRoundTrip, BitIdenticalAndDeterministic) {
 // perturbed model in status — Optimal *and* Infeasible — and in objective.
 TEST(WarmStart, MatchesColdUnderRandomPerturbation) {
   Rng rng(20260805);
-  const auto solver = make_solver(SolverKind::RevisedSimplex);
   int optimal_seen = 0, infeasible_seen = 0;
   for (int trial = 0; trial < 60; ++trial) {
     LpModel m =
         random_feasible_model(rng, 3 + rng.index(6), 2 + rng.index(5));
-    const LpSolution base = solver->solve(m);
+    const LpSolution base = solve(m);
     ASSERT_TRUE(base.optimal()) << "trial " << trial;
 
     // Perturb in place — exactly the delta kinds EpochLpContext applies.
@@ -144,8 +141,8 @@ TEST(WarmStart, MatchesColdUnderRandomPerturbation) {
       }
     }
 
-    const LpSolution cold = solver->solve(m);
-    const LpSolution warm = solver->solve_with_basis(m, base.basis);
+    const LpSolution cold = solve(m);
+    const LpSolution warm = solve(m, {}, &base.basis);
     EXPECT_TRUE(warm.warm_start_attempted) << "trial " << trial;
     ASSERT_EQ(warm.status, cold.status)
         << "trial " << trial << ": warm " << to_string(warm.status)
@@ -174,13 +171,12 @@ TEST(WarmStart, ReportsInfeasibilityFromStaleBasis) {
   std::vector<Entry> es;
   for (std::size_t j = 0; j < 4; ++j) es.push_back({j, 1.0});
   m.add_constraint(es, Sense::GreaterEqual, 2.0);
-  const auto solver = make_solver(SolverKind::RevisedSimplex);
-  const LpSolution base = solver->solve(m);
+  const LpSolution base = solve(m);
   ASSERT_TRUE(base.optimal());
 
   m.set_rhs(0, 5.0);  // sum of four [0,1] vars can never reach 5
-  const LpSolution cold = solver->solve(m);
-  const LpSolution warm = solver->solve_with_basis(m, base.basis);
+  const LpSolution cold = solve(m);
+  const LpSolution warm = solve(m, {}, &base.basis);
   EXPECT_EQ(cold.status, SolveStatus::Infeasible);
   EXPECT_EQ(warm.status, SolveStatus::Infeasible);
 }
@@ -195,22 +191,19 @@ TEST(WarmStart, ExplicitIterationLimitHonored) {
   std::vector<Entry> es;
   for (std::size_t j = 0; j < n; ++j) es.push_back({j, 1.0});
   m.add_constraint(es, Sense::LessEqual, static_cast<double>(n) - 1.0);
-  const auto relaxed = make_solver(SolverKind::RevisedSimplex);
-  const LpSolution base = relaxed->solve(m);
+  const LpSolution base = solve(m);
   ASSERT_TRUE(base.optimal());
 
   // Collapse the capacity so every at-upper column must be walked back.
   m.set_rhs(0, 0.5);
   SolverOptions tight;
   tight.max_iterations = 1;
-  const auto limited = make_solver(SolverKind::RevisedSimplex, tight);
-  const LpSolution warm = limited->solve_with_basis(m, base.basis);
+  const LpSolution warm = solve(m, tight, &base.basis);
   EXPECT_EQ(warm.status, SolveStatus::IterationLimit);
   // With an automatic budget the same warm solve completes.
-  const auto free_solver = make_solver(SolverKind::RevisedSimplex);
-  const LpSolution ok = free_solver->solve_with_basis(m, base.basis);
+  const LpSolution ok = solve(m, {}, &base.basis);
   ASSERT_TRUE(ok.optimal());
-  EXPECT_NEAR(ok.objective, free_solver->solve(m).objective, 1e-9);
+  EXPECT_NEAR(ok.objective, solve(m).objective, 1e-9);
 }
 
 // Pricing-rule cross-check: devex (default) and Dantzig must agree on the
@@ -219,13 +212,11 @@ TEST(WarmStart, DevexAndDantzigAgree) {
   Rng rng(7411);
   SolverOptions dantzig_opts;
   dantzig_opts.pricing = PricingRule::Dantzig;
-  const auto devex = make_solver(SolverKind::RevisedSimplex);
-  const auto dantzig = make_solver(SolverKind::RevisedSimplex, dantzig_opts);
   for (int trial = 0; trial < 20; ++trial) {
     const LpModel m =
         random_feasible_model(rng, 4 + rng.index(8), 3 + rng.index(6));
-    const LpSolution a = devex->solve(m);
-    const LpSolution b = dantzig->solve(m);
+    const LpSolution a = solve(m);
+    const LpSolution b = solve(m, dantzig_opts);
     ASSERT_TRUE(a.optimal()) << "trial " << trial;
     ASSERT_TRUE(b.optimal()) << "trial " << trial;
     EXPECT_NEAR(a.objective, b.objective,
