@@ -69,7 +69,12 @@ namespace lips::ckpt {
 
 /// Thrown when snapshot bytes cannot be decoded (underrun, bad magic, CRC
 /// mismatch, unsupported version, out-of-range field). Recoverable: the
-/// checkpoint store catches it and falls back to the previous good snapshot.
+/// checkpoint store catches it and falls back to the previous good snapshot
+/// — for the framing and CRC always, and for the payload when the caller
+/// restores through CheckpointDir::load_latest, as lipsd sessions do.
+/// `lipsctl --restore` decodes payloads after the walk and exits 2 on one
+/// that fails, since its simulator cannot tell an undecodable payload from
+/// one written on another cluster.
 class SnapshotError : public std::runtime_error {
  public:
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}

@@ -118,7 +118,8 @@ std::optional<std::uint64_t> CheckpointDir::latest_sequence() const {
 }
 
 std::optional<Snapshot> CheckpointDir::load_latest(
-    std::vector<Skipped>* skipped) const {
+    std::vector<Skipped>* skipped,
+    const std::function<void(const Snapshot&)>& restore) const {
   std::vector<std::string> files = list();
   for (auto it = files.rbegin(); it != files.rend(); ++it) {
     std::ifstream in(*it, std::ios::binary);
@@ -130,7 +131,9 @@ std::optional<Snapshot> CheckpointDir::load_latest(
     std::vector<std::uint8_t> bytes(
         (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
     try {
-      return decode_snapshot(bytes);
+      Snapshot snap = decode_snapshot(bytes);
+      if (restore) restore(snap);
+      return snap;
     } catch (const SnapshotError& e) {
       if (skipped != nullptr) skipped->push_back({*it, e.what()});
     }

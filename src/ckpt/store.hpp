@@ -13,8 +13,13 @@
 //
 // Recovery discipline: load_latest() scans `ckpt-*.lips` newest-first and
 // returns the first file that decodes cleanly, reporting every skipped
-// (corrupt/torn/truncated) file to the caller. Retention keeps the newest
-// `keep` files so one bad write never destroys the only good snapshot.
+// (corrupt/torn/truncated) file to the caller. A caller that also hands it
+// a restore step gets the same fallback past a snapshot whose framing and
+// CRC pass but whose payload does not decode: lipsd sessions do. lipsctl's
+// `--restore` does not, because its simulator cannot tell an undecodable
+// payload from one written on another cluster, which must be refused (exit
+// 2, tools/restore_mismatch.cmake). Retention keeps the newest `keep`
+// files so one bad write never destroys the only good snapshot.
 //
 // Thread role: per-resource. A CheckpointDir holds no mutable state (path
 // and retention count are fixed at construction), so any number of threads
@@ -28,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -53,12 +59,19 @@ class LIPS_EXTERNALLY_SYNCHRONIZED CheckpointDir {
   /// Newest snapshot that decodes cleanly, or nullopt if none exists.
   /// Files that fail validation are appended to `skipped` (path + reason)
   /// — the caller decides whether silent fallback is acceptable.
+  ///
+  /// A `restore` step, when given, is called on each snapshot whose framing
+  /// and CRC pass, newest first, and its payload must decode too: a
+  /// SnapshotError it throws skips that file like a CRC failure, and the
+  /// walk stops at the first snapshot it restores. Any other exception ends
+  /// the walk and propagates.
   struct Skipped {
     std::string path;
     std::string reason;
   };
   [[nodiscard]] std::optional<Snapshot> load_latest(
-      std::vector<Skipped>* skipped = nullptr) const;
+      std::vector<Skipped>* skipped = nullptr,
+      const std::function<void(const Snapshot&)>& restore = {}) const;
 
   /// Snapshot file paths, sorted oldest → newest.
   [[nodiscard]] std::vector<std::string> list() const;

@@ -8,6 +8,15 @@
 // that is eta-updated per pivot and periodically refactorized for
 // numerical hygiene.
 //
+// A pivot pays for the nonzeros it touches, not for every column and whole
+// rows of the inverse. Each row of B⁻¹ carries a bitset of the columns that
+// may be nonzero: y = c_B·B⁻¹ and the eta update walk only those. The pivot
+// row α_r = e_rᵀB⁻¹A, which devex and the dual ratio test read, is built
+// row by row from the rows where e_rᵀB⁻¹ is nonzero. Every sum still adds
+// its nonzero terms in the order of the dense loops and skips only exact
+// zeros, so every pivot, value and dual is bit-identical to the dense
+// computation (DESIGN.md §8).
+//
 // Pricing is devex (reference weights, partial pricing over column buckets)
 // by default; SolverOptions::pricing selects classic Dantzig.
 //
@@ -22,8 +31,11 @@
 // through core::EpochLpContext, which keeps warm-start basis reuse,
 // iteration budgets and the certificate in one place.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -66,17 +78,22 @@ BasisStatus to_basis(Status s) {
   return BasisStatus::AtLower;
 }
 
-struct Column {
-  std::vector<Entry> rows;  // (row index, coefficient), sorted by row
-  double cost = 0.0;        // phase-2 cost
-  double lower = 0.0;
-  double upper = kInf;
-};
+// Calls f(i) for each set bit i of words[0, n), in increasing order.
+template <class F>
+void for_each_bit(const std::uint64_t* words, std::size_t n, F&& f) {
+  for (std::size_t w = 0; w < n; ++w) {
+    for (std::uint64_t b = words[w]; b != 0; b &= b - 1)
+      f(w * 64 + static_cast<std::size_t>(std::countr_zero(b)));
+  }
+}
 
-// Dense m x m matrix stored row-major.
+// Dense m x m matrix stored row-major, with a bitset per row that marks the
+// columns that may hold a nonzero. A bit may stand over an exact zero (a
+// cancellation or an underflow), never be clear over a nonzero.
 class DenseMatrix {
  public:
-  explicit DenseMatrix(std::size_t m) : m_(m), a_(m * m, 0.0) {}
+  explicit DenseMatrix(std::size_t m)
+      : m_(m), words_((m + 63) / 64), a_(m * m, 0.0), nz_(m * words_, 0) {}
 
   void set_zero() { std::fill(a_.begin(), a_.end(), 0.0); }
   void set_identity() {
@@ -96,9 +113,47 @@ class DenseMatrix {
     return a_.data() + r * m_;
   }
 
+  // Rebuild every row's bitset from the values it holds.
+  void mark_nonzeros() {
+    for (std::size_t r = 0; r < m_; ++r) {
+      const double* v = row(r);
+      std::uint64_t* bits = nz_.data() + r * words_;
+      for (std::size_t w = 0; w < words_; ++w) {
+        std::uint64_t word = 0;
+        const std::size_t end = std::min(m_, 64 * w + 64);
+        for (std::size_t c = 64 * w; c < end; ++c)
+          word |= std::uint64_t{v[c] != 0.0} << (c % 64);
+        bits[w] = word;
+      }
+    }
+  }
+
+  // Row r's marks become exactly `cols`.
+  void mark_exactly(std::size_t r, const std::vector<std::size_t>& cols) {
+    std::uint64_t* bits = nz_.data() + r * words_;
+    std::fill_n(bits, words_, std::uint64_t{0});
+    for (const std::size_t c : cols)
+      bits[c / 64] |= std::uint64_t{1} << (c % 64);
+  }
+
+  // Row `to` may now be nonzero wherever row `from` may.
+  void merge_marks(std::size_t to, std::size_t from) {
+    std::uint64_t* dst = nz_.data() + to * words_;
+    const std::uint64_t* src = nz_.data() + from * words_;
+    for (std::size_t w = 0; w < words_; ++w) dst[w] |= src[w];
+  }
+
+  // Calls f(c) for each marked column c of row r, in increasing order.
+  template <class F>
+  void for_each_marked(std::size_t r, F&& f) const {
+    for_each_bit(nz_.data() + r * words_, words_, f);
+  }
+
  private:
   std::size_t m_;
+  std::size_t words_;
   std::vector<double> a_;
+  std::vector<std::uint64_t> nz_;
 };
 
 // One solve: owns the computational form (structural + slack columns;
@@ -125,15 +180,16 @@ class Engine {
 
   // ---- linear algebra ------------------------------------------------------
   [[nodiscard]] bool refactorize();
+  [[nodiscard]] bool invert_basis();
   void recompute_basics();
   void compute_y(const std::vector<double>& cost);
-  [[nodiscard]] double sparse_dot_y(const Column& c) const;
+  [[nodiscard]] double sparse_dot_y(std::size_t j) const;
   void ftran(std::size_t enter);        // w_ = Binv * A_enter
   void eta_update(std::size_t leave_row);
+  void compute_pivot_row(std::size_t r);  // alpha_ = e_r' Binv A
 
   // ---- phases --------------------------------------------------------------
-  [[nodiscard]] SolveStatus run_primal(const std::vector<double>& cost,
-                                       const std::vector<bool>& allow);
+  [[nodiscard]] SolveStatus run_primal(const std::vector<double>& cost);
   [[nodiscard]] SolveStatus run_dual();
   void update_devex(std::size_t enter, std::size_t leave_row);
 
@@ -146,12 +202,18 @@ class Engine {
   [[nodiscard]] SolveStatus cold_solve();
   void finalize(LpSolution& out, SolveStatus s) const;
 
-  static double rest_value(const Column& c, Status st) {
+  [[nodiscard]] std::size_t num_cols() const { return lower_.size(); }
+  // Column j's entries: (row index, coefficient), sorted by row.
+  [[nodiscard]] std::span<const Entry> column(std::size_t j) const {
+    return {col_entry_.data() + col_start_[j],
+            col_entry_.data() + col_start_[j + 1]};
+  }
+  [[nodiscard]] double rest_value(std::size_t j, Status st) const {
     switch (st) {
       case Status::AtLower:
-        return c.lower;
+        return lower_[j];
       case Status::AtUpper:
-        return c.upper;
+        return upper_[j];
       default:
         return 0.0;
     }
@@ -165,21 +227,32 @@ class Engine {
   const std::size_t m_;
   SolverFaultInjector* const chaos_;  // may be null
 
-  std::vector<Column> cols_;
+  // The computational form's columns, stored contiguously: column j's
+  // entries are col_entry_[col_start_[j], col_start_[j + 1]).
+  std::vector<std::size_t> col_start_;
+  std::vector<Entry> col_entry_;
+  std::vector<double> lower_;
+  std::vector<double> upper_;
   std::vector<double> b_;
-  std::vector<double> cost2_;
-  std::size_t art_begin_ = 0;  // == cols_.size() when no artificials exist
+  std::vector<double> cost2_;  // phase-2 cost
+  std::size_t art_begin_ = 0;  // == num_cols() when no artificials exist
 
   std::vector<Status> status_;
   std::vector<double> value_;
   std::vector<std::size_t> basis_;
   DenseMatrix binv_;
   std::vector<std::size_t> pivot_row_;  // refactorize's row swaps
-  std::vector<bool> banned_;
+  std::vector<char> banned_;  // frozen artificials (phase 2)
   std::vector<double> y_;
   std::vector<double> w_;
   std::vector<double> devex_;
   std::size_t bucket_cursor_ = 0;
+
+  // The pivot row: alpha_[j] is nonzero only for j in touched_.
+  std::vector<double> alpha_;
+  std::vector<char> is_touched_;
+  std::vector<std::size_t> touched_;
+  std::vector<std::size_t> eta_cols_;  // the leaving row's nonzero columns
 
   std::size_t iterations_ = 0;
   std::size_t repair_iterations_ = 0;
@@ -188,43 +261,50 @@ class Engine {
 };
 
 void Engine::build_columns() {
-  cols_.clear();
-  cols_.reserve(n_user_ + 2 * m_);
+  // Structural columns, then one slack per row. Counting each column's
+  // entries first lets one pass over the rows, in row order, place them.
+  const std::size_t n = n_user_ + m_;
+  lower_.resize(n);
+  upper_.resize(n);
+  cost2_.assign(n, 0.0);
+  col_start_.assign(n + 1, 0);
   for (std::size_t j = 0; j < n_user_; ++j) {
     const Variable& v = model_.variable(j);
-    Column c;
-    c.cost = v.objective;
-    c.lower = v.lower;
-    c.upper = v.upper;
-    cols_.push_back(std::move(c));
+    lower_[j] = v.lower;
+    upper_[j] = v.upper;
+    cost2_[j] = v.objective;
   }
   b_.assign(m_, 0.0);
   for (std::size_t i = 0; i < m_; ++i) {
     const Constraint& row = model_.constraint(i);
     b_[i] = row.rhs;
-    for (const Entry& e : row.entries) cols_[e.var].rows.push_back({i, e.coeff});
-    Column s;  // slack: a'x + s = b
-    s.cost = 0.0;
+    for (const Entry& e : row.entries) ++col_start_[e.var + 1];
+    col_start_[n_user_ + i + 1] = 1;
+    const std::size_t s = n_user_ + i;  // slack: a'x + s = b
     switch (row.sense) {
       case Sense::LessEqual:
-        s.lower = 0.0;
-        s.upper = kInf;
+        lower_[s] = 0.0;
+        upper_[s] = kInf;
         break;
       case Sense::GreaterEqual:
-        s.lower = -kInf;
-        s.upper = 0.0;
+        lower_[s] = -kInf;
+        upper_[s] = 0.0;
         break;
       case Sense::Equal:
-        s.lower = 0.0;
-        s.upper = 0.0;
+        lower_[s] = 0.0;
+        upper_[s] = 0.0;
         break;
     }
-    s.rows.push_back({i, 1.0});
-    cols_.push_back(std::move(s));
   }
-  art_begin_ = cols_.size();
-  cost2_.resize(cols_.size());
-  for (std::size_t j = 0; j < cols_.size(); ++j) cost2_[j] = cols_[j].cost;
+  for (std::size_t j = 0; j < n; ++j) col_start_[j + 1] += col_start_[j];
+  col_entry_.resize(col_start_[n]);
+  std::vector<std::size_t> next(col_start_.begin(), col_start_.end() - 1);
+  for (std::size_t i = 0; i < m_; ++i) {
+    for (const Entry& e : model_.constraint(i).entries)
+      col_entry_[next[e.var]++] = {i, e.coeff};
+    col_entry_[next[n_user_ + i]++] = {i, 1.0};
+  }
+  art_begin_ = n;
 }
 
 void Engine::sanitize_computational_form() {
@@ -233,68 +313,62 @@ void Engine::sanitize_computational_form() {
   // corrupted the arrays *after* ingest (fault injection, and in a future
   // daemon any stale in-place numeric update), including finite-but-absurd
   // entries that pass a bare finiteness check yet poison pricing.
-  for (std::size_t j = 0; j < art_begin_; ++j) {
-    const double c = j < n_user_ ? model_.variable(j).objective : 0.0;
-    cost2_[j] = c;
-    cols_[j].cost = c;
-  }
+  for (std::size_t j = 0; j < art_begin_; ++j)
+    cost2_[j] = j < n_user_ ? model_.variable(j).objective : 0.0;
   for (std::size_t i = 0; i < m_; ++i) b_[i] = model_.constraint(i).rhs;
 }
 
 void Engine::init_cold_point() {
-  status_.assign(cols_.size(), Status::AtLower);
-  value_.assign(cols_.size(), 0.0);
-  for (std::size_t j = 0; j < cols_.size(); ++j) {
-    const Column& c = cols_[j];
-    if (c.lower > -kInf) {
+  status_.assign(num_cols(), Status::AtLower);
+  value_.assign(num_cols(), 0.0);
+  for (std::size_t j = 0; j < num_cols(); ++j) {
+    if (lower_[j] > -kInf) {
       status_[j] = Status::AtLower;
-    } else if (c.upper < kInf) {
+    } else if (upper_[j] < kInf) {
       status_[j] = Status::AtUpper;
     } else {
       status_[j] = Status::FreeAtZero;
     }
-    value_[j] = rest_value(c, status_[j]);
+    value_[j] = rest_value(j, status_[j]);
   }
 }
 
 void Engine::append_artificials() {
   // Row residuals with everything at bounds → artificial variables.
   std::vector<double> residual = b_;
-  for (std::size_t j = 0; j < cols_.size(); ++j) {
+  for (std::size_t j = 0; j < num_cols(); ++j) {
     if (value_[j] == 0.0) continue;
-    for (const Entry& e : cols_[j].rows) residual[e.var] -= e.coeff * value_[j];
+    for (const Entry& e : column(j)) residual[e.var] -= e.coeff * value_[j];
   }
   basis_.resize(m_);
   for (std::size_t i = 0; i < m_; ++i) {
-    Column a;
-    a.cost = 0.0;  // phase-2 cost; phase-1 cost handled separately
-    a.lower = 0.0;
-    a.upper = kInf;
-    a.rows.push_back({i, residual[i] >= 0.0 ? 1.0 : -1.0});
-    cols_.push_back(std::move(a));
-    basis_[i] = cols_.size() - 1;
+    col_entry_.push_back({i, residual[i] >= 0.0 ? 1.0 : -1.0});
+    col_start_.push_back(col_entry_.size());
+    lower_.push_back(0.0);
+    upper_.push_back(kInf);
+    basis_[i] = num_cols() - 1;
     status_.push_back(Status::Basic);
     value_.push_back(std::fabs(residual[i]));
   }
-  cost2_.resize(cols_.size(), 0.0);
+  cost2_.resize(num_cols(), 0.0);  // phase-1 cost is handled separately
   // Basis inverse (identity-sign-adjusted: artificial columns are ±e_i, so
   // Binv starts as the diagonal of their signs).
   binv_.set_identity();
   for (std::size_t i = 0; i < m_; ++i) {
-    if (cols_[basis_[i]].rows.front().coeff < 0.0) binv_.at(i, i) = -1.0;
+    if (column(basis_[i]).front().coeff < 0.0) binv_.at(i, i) = -1.0;
   }
+  binv_.mark_nonzeros();
 }
 
 bool Engine::import_basis(const Basis& start) {
   if (start.variables.size() != n_user_ || start.slacks.size() != m_)
     return false;
-  status_.assign(cols_.size(), Status::AtLower);
+  status_.assign(num_cols(), Status::AtLower);
   std::vector<std::size_t> basics;
   basics.reserve(m_);
-  for (std::size_t j = 0; j < cols_.size(); ++j) {
+  for (std::size_t j = 0; j < num_cols(); ++j) {
     Status st = from_basis(j < n_user_ ? start.variables[j]
                                        : start.slacks[j - n_user_]);
-    const Column& c = cols_[j];
     if (st == Status::Basic) {
       basics.push_back(j);
       status_[j] = st;
@@ -302,12 +376,14 @@ bool Engine::import_basis(const Basis& start) {
     }
     // Sanitize nonbasic statuses against this model's bounds (the exporting
     // model may have had a different bound structure).
-    if (st == Status::AtLower && c.lower <= -kInf)
-      st = c.upper < kInf ? Status::AtUpper : Status::FreeAtZero;
-    if (st == Status::AtUpper && c.upper >= kInf)
-      st = c.lower > -kInf ? Status::AtLower : Status::FreeAtZero;
-    if (st == Status::FreeAtZero && (c.lower > -kInf || c.upper < kInf))
-      st = c.lower > -kInf ? Status::AtLower : Status::AtUpper;
+    const double lo = lower_[j];
+    const double up = upper_[j];
+    if (st == Status::AtLower && lo <= -kInf)
+      st = up < kInf ? Status::AtUpper : Status::FreeAtZero;
+    if (st == Status::AtUpper && up >= kInf)
+      st = lo > -kInf ? Status::AtLower : Status::FreeAtZero;
+    if (st == Status::FreeAtZero && (lo > -kInf || up < kInf))
+      st = lo > -kInf ? Status::AtLower : Status::AtUpper;
     status_[j] = st;
   }
   // A short basis (exporter finished with an artificial basic on a redundant
@@ -324,17 +400,16 @@ bool Engine::import_basis(const Basis& start) {
   while (basics.size() > m_) {
     const std::size_t j = basics.back();
     basics.pop_back();
-    const Column& c = cols_[j];
-    status_[j] = c.lower > -kInf
-                     ? Status::AtLower
-                     : (c.upper < kInf ? Status::AtUpper : Status::FreeAtZero);
+    status_[j] = lower_[j] > -kInf   ? Status::AtLower
+                 : upper_[j] < kInf ? Status::AtUpper
+                                    : Status::FreeAtZero;
   }
   if (basics.size() != m_) return false;
   basis_ = std::move(basics);
   if (!refactorize()) return false;
-  value_.assign(cols_.size(), 0.0);
-  for (std::size_t j = 0; j < cols_.size(); ++j) {
-    if (status_[j] != Status::Basic) value_[j] = rest_value(cols_[j], status_[j]);
+  value_.assign(num_cols(), 0.0);
+  for (std::size_t j = 0; j < num_cols(); ++j) {
+    if (status_[j] != Status::Basic) value_[j] = rest_value(j, status_[j]);
   }
   recompute_basics();
   return true;
@@ -342,6 +417,13 @@ bool Engine::import_basis(const Basis& start) {
 
 bool Engine::refactorize() {
   if (chaos_ != nullptr && chaos_->fail_refactorize()) return false;
+  const bool ok = invert_basis();
+  // Also after a failed inversion: the final refresh reads binv_ either way.
+  binv_.mark_nonzeros();
+  return ok;
+}
+
+bool Engine::invert_basis() {
   // Gauss–Jordan in place: B is built in binv_ and inverted there. Once a
   // column is pivoted, its slot holds a column of the inverse (seeded with
   // the identity's 1 before the pivot row is scaled). Partial pivoting's
@@ -349,7 +431,7 @@ bool Engine::refactorize() {
   // swap first, at the end.
   binv_.set_zero();
   for (std::size_t i = 0; i < m_; ++i) {
-    for (const Entry& e : cols_[basis_[i]].rows) binv_.at(e.var, i) = e.coeff;
+    for (const Entry& e : column(basis_[i])) binv_.at(e.var, i) = e.coeff;
   }
   pivot_row_.resize(m_);
   for (std::size_t col = 0; col < m_; ++col) {
@@ -390,11 +472,12 @@ bool Engine::refactorize() {
 }
 
 void Engine::recompute_basics() {
-  // xB = Binv (b - N xN).
+  // xB = Binv (b - N xN). Dense on purpose: a NaN or Inf in the rhs must
+  // reach every basic value, and NaN × 0 is NaN.
   std::vector<double> rhs = b_;
-  for (std::size_t j = 0; j < cols_.size(); ++j) {
+  for (std::size_t j = 0; j < num_cols(); ++j) {
     if (status_[j] == Status::Basic || value_[j] == 0.0) continue;
-    for (const Entry& e : cols_[j].rows) rhs[e.var] -= e.coeff * value_[j];
+    for (const Entry& e : column(j)) rhs[e.var] -= e.coeff * value_[j];
   }
   for (std::size_t i = 0; i < m_; ++i) {
     double v = 0.0;
@@ -405,24 +488,31 @@ void Engine::recompute_basics() {
 }
 
 void Engine::compute_y(const std::vector<double>& cost) {
+  // y = c_B Binv, adding row k's terms to each y_i in increasing k. Terms
+  // off a row's marks are cb × 0 and change no sum from +0.0, unless cb is
+  // not finite: then cb × 0 is NaN and must reach every y_i.
   y_.assign(m_, 0.0);
   for (std::size_t k = 0; k < m_; ++k) {
     const double cb = cost[basis_[k]];
     if (cb == 0.0) continue;
     const double* row = binv_.row(k);
-    for (std::size_t i = 0; i < m_; ++i) y_[i] += cb * row[i];
+    if (!std::isfinite(cb)) {
+      for (std::size_t i = 0; i < m_; ++i) y_[i] += cb * row[i];
+      continue;
+    }
+    binv_.for_each_marked(k, [&](std::size_t i) { y_[i] += cb * row[i]; });
   }
 }
 
-double Engine::sparse_dot_y(const Column& c) const {
+double Engine::sparse_dot_y(std::size_t j) const {
   double d = 0.0;
-  for (const Entry& e : c.rows) d += y_[e.var] * e.coeff;
+  for (const Entry& e : column(j)) d += y_[e.var] * e.coeff;
   return d;
 }
 
 void Engine::ftran(std::size_t enter) {
   w_.assign(m_, 0.0);
-  for (const Entry& e : cols_[enter].rows) {
+  for (const Entry& e : column(enter)) {
     const double coeff = e.coeff;
     for (std::size_t i = 0; i < m_; ++i) {
       w_[i] += binv_.at(i, e.var) * coeff;
@@ -431,33 +521,80 @@ void Engine::ftran(std::size_t enter) {
 }
 
 void Engine::eta_update(std::size_t leave_row) {
+  // Only the leaving row's nonzero columns change: elsewhere the dense
+  // update would subtract f × 0, which changes no entry but at most the
+  // sign of a zero, and no reader sees that (each tests == 0.0 or sums from
+  // +0.0). The leaving row's marks are rewritten to its nonzeros, so a
+  // cancellation in a row clears its mark the next time that row leaves.
   const double piv = w_[leave_row];
   LIPS_ASSERT(std::fabs(piv) > 1e-12, "pivot element vanished");
   const double inv = 1.0 / piv;
   double* prow = binv_.row(leave_row);
-  for (std::size_t c = 0; c < m_; ++c) prow[c] *= inv;
+  eta_cols_.clear();
+  binv_.for_each_marked(leave_row, [&](std::size_t c) {
+    if (prow[c] == 0.0) return;
+    prow[c] *= inv;
+    eta_cols_.push_back(c);
+  });
+  binv_.mark_exactly(leave_row, eta_cols_);
   for (std::size_t r = 0; r < m_; ++r) {
     if (r == leave_row) continue;
     const double f = w_[r];
     if (f == 0.0) continue;
     double* rrow = binv_.row(r);
-    for (std::size_t c = 0; c < m_; ++c) rrow[c] -= f * prow[c];
+    for (const std::size_t c : eta_cols_) rrow[c] -= f * prow[c];
+    binv_.merge_marks(r, leave_row);
   }
+}
+
+void Engine::compute_pivot_row(std::size_t r) {
+  // alpha_j = rho . a_j with rho = e_r' Binv, scattered row by row over the
+  // rows where rho_i != 0, in increasing i: each alpha_j adds its terms in
+  // the order of the column-wise dot product and skips only exact zeros.
+  // Slacks and artificials add their unit entries the same way.
+  if (alpha_.size() != num_cols()) {
+    alpha_.assign(num_cols(), 0.0);
+    is_touched_.assign(num_cols(), 0);
+    touched_.clear();
+  }
+  for (const std::size_t j : touched_) {
+    alpha_[j] = 0.0;
+    is_touched_[j] = 0;
+  }
+  touched_.clear();
+  auto add = [&](std::size_t j, double term) {
+    if (is_touched_[j] == 0) {
+      is_touched_[j] = 1;
+      touched_.push_back(j);
+    }
+    alpha_[j] += term;
+  };
+  const bool artificials = num_cols() > art_begin_;
+  const double* rho = binv_.row(r);
+  binv_.for_each_marked(r, [&](std::size_t i) {
+    const double ri = rho[i];
+    if (ri == 0.0) return;
+    for (const Entry& e : model_.constraint(i).entries)
+      add(e.var, ri * e.coeff);
+    add(n_user_ + i, ri * 1.0);
+    if (artificials)
+      add(art_begin_ + i, ri * column(art_begin_ + i).front().coeff);
+  });
 }
 
 void Engine::update_devex(std::size_t enter, std::size_t leave_row) {
   // Devex reference weights (Forrest–Goldfarb): the entering column's weight
   // propagates through the pivot row so steep columns stay expensive to
-  // re-enter; the leaving column inherits the pivot-scaled weight.
+  // re-enter; the leaving column inherits the pivot-scaled weight. Each
+  // update is a max of its own, so touched_'s order does not matter.
   const double alpha_q = w_[leave_row];
   if (std::fabs(alpha_q) < 1e-12) return;
   const double gq = std::max(devex_[enter], 1.0);
-  const double* rho = binv_.row(leave_row);
+  compute_pivot_row(leave_row);
   double maxw = 0.0;
-  for (std::size_t j = 0; j < cols_.size(); ++j) {
+  for (const std::size_t j : touched_) {
     if (j == enter || status_[j] == Status::Basic || banned_[j]) continue;
-    double a = 0.0;
-    for (const Entry& e : cols_[j].rows) a += rho[e.var] * e.coeff;
+    const double a = alpha_[j];
     if (a == 0.0) continue;
     const double r = a / alpha_q;
     const double cand = r * r * gq;
@@ -465,18 +602,20 @@ void Engine::update_devex(std::size_t enter, std::size_t leave_row) {
     if (devex_[j] > maxw) maxw = devex_[j];
   }
   devex_[basis_[leave_row]] = std::max(gq / (alpha_q * alpha_q), 1.0);
-  if (maxw > 1e10) devex_.assign(cols_.size(), 1.0);  // framework reset
+  if (maxw > 1e10) devex_.assign(num_cols(), 1.0);  // framework reset
 }
 
-SolveStatus Engine::run_primal(const std::vector<double>& cost,
-                               const std::vector<bool>& allow) {
-  const std::size_t n = cols_.size();
+SolveStatus Engine::run_primal(const std::vector<double>& cost) {
+  const std::size_t n = num_cols();
   std::size_t stall = 0;
   std::size_t since_refactor = 0;
   double last_obj = kInfD;
   const bool devex = opt_.pricing == PricingRule::Devex;
   devex_.assign(n, 1.0);
   bucket_cursor_ = 0;
+  // A bound flip changes neither the basis nor Binv, so y_ stays c_B Binv
+  // until a pivot or a refactorization.
+  bool y_current = false;
   // Partial pricing: scan candidate buckets round-robin; a pricing pass may
   // stop early once it holds a candidate, but optimality is only declared
   // after a full scan finds none.
@@ -487,17 +626,16 @@ SolveStatus Engine::run_primal(const std::vector<double>& cost,
   while (true) {
     if (iterations_ >= max_iter_) return SolveStatus::IterationLimit;
 
-    compute_y(cost);
+    if (!y_current) compute_y(cost);
 
     const bool bland = stall > 2 * m_ + 32;
     std::size_t enter = n;
     int enter_dir = 0;  // +1: increase from bound, -1: decrease
     double best_score = 0.0;
     auto consider = [&](std::size_t j) {
-      if (status_[j] == Status::Basic || banned_[j] || !allow[j]) return;
-      const Column& c = cols_[j];
-      if (c.lower == c.upper) return;  // fixed column can never improve
-      const double d = cost[j] - sparse_dot_y(c);
+      if (status_[j] == Status::Basic || banned_[j]) return;
+      if (lower_[j] == upper_[j]) return;  // fixed column can never improve
+      const double d = cost[j] - sparse_dot_y(j);
       int dir = 0;
       if (status_[j] == Status::AtLower || status_[j] == Status::FreeAtZero) {
         if (d < -kTolerance) dir = +1;
@@ -542,27 +680,27 @@ SolveStatus Engine::run_primal(const std::vector<double>& cost,
     bool leave_at_upper = false;
 
     // Entering variable's own range limit (bound flip).
-    const Column& ec = cols_[enter];
-    if (ec.lower > -kInf && ec.upper < kInf) t_max = ec.upper - ec.lower;
+    if (lower_[enter] > -kInf && upper_[enter] < kInf)
+      t_max = upper_[enter] - lower_[enter];
 
     for (std::size_t i = 0; i < m_; ++i) {
       const double wi = w_[i];
       const double delta = sigma * wi;  // basic i changes by -delta * t
-      const Column& bc = cols_[basis_[i]];
+      const std::size_t bj = basis_[i];
       double limit = kInfD;
       bool hits_upper = false;
       if (delta > kTolerance) {
-        if (bc.lower > -kInf) limit = (value_[basis_[i]] - bc.lower) / delta;
+        if (lower_[bj] > -kInf) limit = (value_[bj] - lower_[bj]) / delta;
       } else if (delta < -kTolerance) {
-        if (bc.upper < kInf) {
-          limit = (value_[basis_[i]] - bc.upper) / delta;
+        if (upper_[bj] < kInf) {
+          limit = (value_[bj] - upper_[bj]) / delta;
           hits_upper = true;
         }
       }
       if (limit < -1e-12) limit = 0.0;  // numerical guard
       if (limit < t_max - 1e-12 ||
           (limit < t_max + 1e-12 && leave_row != m_ &&
-           basis_[i] < basis_[leave_row])) {
+           bj < basis_[leave_row])) {
         t_max = std::max(limit, 0.0);
         leave_row = i;
         leave_at_upper = hits_upper;
@@ -581,7 +719,8 @@ SolveStatus Engine::run_primal(const std::vector<double>& cost,
       value_[enter] += sigma * t_max;
       status_[enter] = (enter_dir > 0) ? Status::AtUpper : Status::AtLower;
       // Snap exactly to the bound to avoid drift.
-      value_[enter] = rest_value(cols_[enter], status_[enter]);
+      value_[enter] = rest_value(enter, status_[enter]);
+      y_current = true;
     } else {
       if (devex && !bland) update_devex(enter, leave_row);
       // Pivot: update values, basis, inverse.
@@ -589,17 +728,19 @@ SolveStatus Engine::run_primal(const std::vector<double>& cost,
         value_[basis_[i]] -= sigma * w_[i] * t_max;
       const std::size_t leaving = basis_[leave_row];
       status_[leaving] = leave_at_upper ? Status::AtUpper : Status::AtLower;
-      value_[leaving] = rest_value(cols_[leaving], status_[leaving]);
+      value_[leaving] = rest_value(leaving, status_[leaving]);
 
-      value_[enter] = rest_value(cols_[enter], status_[enter]) + sigma * t_max;
+      value_[enter] = rest_value(enter, status_[enter]) + sigma * t_max;
       status_[enter] = Status::Basic;
       basis_[leave_row] = enter;
 
       eta_update(leave_row);
+      y_current = false;
     }
 
     if (since_refactor >= 1024) {
       since_refactor = 0;
+      y_current = false;
       if (!refactorize()) return SolveStatus::IterationLimit;
       recompute_basics();
     }
@@ -631,6 +772,7 @@ SolveStatus Engine::run_dual() {
   std::size_t since_refactor = 0;
   std::size_t stall = 0;
   double last_worst = kInfD;
+  std::vector<std::uint64_t> candidates((num_cols() + 63) / 64, 0);
 
   while (true) {
     if (iterations_ >= max_iter_) return SolveStatus::IterationLimit;
@@ -640,15 +782,15 @@ SolveStatus Engine::run_dual() {
     double worst = kTolerance;
     bool above = false;
     for (std::size_t i = 0; i < m_; ++i) {
-      const Column& c = cols_[basis_[i]];
-      const double v = value_[basis_[i]];
-      if (c.lower > -kInf && c.lower - v > worst) {
-        worst = c.lower - v;
+      const std::size_t bj = basis_[i];
+      const double v = value_[bj];
+      if (lower_[bj] > -kInf && lower_[bj] - v > worst) {
+        worst = lower_[bj] - v;
         r = i;
         above = false;
       }
-      if (c.upper < kInf && v - c.upper > worst) {
-        worst = v - c.upper;
+      if (upper_[bj] < kInf && v - upper_[bj] > worst) {
+        worst = v - upper_[bj];
         r = i;
         above = true;
       }
@@ -665,44 +807,51 @@ SolveStatus Engine::run_dual() {
     last_worst = worst;
 
     compute_y(cost2_);
-    const double* rho = binv_.row(r);
+    compute_pivot_row(r);
 
     // Entering variable: minimum dual ratio |d_j| / |alpha_j| over columns
     // whose pivot sign lets the leaving variable move back to its bound.
-    std::size_t enter = cols_.size();
-    double best_ratio = kInfD;
-    for (std::size_t j = 0; j < cols_.size(); ++j) {
+    // Only touched columns can pass the sign test (alpha_j = 0 elsewhere).
+    // The first ratio that beats the best by 1e-12 wins, so the passing
+    // columns are marked in a bitset and visited in column order.
+    for (const std::size_t j : touched_) {
       if (status_[j] == Status::Basic || banned_[j]) continue;
-      const Column& c = cols_[j];
-      if (c.lower == c.upper) continue;
-      double a = 0.0;
-      for (const Entry& e : c.rows) a += rho[e.var] * e.coeff;
-      const double ap = above ? a : -a;
+      if (lower_[j] == upper_[j]) continue;
+      const double ap = above ? alpha_[j] : -alpha_[j];
+      if ((status_[j] == Status::AtLower && ap > kPivotTol) ||
+          (status_[j] == Status::AtUpper && ap < -kPivotTol) ||
+          (status_[j] == Status::FreeAtZero && std::fabs(ap) > kPivotTol))
+        candidates[j / 64] |= std::uint64_t{1} << (j % 64);
+    }
+    std::size_t enter = num_cols();
+    double best_ratio = kInfD;
+    for_each_bit(candidates.data(), candidates.size(), [&](std::size_t j) {
+      const double ap = above ? alpha_[j] : -alpha_[j];
       double ratio = kInfD;
-      if (status_[j] == Status::AtLower && ap > kPivotTol) {
-        ratio = std::max(cost2_[j] - sparse_dot_y(c), 0.0) / ap;
-      } else if (status_[j] == Status::AtUpper && ap < -kPivotTol) {
-        ratio = std::min(cost2_[j] - sparse_dot_y(c), 0.0) / ap;
-      } else if (status_[j] == Status::FreeAtZero && std::fabs(ap) > kPivotTol) {
-        ratio = std::fabs(cost2_[j] - sparse_dot_y(c)) / std::fabs(ap);
+      if (status_[j] == Status::AtLower) {
+        ratio = std::max(cost2_[j] - sparse_dot_y(j), 0.0) / ap;
+      } else if (status_[j] == Status::AtUpper) {
+        ratio = std::min(cost2_[j] - sparse_dot_y(j), 0.0) / ap;
+      } else {
+        ratio = std::fabs(cost2_[j] - sparse_dot_y(j)) / std::fabs(ap);
       }
       if (ratio < best_ratio - 1e-12) {
         best_ratio = ratio;
         enter = j;
       }
-    }
-    if (enter == cols_.size()) return SolveStatus::Infeasible;
+    });
+    std::fill(candidates.begin(), candidates.end(), 0);
+    if (enter == num_cols()) return SolveStatus::Infeasible;
 
     ftran(enter);
     const double alpha = w_[r];
     if (std::fabs(alpha) < kPivotTol) return SolveStatus::Infeasible;
 
     const std::size_t leaving = basis_[r];
-    const Column& lc = cols_[leaving];
-    const double target = above ? lc.upper : lc.lower;
+    const double target = above ? upper_[leaving] : lower_[leaving];
     const double step = (value_[leaving] - target) / alpha;  // signed
     for (std::size_t i = 0; i < m_; ++i) value_[basis_[i]] -= w_[i] * step;
-    value_[enter] = rest_value(cols_[enter], status_[enter]) + step;
+    value_[enter] = rest_value(enter, status_[enter]) + step;
     status_[leaving] = above ? Status::AtUpper : Status::AtLower;
     value_[leaving] = target;
     status_[enter] = Status::Basic;
@@ -727,18 +876,18 @@ std::size_t Engine::flip_to_dual_feasible() {
   // of an epoch delta's objective drift.
   compute_y(cost2_);
   std::size_t flips = 0;
-  for (std::size_t j = 0; j < cols_.size(); ++j) {
+  for (std::size_t j = 0; j < num_cols(); ++j) {
     if (status_[j] == Status::Basic) continue;
-    const Column& c = cols_[j];
-    if (!(c.lower > -kInf) || !(c.upper < kInf) || c.lower == c.upper) continue;
-    const double d = cost2_[j] - sparse_dot_y(c);
+    if (!(lower_[j] > -kInf) || !(upper_[j] < kInf) || lower_[j] == upper_[j])
+      continue;
+    const double d = cost2_[j] - sparse_dot_y(j);
     if (status_[j] == Status::AtLower && d < -kTolerance) {
       status_[j] = Status::AtUpper;
-      value_[j] = c.upper;
+      value_[j] = upper_[j];
       ++flips;
     } else if (status_[j] == Status::AtUpper && d > kTolerance) {
       status_[j] = Status::AtLower;
-      value_[j] = c.lower;
+      value_[j] = lower_[j];
       ++flips;
     }
   }
@@ -749,10 +898,10 @@ std::size_t Engine::flip_to_dual_feasible() {
 std::size_t Engine::count_primal_infeasible() const {
   std::size_t bad = 0;
   for (std::size_t i = 0; i < m_; ++i) {
-    const Column& c = cols_[basis_[i]];
-    const double v = value_[basis_[i]];
-    if ((c.lower > -kInf && c.lower - v > kTolerance) ||
-        (c.upper < kInf && v - c.upper > kTolerance))
+    const std::size_t bj = basis_[i];
+    const double v = value_[bj];
+    if ((lower_[bj] > -kInf && lower_[bj] - v > kTolerance) ||
+        (upper_[bj] < kInf && v - upper_[bj] > kTolerance))
       ++bad;
   }
   return bad;
@@ -761,11 +910,10 @@ std::size_t Engine::count_primal_infeasible() const {
 std::size_t Engine::count_dual_infeasible() {
   compute_y(cost2_);
   std::size_t bad = 0;
-  for (std::size_t j = 0; j < cols_.size(); ++j) {
+  for (std::size_t j = 0; j < num_cols(); ++j) {
     if (status_[j] == Status::Basic) continue;
-    const Column& c = cols_[j];
-    if (c.lower == c.upper) continue;
-    const double d = cost2_[j] - sparse_dot_y(c);
+    if (lower_[j] == upper_[j]) continue;
+    const double d = cost2_[j] - sparse_dot_y(j);
     switch (status_[j]) {
       case Status::AtLower:
         if (d < -kTolerance) ++bad;
@@ -790,31 +938,30 @@ SolveStatus Engine::cold_solve() {
   // cold scale; an explicit budget is never extended.
   init_cold_point();
   append_artificials();
-  banned_.assign(cols_.size(), false);
+  banned_.assign(num_cols(), 0);
   if (opt_.max_iterations > 0) {
     max_iter_ = opt_.max_iterations;
   } else {
-    max_iter_ = iterations_ + automatic_iteration_budget(m_, cols_.size());
+    max_iter_ = iterations_ + automatic_iteration_budget(m_, num_cols());
   }
   if (chaos_ != nullptr) max_iter_ = chaos_->cap_budget(iterations_, max_iter_);
 
-  std::vector<double> cost1(cols_.size(), 0.0);
-  for (std::size_t j = art_begin_; j < cols_.size(); ++j) cost1[j] = 1.0;
-  const std::vector<bool> allow_all(cols_.size(), true);
+  std::vector<double> cost1(num_cols(), 0.0);
+  for (std::size_t j = art_begin_; j < num_cols(); ++j) cost1[j] = 1.0;
 
   // ---- Phase 1: drive artificials to zero. --------------------------------
   {
-    const SolveStatus s = run_primal(cost1, allow_all);
+    const SolveStatus s = run_primal(cost1);
     if (s == SolveStatus::IterationLimit) return s;
     LIPS_ASSERT(s != SolveStatus::Unbounded, "phase-1 bounded below by 0");
     double art_sum = 0.0;
-    for (std::size_t j = art_begin_; j < cols_.size(); ++j) art_sum += value_[j];
+    for (std::size_t j = art_begin_; j < num_cols(); ++j) art_sum += value_[j];
     if (art_sum > 1e-6) return SolveStatus::Infeasible;
     // Freeze artificials at zero for phase 2.
-    for (std::size_t j = art_begin_; j < cols_.size(); ++j) {
-      cols_[j].lower = 0.0;
-      cols_[j].upper = 0.0;
-      banned_[j] = true;
+    for (std::size_t j = art_begin_; j < num_cols(); ++j) {
+      lower_[j] = 0.0;
+      upper_[j] = 0.0;
+      banned_[j] = 1;
       if (status_[j] != Status::Basic) {
         status_[j] = Status::AtLower;
         value_[j] = 0.0;
@@ -823,7 +970,7 @@ SolveStatus Engine::cold_solve() {
   }
 
   // ---- Phase 2: original objective. ---------------------------------------
-  return run_primal(cost2_, allow_all);
+  return run_primal(cost2_);
 }
 
 void Engine::finalize(LpSolution& out, SolveStatus s) const {
@@ -883,7 +1030,7 @@ LpSolution Engine::run(const Basis* start) {
     chaos_->corrupt_rhs(b_);
   }
   if (opt_.sanitize_model) sanitize_computational_form();
-  banned_.assign(cols_.size(), false);
+  banned_.assign(num_cols(), 0);
 
   const bool explicit_budget = opt_.max_iterations > 0;
   SolveStatus result = SolveStatus::IterationLimit;
@@ -905,11 +1052,10 @@ LpSolution Engine::run(const Basis* start) {
     const std::size_t dual_bad = count_dual_infeasible();
     max_iter_ = explicit_budget
                     ? opt_.max_iterations
-                    : automatic_iteration_budget(m_, cols_.size(),
+                    : automatic_iteration_budget(m_, num_cols(),
                                                  primal_bad + dual_bad);
     if (chaos_ != nullptr)
       max_iter_ = chaos_->cap_budget(iterations_, max_iter_);
-    const std::vector<bool> allow_all(cols_.size(), true);
 
     // Repair order: if the basis is dual feasible, the dual simplex fixes
     // the primal side cheaply; if it is primal feasible (dual side drifted),
@@ -925,7 +1071,7 @@ LpSolution Engine::run(const Basis* start) {
         usable = false;
       }
     }
-    if (usable && s == SolveStatus::Optimal) s = run_primal(cost2_, allow_all);
+    if (usable && s == SolveStatus::Optimal) s = run_primal(cost2_);
     if (usable) {
       if (s == SolveStatus::Optimal || s == SolveStatus::Unbounded) {
         warm_used_ = true;
@@ -966,7 +1112,7 @@ LpSolution Engine::run(const Basis* start) {
   for (std::size_t j = 0; j < n_user_; ++j) {
     out.reduced_costs[j] = status_[j] == Status::Basic
                                ? 0.0
-                               : cost2_[j] - sparse_dot_y(cols_[j]);
+                               : cost2_[j] - sparse_dot_y(j);
   }
 
   // Basis export (variables + row slacks; a basic artificial on a redundant

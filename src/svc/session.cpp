@@ -331,15 +331,31 @@ Reply Session::handle_snapshot() {
 }
 
 void Session::restore_from_snapshot() {
-  std::vector<ckpt::CheckpointDir::Skipped> skipped;
-  const std::optional<ckpt::Snapshot> snap = ckpt_dir_->load_latest(&skipped);
+  std::optional<std::string> undecodable;  // the newest payload failure
+  const auto restore = [&](const ckpt::Snapshot& snap) {
+    // Each attempt starts from a fresh policy and ledger, so a payload that
+    // fails halfway leaves nothing behind for an older one.
+    policy_ = core::LipsPolicy(farm::make_lips_options(spec_, {}));
+    ledger_ = obs::CostLedger{};
+    policy_.set_observer(
+        obs::Observer{options_.metrics, options_.tracer, &ledger_});
+    try {
+      ckpt::Reader r(snap.payload);
+      payload_fields(r, *this);
+      if (!r.at_end())
+        throw ckpt::SnapshotError("snapshot payload has trailing bytes");
+    } catch (const ckpt::SnapshotError& e) {
+      if (!undecodable) undecodable = e.what();
+      throw;
+    }
+  };
+  const std::optional<ckpt::Snapshot> snap =
+      ckpt_dir_->load_latest(nullptr, restore);
+  if (!snap.has_value() && undecodable.has_value())
+    throw ckpt::SnapshotError(*undecodable);
   LIPS_REQUIRE(snap.has_value(),
                "svc: restore requested but no usable snapshot under " +
                    ckpt_dir_->path());
-  ckpt::Reader r(snap->payload);
-  payload_fields(r, *this);
-  if (!r.at_end())
-    throw ckpt::SnapshotError("snapshot payload has trailing bytes");
   snapshot_seq_ = ckpt_dir_->latest_sequence().value_or(0);
 }
 

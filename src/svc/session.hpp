@@ -19,7 +19,8 @@
 // session's own checkpoint subdirectory (two tenants never share a
 // directory — ckpt/store.hpp retention discipline) and resumes the policy,
 // ledger, mirror time, and epoch counter bit-identically (verified in
-// tests/test_svc.cpp).
+// tests/test_svc.cpp). A snapshot whose payload does not decode is skipped
+// like one whose CRC fails, and the next older one is tried.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +66,10 @@ struct SessionOptions {
   /// Root for per-session checkpoint subdirectories; empty disables
   /// SNAPSHOT/restore (SNAPSHOT then answers ERR snapshot).
   std::string snapshot_root;
-  /// Load the newest snapshot for this session name before serving; a
-  /// restore request with no usable snapshot throws PreconditionError.
+  /// Load the newest snapshot for this session name that decodes before
+  /// serving. With none on disk, or none whose CRC passes, the request
+  /// throws PreconditionError; when some pass their CRC but no payload
+  /// decodes, it throws SnapshotError.
   bool restore = false;
   /// Shared daemon sinks (both optional).
   obs::MetricRegistry* metrics = nullptr;

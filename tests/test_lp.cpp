@@ -5,6 +5,11 @@
 // optima solved by hand, and random ones against points known feasible by
 // construction. The certificate itself is tested on a hand-solved LP and
 // on deliberately broken solutions, each of which must fail its own check.
+//
+// Every solve also carries a pivot-path pin (tests/pivot_pin.hpp): its
+// pivot counts and a digest of the bits of its answer, recorded from the
+// engine with dense pivot rows and dense inverse rows. An engine change
+// meant to keep every pivot must leave each pin as it is.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,9 +18,14 @@
 #include "common/rng.hpp"
 #include "lp/model.hpp"
 #include "lp/solver.hpp"
+#include "pivot_pin.hpp"
 
 namespace lips::lp {
 namespace {
+
+using pins::ChainPin;
+using pins::pin_of;
+using pins::PivotPin;
 
 std::vector<Entry> row(std::initializer_list<Entry> es) { return {es}; }
 
@@ -97,6 +107,7 @@ TEST(LpSolve, TextbookTwoVariable) {
   m.add_constraint(row({{1, 2.0}}), Sense::LessEqual, 12.0);
   m.add_constraint(row({{0, 3.0}, {1, 2.0}}), Sense::LessEqual, 18.0);
   const LpSolution s = solve_certified(m);
+  EXPECT_EQ(pin_of(s), (PivotPin{3, 0, false, 0x26a453063d7594b4ULL}));
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, -36.0, 1e-6);
   EXPECT_NEAR(s.values[0], 2.0, 1e-6);
@@ -119,9 +130,11 @@ TEST(LpSolve, IterationBudgetExhaustionReturnsIterationLimit) {
   const LpSolution limited = solve(m, tight);
   EXPECT_EQ(limited.status, SolveStatus::IterationLimit);
   EXPECT_FALSE(limited.optimal());
+  EXPECT_EQ(pin_of(limited), (PivotPin{1, 0, false, 0x681157f59a650b24ULL}));
   const LpSolution full = solve_certified(m);
   ASSERT_TRUE(full.optimal());
   EXPECT_NEAR(full.objective, -36.0, 1e-6);
+  EXPECT_EQ(pin_of(full), (PivotPin{3, 0, false, 0x26a453063d7594b4ULL}));
 }
 
 TEST(LpSolve, EqualityConstraints) {
@@ -132,6 +145,7 @@ TEST(LpSolve, EqualityConstraints) {
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::Equal, 10.0);
   m.add_constraint(row({{0, 1.0}, {1, -1.0}}), Sense::Equal, 2.0);
   const LpSolution s = solve_certified(m);
+  EXPECT_EQ(pin_of(s), (PivotPin{2, 0, false, 0x3f8089e12e5f788bULL}));
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 14.0, 1e-6);
   EXPECT_NEAR(s.values[0], 6.0, 1e-6);
@@ -146,6 +160,7 @@ TEST(LpSolve, GreaterEqualConstraints) {
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::GreaterEqual, 4.0);
   m.add_constraint(row({{0, 1.0}, {1, 3.0}}), Sense::GreaterEqual, 6.0);
   const LpSolution s = solve_certified(m);
+  EXPECT_EQ(pin_of(s), (PivotPin{2, 0, false, 0xfac6799c7e480a8ULL}));
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 9.0, 1e-6);
 }
@@ -157,6 +172,7 @@ TEST(LpSolve, UpperBoundedVariables) {
   m.add_variable(0, 1, -1.0);
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::LessEqual, 1.5);
   const LpSolution s = solve_certified(m);
+  EXPECT_EQ(pin_of(s), (PivotPin{2, 0, false, 0x9ca10bbce693b288ULL}));
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, -1.5, 1e-6);
   EXPECT_LE(m.max_violation(s.values), 1e-6);
@@ -169,6 +185,7 @@ TEST(LpSolve, NonzeroLowerBounds) {
   m.add_variable(3, kInf, 1.0);
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::GreaterEqual, 1.0);
   const LpSolution s = solve_certified(m);
+  EXPECT_EQ(pin_of(s), (PivotPin{1, 0, false, 0xe454a3834a5c6f68ULL}));
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 5.0, 1e-6);
 }
@@ -180,6 +197,7 @@ TEST(LpSolve, NegativeLowerBounds) {
   m.add_variable(-kInf, 3, 0.0);
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::Equal, 0.0);
   const LpSolution s = solve_certified(m);
+  EXPECT_EQ(pin_of(s), (PivotPin{1, 0, false, 0x485c748b4d21c700ULL}));
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, -3.0, 1e-6);
 }
@@ -197,6 +215,7 @@ TEST(LpSolve, FreeVariable) {
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::GreaterEqual, 4.0);
   m.add_constraint(row({{0, -1.0}, {1, 1.0}}), Sense::GreaterEqual, -2.0);
   const LpSolution s = solve_certified(m);
+  EXPECT_EQ(pin_of(s), (PivotPin{2, 0, false, 0x3d83fb824c15904aULL}));
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 5.0, 1e-6);
 }
@@ -205,7 +224,9 @@ TEST(LpSolve, InfeasibleDetected) {
   LpModel m;
   m.add_variable(0, 1, 1.0);
   m.add_constraint(row({{0, 1.0}}), Sense::GreaterEqual, 2.0);
-  EXPECT_EQ(solve_certified(m).status, SolveStatus::Infeasible);
+  const LpSolution s = solve_certified(m);
+  EXPECT_EQ(s.status, SolveStatus::Infeasible);
+  EXPECT_EQ(pin_of(s), (PivotPin{1, 0, false, 0x5cfc9ca56ba79ea5ULL}));
 }
 
 TEST(LpSolve, InfeasibleEqualitySystem) {
@@ -214,14 +235,18 @@ TEST(LpSolve, InfeasibleEqualitySystem) {
   m.add_variable(0, kInf, 0.0);
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::Equal, 1.0);
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::Equal, 2.0);
-  EXPECT_EQ(solve_certified(m).status, SolveStatus::Infeasible);
+  const LpSolution s = solve_certified(m);
+  EXPECT_EQ(s.status, SolveStatus::Infeasible);
+  EXPECT_EQ(pin_of(s), (PivotPin{1, 0, false, 0xad70efb85554bfe6ULL}));
 }
 
 TEST(LpSolve, UnboundedDetected) {
   LpModel m;
   m.add_variable(0, kInf, -1.0);
   m.add_constraint(row({{0, -1.0}}), Sense::LessEqual, 0.0);  // x >= 0, vacuous
-  EXPECT_EQ(solve_certified(m).status, SolveStatus::Unbounded);
+  const LpSolution s = solve_certified(m);
+  EXPECT_EQ(s.status, SolveStatus::Unbounded);
+  EXPECT_EQ(pin_of(s), (PivotPin{1, 0, false, 0x2d3836aa223187e6ULL}));
 }
 
 TEST(LpSolve, BoundsOnlyModel) {
@@ -230,6 +255,7 @@ TEST(LpSolve, BoundsOnlyModel) {
   m.add_variable(1, 5, -2.0);  // wants upper → 5
   m.add_variable(-4, 9, 0.0);  // indifferent
   const LpSolution s = solve_certified(m);
+  EXPECT_EQ(pin_of(s), (PivotPin{0, 0, false, 0x641ca78a318e7cccULL}));
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.values[0], 1.0, 1e-9);
   EXPECT_NEAR(s.values[1], 5.0, 1e-9);
@@ -239,7 +265,9 @@ TEST(LpSolve, BoundsOnlyModel) {
 TEST(LpSolve, BoundsOnlyUnbounded) {
   LpModel m;
   m.add_variable(0, kInf, -1.0);
-  EXPECT_EQ(solve_certified(m).status, SolveStatus::Unbounded);
+  const LpSolution s = solve_certified(m);
+  EXPECT_EQ(s.status, SolveStatus::Unbounded);
+  EXPECT_EQ(pin_of(s), (PivotPin{0, 0, false, 0x2d3836aa223187e6ULL}));
 }
 
 TEST(LpSolve, DegenerateModelDoesNotCycle) {
@@ -256,6 +284,7 @@ TEST(LpSolve, DegenerateModelDoesNotCycle) {
                    Sense::LessEqual, 0.0);
   m.add_constraint(row({{2, 1.0}}), Sense::LessEqual, 1.0);
   const LpSolution s = solve_certified(m);
+  EXPECT_EQ(pin_of(s), (PivotPin{5, 0, false, 0x64fe522066356cbULL}));
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, -0.05, 1e-6);
 }
@@ -269,6 +298,7 @@ TEST(LpSolve, RedundantConstraintsHandled) {
   m.add_constraint(row({{0, 1.0}, {1, 1.0}}), Sense::Equal, 4.0);
   m.add_constraint(row({{0, 2.0}, {1, 2.0}}), Sense::Equal, 8.0);
   const LpSolution s = solve_certified(m);
+  EXPECT_EQ(pin_of(s), (PivotPin{1, 0, false, 0x540606bb4c17ad1bULL}));
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 4.0, 1e-6);
 }
@@ -280,6 +310,7 @@ TEST(LpSolve, NegativeRhsRows) {
   m.add_variable(0, kInf, 1.0);
   m.add_constraint(row({{0, -1.0}, {1, -1.0}}), Sense::LessEqual, -4.0);
   const LpSolution s = solve_certified(m);
+  EXPECT_EQ(pin_of(s), (PivotPin{1, 0, false, 0x8fca591b34a00b75ULL}));
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 4.0, 1e-6);
 }
@@ -307,6 +338,7 @@ TEST(LpSolve, TransportationProblem) {
     m.add_constraint(es, Sense::GreaterEqual, demand[j]);
   }
   const LpSolution s = solve_certified(m);
+  EXPECT_EQ(pin_of(s), (PivotPin{8, 0, false, 0x26adadbba6d45427ULL}));
   ASSERT_TRUE(s.optimal());
   EXPECT_LE(m.max_violation(s.values), 1e-6);
   // Feasible reference plan: x00=8, x02=2, x11=7, x12=8 → 32+18+21+64=135.
@@ -324,6 +356,7 @@ TEST(LpSolve, TransportationProblem) {
 // slack. Every solve must be optimal, certified, and no worse than x0.
 TEST(LpCrossCheck, RandomFeasibleBoundedModels) {
   Rng rng(2024);
+  ChainPin chain;
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t n = 2 + rng.index(6);
     const std::size_t k = 1 + rng.index(6);
@@ -360,12 +393,15 @@ TEST(LpCrossCheck, RandomFeasibleBoundedModels) {
     EXPECT_TRUE(certified(m, b)) << "trial " << trial;
     EXPECT_LE(b.objective, m.objective_value(x0) + 1e-9) << "trial " << trial;
     EXPECT_LE(m.max_violation(b.values), 1e-6) << "trial " << trial;
+    chain.add(pin_of(b));
   }
+  EXPECT_EQ(chain, (ChainPin{40, 210, 0, 0, 0xc9706b1e0e33d198ULL}));
 }
 
 // Models infeasible by construction are reported Infeasible.
 TEST(LpCrossCheck, RandomInfeasibleModels) {
   Rng rng(777);
+  ChainPin chain;
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 1 + rng.index(4);
     LpModel m;
@@ -374,14 +410,18 @@ TEST(LpCrossCheck, RandomInfeasibleModels) {
     std::vector<Entry> es;
     for (std::size_t j = 0; j < n; ++j) es.push_back({j, 1.0});
     m.add_constraint(es, Sense::GreaterEqual, static_cast<double>(n) + 1.0);
-    EXPECT_EQ(solve(m).status, SolveStatus::Infeasible);
+    const LpSolution s = solve(m);
+    EXPECT_EQ(s.status, SolveStatus::Infeasible);
+    chain.add(pin_of(s));
   }
+  EXPECT_EQ(chain, (ChainPin{20, 51, 0, 0, 0x1e1ce62688e31554ULL}));
 }
 
 // Weak-duality-style sanity: the optimum of a minimization can never exceed
 // the objective at any feasible point we know (x0 from construction).
 TEST(LpCrossCheck, OptimumDominatesKnownFeasiblePoint) {
   Rng rng(31337);
+  ChainPin chain;
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t n = 2 + rng.index(8);
     LpModel m;
@@ -403,7 +443,9 @@ TEST(LpCrossCheck, OptimumDominatesKnownFeasiblePoint) {
     const LpSolution s = solve_certified(m);
     ASSERT_TRUE(s.optimal());
     EXPECT_LE(s.objective, m.objective_value(x0) + 1e-6);
+    chain.add(pin_of(s));
   }
+  EXPECT_EQ(chain, (ChainPin{30, 335, 0, 0, 0x7e080389428c80bcULL}));
 }
 
 // Scaling invariance: multiplying the objective by a positive scalar scales
@@ -427,6 +469,37 @@ TEST(LpCrossCheck, ObjectiveScalingInvariance) {
   ASSERT_TRUE(a.optimal());
   ASSERT_TRUE(b.optimal());
   EXPECT_NEAR(b.objective, 7.5 * a.objective, 1e-6);
+  EXPECT_EQ(pin_of(a), (PivotPin{6, 0, false, 0x7429d9561cb7dfd9ULL}));
+  EXPECT_EQ(pin_of(b), (PivotPin{6, 0, false, 0x34cf751dc632324bULL}));
+}
+
+// A cold solve long enough to cross the engine's periodic refactorization
+// (every 1,024 iterations, bound flips included) more than once: boxed
+// columns with mostly negative costs over budget rows that afford about
+// half of them, so phase 2 mixes bound flips with real pivots. The pin
+// covers the inverses rebuilt mid-solve and the duals read after them.
+TEST(LpPivotPins, ColdSolveCrossesPeriodicRefactorization) {
+  Rng rng(1024);
+  const std::size_t n = 1500;
+  const std::size_t k = 60;
+  LpModel m;
+  std::vector<std::vector<Entry>> rows(k);
+  for (std::size_t j = 0; j < n; ++j) {
+    m.add_variable(0, 1, rng.uniform(-3, 1));
+    for (int t = 0; t < 3; ++t)
+      rows[rng.index(k)].push_back({j, rng.uniform(0.5, 2)});
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    double sum = 0.0;
+    for (const Entry& e : rows[i]) sum += e.coeff;
+    const bool floor_row = i % 4 == 0;
+    m.add_constraint(rows[i], floor_row ? Sense::GreaterEqual : Sense::LessEqual,
+                     (floor_row ? 0.2 : 0.5) * sum);
+  }
+  const LpSolution s = solve_certified(m);
+  ASSERT_TRUE(s.optimal());
+  EXPECT_GT(s.iterations, 2048u);
+  EXPECT_EQ(pin_of(s), (PivotPin{2976, 0, false, 0xfff5832dffd3485cULL}));
 }
 
 // Iteration-limit status is reported rather than looping forever.

@@ -709,42 +709,55 @@ TEST(SnapshotRestore, PayloadDigestIsPinned) {
       << "payload digest 0x" << std::hex << d.digest();
 }
 
-TEST(SnapshotRestore, UndecodablePayloadAnswersSnapshotError) {
+// Sequence 1 is good; sequences 2 and 3 pass their CRC but their payloads do
+// not decode, and sequence 3 fails only after it has read part of the
+// ledger. OPEN restore=1 skips both and resumes from sequence 1, in the state
+// sequence 1 holds. A directory holding only undecodable snapshots still
+// answers ERR snapshot.
+TEST(SnapshotRestore, UndecodableNewestSnapshotsFallBackToAnOlderGoodOne) {
   const std::string root = scratch_dir("restore_undecodable");
+  const farm::ScenarioSpec sc;
+  const std::uint64_t seed = 3;
+  const farm::RunInputs in = farm::make_run_inputs(sc, seed);
+  std::vector<WireTask> tasks;
+  for (std::size_t i = 0; i < 2; ++i) {
+    WireTask t;
+    t.id = i;
+    t.job = 0;
+    t.index_in_job = i;
+    t.input_mb = 128.0;
+    t.cpu_ecu_s = 400.0;
+    if (!in.workload.job(JobId{0}).data.empty())
+      t.data = in.workload.job(JobId{0}).data.front().value();
+    tasks.push_back(t);
+  }
+  WireState st;
+  st.now = 0.0;
+  st.pending = {0, 1};
   SessionOptions so;
   so.snapshot_root = root;
-  {
-    Session writer("t1", farm::ScenarioSpec{}, 3, so);
-    ASSERT_EQ(writer.handle("SNAPSHOT", "").status, Reply::Status::Ok);
-  }
+  Session writer("t1", sc, seed, so);
+  ASSERT_EQ(writer.handle("STATE", encode_state(st)).status, Reply::Status::Ok);
+  ASSERT_EQ(writer.handle("JOB", "job=0,tasks=" + encode_tasks(tasks)).status,
+            Reply::Status::Ok);
+  ASSERT_EQ(writer.handle("TICK", "").status, Reply::Status::Ok);
+  ASSERT_EQ(writer.handle("SLOT", "m=0").status, Reply::Status::Ok);
+  ASSERT_EQ(writer.handle("SNAPSHOT", "").status, Reply::Status::Ok);
   const ckpt::CheckpointDir dir(root + "/t1");
   const std::optional<ckpt::Snapshot> good = dir.load_latest();
   ASSERT_TRUE(good.has_value());
 
-  ServiceOptions o;
-  o.snapshot_root = root;
-  const auto open_restored = [&o] {
-    Service service(o);
-    Service::ConnectionCtx ctx;
-    auto sink = std::make_shared<CaptureSink>();
-    EXPECT_TRUE(
-        service.handle_line(ctx, "OPEN session=t1,seed=3,restore=1", sink));
-    EXPECT_EQ(service.session_count(), 0u);
-    return err_code(sink->last());
-  };
-
-  // CRC-valid but cut short: the payload re-sealed at 40 bytes.
+  // Sequence 2: CRC-valid but cut short, the payload re-sealed at 40 bytes.
   ckpt::Snapshot cut = *good;
   cut.payload.resize(40);
-  cut.meta.sequence += 1;
+  cut.meta.sequence = 2;
   dir.write(cut);
-  EXPECT_EQ(open_restored(), "snapshot");
 
-  // CRC-valid with a ledger cell whose category is out of range.
+  // Sequence 3: CRC-valid with a ledger cell whose category is out of range.
   ckpt::Writer w;
   w.u64(1);     // session payload version
   w.str("t1");  // session name
-  w.u64(3);     // seed
+  w.u64(seed);
   w.f64(0.0);   // clock
   w.u64(0);     // epochs
   w.u64(0);     // ledger epoch
@@ -758,9 +771,48 @@ TEST(SnapshotRestore, UndecodablePayloadAnswersSnapshotError) {
   w.size(1);  // posts
   ckpt::Snapshot bad = *good;
   bad.payload = w.take();
-  bad.meta.sequence += 2;
+  bad.meta.sequence = 3;
   dir.write(bad);
-  EXPECT_EQ(open_restored(), "snapshot");
+
+  ServiceOptions o;
+  o.snapshot_root = root;
+  const auto open_restored = [&o](const std::string& session) {
+    Service service(o);
+    Service::ConnectionCtx ctx;
+    auto sink = std::make_shared<CaptureSink>();
+    EXPECT_TRUE(service.handle_line(
+        ctx, "OPEN session=" + session + ",seed=3,restore=1", sink));
+    return std::pair{err_code(sink->last()), service.session_count()};
+  };
+  EXPECT_EQ(open_restored("t1"), (std::pair{std::string(), std::size_t{1}}));
+
+  // The session it resumes holds sequence 1's state, and numbers its next
+  // snapshot past the undecodable ones.
+  SessionOptions ro = so;
+  ro.restore = true;
+  Session restored("t1", sc, seed, ro);
+  EXPECT_EQ(restored.epochs(), writer.epochs());
+  EXPECT_EQ(restored.policy().lp_solves(), writer.policy().lp_solves());
+  EXPECT_GE(writer.policy().lp_solves(), 1u);
+  expect_same_reply(writer.handle("LEDGER?", ""),
+                    restored.handle("LEDGER?", ""), "LEDGER?");
+  const Reply next = restored.handle("SNAPSHOT", "");
+  ASSERT_EQ(next.status, Reply::Status::Ok) << next.detail;
+  EXPECT_NE(next.detail.find("seq=4"), std::string::npos) << next.detail;
+
+  // Only undecodable snapshots: nothing to fall back to. The payload names
+  // its own session and seed, then ends.
+  ckpt::Writer short_payload;
+  short_payload.u64(1);  // session payload version
+  short_payload.str("t2");
+  short_payload.u64(seed);
+  ckpt::Snapshot only = *good;
+  only.payload = short_payload.take();
+  only.meta.sequence = 1;
+  const ckpt::CheckpointDir only_bad(root + "/t2");
+  only_bad.write(only);
+  EXPECT_EQ(open_restored("t2"),
+            (std::pair{std::string("snapshot"), std::size_t{0}}));
 }
 
 // ---------------------------------------------------------------------------

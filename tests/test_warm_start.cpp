@@ -7,21 +7,30 @@
 //     Infeasible and explicit IterationLimit outcomes),
 //   * core::EpochLpContext (in-place model deltas, structure-change rebuild
 //     with basis remap, invalidation, and infeasibility handling).
+//
+// Pivot-path pins (tests/pivot_pin.hpp) cover warm chains under a seeded
+// solver-fault storm and a drifting Table IV epoch sequence.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/epoch_lp_context.hpp"
 #include "core/lp_models.hpp"
 #include "lp/model.hpp"
 #include "lp/solver.hpp"
+#include "lp/solver_faults.hpp"
+#include "pivot_pin.hpp"
 #include "workload/workload.hpp"
 
 namespace lips::lp {
 namespace {
+
+using pins::ChainPin;
+using pins::pin_of;
 
 // ------------------------------------------- automatic iteration budget ---
 
@@ -206,6 +215,58 @@ TEST(WarmStart, ExplicitIterationLimitHonored) {
   EXPECT_NEAR(ok.objective, solve(m).objective, 1e-9);
 }
 
+// Pivot-path pins under a seeded solver-fault storm: chains of warm-started
+// re-solves of drifting models, with NaN costs and right-hand sides,
+// refactorizations forced to fail (the warm import and the final refresh)
+// and corrupted warm bases. A NaN cost on a basic column must still poison
+// every dual, as the dense y = c_B·B⁻¹ does. A NaN right-hand side can
+// also trip the engine's phase-1 invariant (the degradation ladder catches
+// that throw); the chain pins where it happens.
+TEST(LpPivotPins, WarmChainsUnderSolverFaultStorm) {
+  SolverFaultConfig cfg;
+  cfg.nan_probability = 0.3;
+  cfg.refactor_failure_probability = 0.2;
+  cfg.basis_corruption_probability = 0.4;
+  cfg.seed = 24;
+  SolverFaultInjector chaos(cfg);
+  SolverOptions options;
+  options.fault_injector = &chaos;
+  Rng rng(240601);
+  ChainPin chain;
+  std::size_t throws = 0;
+  for (int trial = 0; trial < 25; ++trial) {
+    LpModel m =
+        random_feasible_model(rng, 4 + rng.index(10), 3 + rng.index(7));
+    Basis basis;
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      try {
+        const LpSolution s =
+            solve(m, options, basis.empty() ? nullptr : &basis);
+        chain.add(pin_of(s));
+        if (s.optimal()) basis = s.basis;
+      } catch (const InternalError&) {
+        chain.add(pins::PivotPin{});
+        ++throws;
+      }
+      for (std::size_t i = 0; i < m.num_constraints(); ++i) {
+        if (rng.bernoulli(0.5))
+          m.set_rhs(i, m.constraint(i).rhs + rng.uniform(-1, 1));
+      }
+      for (std::size_t j = 0; j < m.num_variables(); ++j) {
+        if (rng.bernoulli(0.4))
+          m.set_objective(j, m.variable(j).objective + rng.uniform(-1, 1));
+      }
+    }
+  }
+  const SolverFaultInjector::Stats& st = chaos.stats();
+  EXPECT_GT(st.objective_nans, 0u);
+  EXPECT_GT(st.rhs_nans, 0u);
+  EXPECT_GT(st.refactor_failures, 0u);
+  EXPECT_GT(st.bases_corrupted, 0u);
+  EXPECT_EQ(throws, 2u);
+  EXPECT_EQ(chain, (ChainPin{100, 659, 27, 43, 0xfca4a1930531dc9bULL}));
+}
+
 // Pricing-rule cross-check: devex (default) and Dantzig must agree on the
 // optimum; devex is a pricing heuristic, not a different algorithm.
 TEST(WarmStart, DevexAndDantzigAgree) {
@@ -358,6 +419,44 @@ TEST(EpochLpContext, InfeasibleEpochDoesNotPoisonContext) {
   ASSERT_TRUE(ok2.optimal());
   EXPECT_NEAR(ok2.objective_mc.mc(), ok.objective_mc.mc(),
               1e-5 * (1.0 + ok.objective_mc.mc()));
+}
+
+// Pivot-path pins of a warm-started epoch sequence on the Table IV world:
+// spot prices step every epoch, machines report drifting throughput, jobs
+// complete work, and the last job arrives at epoch 3 (a rebuild whose basis
+// is remapped). Every epoch is pinned, the cold epoch 0 included.
+TEST(EpochLpContext, PivotPinsAcrossDriftingTableFourEpochs) {
+  cluster::Cluster c = cluster::make_ec2_cluster(6, 0.5, 1);
+  for (std::size_t l = 0; l < c.machine_count(); ++l) {
+    std::vector<cluster::PricePoint> schedule;
+    for (std::size_t e = 1; e < 6; ++e)
+      schedule.push_back({600.0 * static_cast<double>(e),
+                          UsdPerCpuSec::mc_per_ecu_s(
+                              0.5 + 0.25 * static_cast<double>((l + e) % 4))});
+    c.set_price_schedule(MachineId{l}, std::move(schedule));
+  }
+  Rng rng(4);
+  const workload::Workload w = workload::make_table4_workload(c, rng);
+  const Scenario s{c, w};
+  JobSubset all;
+  for (std::size_t k = 0; k < w.job_count(); ++k) all.push_back(JobId{k});
+  const JobSubset early(all.begin(), all.end() - 1);
+
+  EpochLpContext ctx;
+  pins::ChainPin chain;
+  for (std::size_t epoch = 0; epoch < 6; ++epoch) {
+    const JobSubset& jobs = epoch < 3 ? early : all;
+    std::vector<double> remaining = remaining_at(s, epoch);
+    remaining.resize(jobs.size());  // the subsets are prefixes of the jobs
+    const LpSchedule plan =
+        ctx.solve(c, w, online_options(s, epoch), jobs, remaining);
+    ASSERT_TRUE(plan.optimal()) << "epoch " << epoch;
+    EXPECT_TRUE(plan.certified) << "epoch " << epoch;
+    chain.add(pins::pin_of(plan));
+  }
+  EXPECT_EQ(ctx.stats().builds, 2u);
+  EXPECT_EQ(ctx.stats().warm_solves, 4u);
+  EXPECT_EQ(chain, (pins::ChainPin{6, 449, 22, 4, 0x195546646dfde9c6ULL}));
 }
 
 // invalidate() forgets the cached model and basis.
