@@ -7,8 +7,12 @@
 // + decode) across problem sizes, cold and warm-started.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/epoch_lp_context.hpp"
@@ -189,60 +193,93 @@ void BM_EpochLpResolveWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_EpochLpResolveWarm)->Unit(benchmark::kMillisecond);
 
-/// One-shot warm-vs-cold agreement check over the same epoch series the
-/// benchmarks time. Any status/objective divergence — or the warm path
-/// needing more than half the cold pivots — flips the regression flag.
-/// Epoch 0 is cold on both sides, so its solve is recorded apart from the
-/// re-solves of epochs 1..N-1, which each side times and counts alike.
+/// Warm-vs-cold agreement check over the same epoch series the benchmarks
+/// time, run kRepetitions times. Any status/objective divergence, the warm
+/// path needing more than half the cold pivots, or a repetition whose
+/// pivots or objective bits differ from the first flips the regression
+/// flag. Epoch 0 is cold on both sides, so its solve is recorded apart from
+/// the re-solves of epochs 1..N-1, which each side times and counts alike.
+/// Each record's wall_ms is the median over the repetitions: single
+/// samples moved by a third between back-to-back runs.
 void verify_warm_matches_cold() {
+  constexpr std::size_t kRepetitions = 3;
   const Instance inst = make_instance(1608, 20, 20, 20);
-  core::EpochLpContext ctx;
   const std::string resolves =
       "table4-1608tasks-" + std::to_string(kResolveEpochs - 1) + "resolves-";
-  lips::bench::BenchRecord first{"table4-1608tasks-epoch0", 99};
-  lips::bench::BenchRecord cold_rec{resolves + "cold", 99};
-  lips::bench::BenchRecord warm_rec{resolves + "warm", 99};
-  for (std::size_t e = 0; e < kResolveEpochs; ++e) {
-    const core::ModelOptions opt = resolve_options(inst, e);
-    const std::vector<double> remaining = resolve_remaining(inst, e);
-    const auto t_cold = std::chrono::steady_clock::now();
-    const core::LpSchedule cold = core::solve_co_scheduling(
-        inst.cluster, inst.workload, opt, {}, remaining);
-    const double cold_ms = lips::bench::wall_ms_since(t_cold);
-    const auto t_warm = std::chrono::steady_clock::now();
-    const core::LpSchedule warm =
-        ctx.solve(inst.cluster, inst.workload, opt, {}, remaining);
-    const double warm_ms = lips::bench::wall_ms_since(t_warm);
-    if (e == 0) {
-      first.wall_ms = warm_ms;
-      first.pivots = warm.lp_iterations;
-      first.cost_usd = millicents_to_dollars(warm.objective_mc.mc());
-    } else {
-      cold_rec.wall_ms += cold_ms;
-      cold_rec.pivots += cold.lp_iterations;
-      cold_rec.cost_usd += millicents_to_dollars(cold.objective_mc.mc());
-      warm_rec.wall_ms += warm_ms;
-      warm_rec.pivots += warm.lp_iterations;
-      warm_rec.cost_usd += millicents_to_dollars(warm.objective_mc.mc());
-    }
-    if (warm.status != cold.status) {
-      std::cout << "REGRESSION: epoch " << e << " warm status "
-                << lp::to_string(warm.status) << " != cold "
-                << lp::to_string(cold.status) << "\n";
-      g_solver_regression = true;
-      continue;
-    }
-    if (cold.optimal()) {
-      const double co = cold.objective_mc.mc();
-      const double wo = warm.objective_mc.mc();
-      if (std::fabs(co - wo) > 1e-4 + 1e-6 * std::fabs(co)) {
-        std::cout << "REGRESSION: epoch " << e << " warm objective " << wo
-                  << " != cold " << co << "\n";
+  std::vector<lips::bench::BenchRecord> records;  // epoch 0, cold, warm
+  std::vector<std::vector<double>> wall_ms(3);    // per record, per rep
+  std::vector<std::uint64_t> first_solves;  // pivots, objective bits
+  for (std::size_t rep = 0; rep < kRepetitions; ++rep) {
+    lips::bench::BenchRecord first{"table4-1608tasks-epoch0", 99};
+    lips::bench::BenchRecord cold_rec{resolves + "cold", 99};
+    lips::bench::BenchRecord warm_rec{resolves + "warm", 99};
+    std::vector<std::uint64_t> solves;
+    core::EpochLpContext ctx;
+    for (std::size_t e = 0; e < kResolveEpochs; ++e) {
+      const core::ModelOptions opt = resolve_options(inst, e);
+      const std::vector<double> remaining = resolve_remaining(inst, e);
+      const auto t_cold = std::chrono::steady_clock::now();
+      const core::LpSchedule cold = core::solve_co_scheduling(
+          inst.cluster, inst.workload, opt, {}, remaining);
+      const double cold_ms = lips::bench::wall_ms_since(t_cold);
+      const auto t_warm = std::chrono::steady_clock::now();
+      const core::LpSchedule warm =
+          ctx.solve(inst.cluster, inst.workload, opt, {}, remaining);
+      const double warm_ms = lips::bench::wall_ms_since(t_warm);
+      for (const core::LpSchedule* s : {&cold, &warm}) {
+        solves.push_back(s->lp_iterations);
+        solves.push_back(std::bit_cast<std::uint64_t>(s->objective_mc.mc()));
+      }
+      if (e == 0) {
+        first.wall_ms = warm_ms;
+        first.pivots = warm.lp_iterations;
+        first.cost_usd = millicents_to_dollars(warm.objective_mc.mc());
+      } else {
+        cold_rec.wall_ms += cold_ms;
+        cold_rec.pivots += cold.lp_iterations;
+        cold_rec.cost_usd += millicents_to_dollars(cold.objective_mc.mc());
+        warm_rec.wall_ms += warm_ms;
+        warm_rec.pivots += warm.lp_iterations;
+        warm_rec.cost_usd += millicents_to_dollars(warm.objective_mc.mc());
+      }
+      if (warm.status != cold.status) {
+        std::cout << "REGRESSION: epoch " << e << " warm status "
+                  << lp::to_string(warm.status) << " != cold "
+                  << lp::to_string(cold.status) << "\n";
         g_solver_regression = true;
+        continue;
+      }
+      if (cold.optimal()) {
+        const double co = cold.objective_mc.mc();
+        const double wo = warm.objective_mc.mc();
+        if (std::fabs(co - wo) > 1e-4 + 1e-6 * std::fabs(co)) {
+          std::cout << "REGRESSION: epoch " << e << " warm objective " << wo
+                    << " != cold " << co << "\n";
+          g_solver_regression = true;
+        }
       }
     }
+    if (rep == 0) {
+      records = {first, cold_rec, warm_rec};
+      first_solves = solves;
+    } else if (solves != first_solves) {
+      std::cout << "REGRESSION: repetition " << rep
+                << " differs from the first in pivots or objective bits\n";
+      g_solver_regression = true;
+    }
+    wall_ms[0].push_back(first.wall_ms);
+    wall_ms[1].push_back(cold_rec.wall_ms);
+    wall_ms[2].push_back(warm_rec.wall_ms);
   }
-  std::cout << "epoch 0: " << first.pivots << " pivots in " << first.wall_ms
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    std::vector<double>& w = wall_ms[i];
+    std::nth_element(w.begin(), w.begin() + kRepetitions / 2, w.end());
+    records[i].wall_ms = w[kRepetitions / 2];
+  }
+  const lips::bench::BenchRecord& cold_rec = records[1];
+  const lips::bench::BenchRecord& warm_rec = records[2];
+  std::cout << "median of " << kRepetitions << " identical runs: epoch 0: "
+            << records[0].pivots << " pivots in " << records[0].wall_ms
             << " ms; re-solves of epochs 1.." << kResolveEpochs - 1
             << ": warm " << warm_rec.pivots << " pivots in "
             << warm_rec.wall_ms << " ms vs cold " << cold_rec.pivots
@@ -256,8 +293,7 @@ void verify_warm_matches_cold() {
     std::cout << "REGRESSION: warm re-solves exceed 50% of cold pivots\n";
     g_solver_regression = true;
   }
-  lips::bench::write_bench_records("lp_overhead",
-                                   {first, cold_rec, warm_rec});
+  lips::bench::write_bench_records("lp_overhead", records);
 }
 
 }  // namespace

@@ -352,6 +352,11 @@ template <class M>
 concept Ordered = requires { typename M::key_compare; };
 template <class M>
 concept Heap = requires { typename M::container_type; };
+/// seq and fixed write elements in iteration order, which for a hash
+/// container is no order at all: it must go through ckpt::sorted.
+template <class C>
+inline constexpr bool kIterationOrdered =
+    !requires { typename std::remove_const_t<C>::hasher; };
 
 /// What a container's load decodes one element into: a map entry's key
 /// must be assignable, so maps decode (key, value) pairs.
@@ -369,6 +374,9 @@ struct Decoded<M> {
 /// Length-prefixed sequence (vector, deque). Loads resize to the length.
 template <class C, class Fn>
 struct Seq {
+  static_assert(detail::kIterationOrdered<C>,
+                "a hash container iterates in hash order; code it with "
+                "ckpt::sorted");
   C& c;
   Fn fn;
   void save(Writer& w) const {
@@ -392,6 +400,9 @@ Seq<C, Fn> seq(C& c, Fn fn = {}) {
 /// right size (one element per task, machine, ...), guarded elsewhere.
 template <class C, class Fn>
 struct Fixed {
+  static_assert(detail::kIterationOrdered<C>,
+                "a hash container iterates in hash order; code it with "
+                "ckpt::sorted");
   C& c;
   Fn fn;
   void save(Writer& w) const {

@@ -17,8 +17,8 @@
 // zeros, so every pivot, value and dual is bit-identical to the dense
 // computation (DESIGN.md §8).
 //
-// Pricing is devex (reference weights, partial pricing over column buckets)
-// by default; SolverOptions::pricing selects classic Dantzig.
+// Pricing is devex (reference weights, partial pricing over column
+// buckets).
 //
 // Warm starts: a `start` basis is refactorized, dual feasibility is
 // restored with bound flips on boxed columns, the remaining primal
@@ -610,7 +610,6 @@ SolveStatus Engine::run_primal(const std::vector<double>& cost) {
   std::size_t stall = 0;
   std::size_t since_refactor = 0;
   double last_obj = kInfD;
-  const bool devex = opt_.pricing == PricingRule::Devex;
   devex_.assign(n, 1.0);
   bucket_cursor_ = 0;
   // A bound flip changes neither the basis nor Binv, so y_ stays c_B Binv
@@ -645,7 +644,7 @@ SolveStatus Engine::run_primal(const std::vector<double>& cost) {
         if (d > kTolerance) dir = -1;
       }
       if (dir == 0) return;
-      const double score = devex ? (d * d) / devex_[j] : std::fabs(d);
+      const double score = (d * d) / devex_[j];
       if (score > best_score) {
         best_score = score;
         enter = j;
@@ -722,7 +721,7 @@ SolveStatus Engine::run_primal(const std::vector<double>& cost) {
       value_[enter] = rest_value(enter, status_[enter]);
       y_current = true;
     } else {
-      if (devex && !bland) update_devex(enter, leave_row);
+      if (!bland) update_devex(enter, leave_row);
       // Pivot: update values, basis, inverse.
       for (std::size_t i = 0; i < m_; ++i)
         value_[basis_[i]] -= sigma * w_[i] * t_max;

@@ -81,23 +81,17 @@ struct LpSolution {
   [[nodiscard]] bool optimal() const { return status == SolveStatus::Optimal; }
 };
 
-/// Pricing rule for the revised simplex.
-enum class PricingRule {
-  Devex,    ///< devex reference weights + partial pricing (default)
-  Dantzig,  ///< most-negative reduced cost, full pricing
-};
-
 class SolverFaultInjector;  // lp/solver_faults.hpp
 
 /// Feasibility and reduced-cost tolerance of the solver, and the relative
 /// tolerance of its certificate.
 inline constexpr double kTolerance = 1e-7;
 
-/// Budget and pricing options of a solve.
+/// Options of a solve: its pivot budget, the degradation ladder's
+/// re-sanitized retry and the chaos hook.
 struct SolverOptions {
   std::size_t max_iterations = 0;   ///< 0 = automatic (see
                                     ///< automatic_iteration_budget)
-  PricingRule pricing = PricingRule::Devex;
   /// Re-derive the engine's computational objective/RHS arrays from the
   /// (finiteness-guarded) LpModel right before pivoting, healing NaN/Inf
   /// and |c| >= 1e50 entries that crept in after ingest. This is the

@@ -267,25 +267,6 @@ TEST(LpPivotPins, WarmChainsUnderSolverFaultStorm) {
   EXPECT_EQ(chain, (ChainPin{100, 659, 27, 43, 0xfca4a1930531dc9bULL}));
 }
 
-// Pricing-rule cross-check: devex (default) and Dantzig must agree on the
-// optimum; devex is a pricing heuristic, not a different algorithm.
-TEST(WarmStart, DevexAndDantzigAgree) {
-  Rng rng(7411);
-  SolverOptions dantzig_opts;
-  dantzig_opts.pricing = PricingRule::Dantzig;
-  for (int trial = 0; trial < 20; ++trial) {
-    const LpModel m =
-        random_feasible_model(rng, 4 + rng.index(8), 3 + rng.index(6));
-    const LpSolution a = solve(m);
-    const LpSolution b = solve(m, dantzig_opts);
-    ASSERT_TRUE(a.optimal()) << "trial " << trial;
-    ASSERT_TRUE(b.optimal()) << "trial " << trial;
-    EXPECT_NEAR(a.objective, b.objective,
-                1e-6 * (1.0 + std::fabs(a.objective)))
-        << "trial " << trial;
-  }
-}
-
 }  // namespace
 }  // namespace lips::lp
 

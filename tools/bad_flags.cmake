@@ -42,6 +42,9 @@ expect_rejected(2 --patience abc)
 expect_rejected(2 sweep --threads x)
 expect_rejected(2 sweep --seeds 1.5)
 expect_rejected(64 replay --connect /nonexistent.sock --seed 7x)
+# There is no serve mode (lipsd is the daemon): the name is an unknown
+# argument like any other.
+expect_rejected(2 serve --stdio)
 
 if(NOT failures STREQUAL "")
   message(FATAL_ERROR "lipsctl mishandled bad flag values:${failures}")

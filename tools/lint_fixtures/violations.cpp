@@ -49,10 +49,6 @@ inline std::size_t bad_iteration() {
   return sum;
 }
 
-// --- float-type ------------------------------------------------------------
-inline float narrow(float x) { return x; }  // lint-expect(float-type) lint-expect(float-type)
-// The word float inside this comment or a "float string" must not fire.
-
 // --- nondet-time -----------------------------------------------------------
 inline long bad_clock() {
   return std::time(nullptr) +        // lint-expect(nondet-time)

@@ -1,25 +1,27 @@
-// lips-lint — multi-pass source-tree checker for the invariants the test
-// suite cannot see at runtime:
+// lips-lint — source-tree checker for the invariants that neither the
+// compiler nor the unit types can see:
 //
 //   * cost correctness — every dollar-bearing quantity must travel through
 //     the dimensional types in common/units.hpp, never as a raw double;
 //   * determinism — no unseeded randomness, no iteration order leaking from
 //     unordered containers into schedules or bills, no wall-clock reads;
-//   * concurrency safety — ahead of the simulation farm, shared mutable
-//     state must be impossible to introduce silently: no raw std::mutex
-//     (the annotated lips::Mutex participates in clang -Wthread-safety),
-//     no mutable statics, no un-annotated escape of per-thread Rng streams,
-//     no unguarded members in mutex-holding classes.
+//   * concurrency safety — shared mutable state must be impossible to
+//     introduce silently: no raw std::mutex (the annotated lips::Mutex
+//     participates in clang -Wthread-safety), no mutable statics, no
+//     un-annotated escape of per-thread Rng streams, no unguarded members in
+//     mutex-holding classes, no farm type without a declared thread role.
 //
-// Engine: each file runs through four passes that build on each other —
+// Two guarantees are compile errors instead (DESIGN.md §7): implicit
+// float/double mixing fails under the root CMakeLists.txt's -Werror flags, and
+// ckpt::seq / ckpt::fixed refuse hash containers, whose iteration order
+// would leak into snapshot bytes (ckpt::sorted codes them in key order).
 //
-//   1. lexical    read the file; strip comments and string/char literals to
-//                 spaces (newlines kept) so later passes only see code;
-//   2. structural brace-matched scan recording every class/struct extent
-//                 (name, head, body range, top-level member statements);
-//   3. symbols    collect per-file declaration state: unordered-container
-//                 names, LpSolution names, per-class mutex/Rng members;
-//   4. rules      evaluate every rule against the parsed state.
+// Engine: each file is read once and stripped of comments and string/char
+// literals (newlines kept), so rules only ever see code; class/struct
+// extents are then brace-matched and split into top-level member
+// statements. Six rules are one banned pattern each, rows of one table
+// (banned_patterns); the other six read the parsed classes or the file's
+// declarations.
 //
 // Rules (suppress a single line with `// lips-lint: allow(<rule>)`):
 //
@@ -27,100 +29,78 @@
 //                        declaration outside common/units.hpp
 //   raw-rng              rand()/srand()/std::random_device outside
 //                        common/rng.hpp (use lips::Rng)
-//   unordered-iteration  range-for or .begin() over a std::unordered_map/
-//                        unordered_set declared in the same file
-//   float-type           `float` anywhere (the cost model is double-only;
-//                        mixing widths changes rounding)
 //   nondet-time          system_clock / steady_clock / high_resolution_clock
 //                        / gettimeofday / time(nullptr) / clock() outside
 //                        bench/ (benchmarks measure wall time by design)
-//   raw-stdout-in-lib    printf/std::cout inside src/ library code — library
-//                        layers report through return values, exceptions, or
-//                        the obs exporters (which take a caller-supplied
-//                        ostream); only the obs exporters and the tools/
-//                        binaries own process stdout
+//   raw-stdout-in-lib    printf/std::cout in src/ library code outside the
+//                        obs exporters — libraries return data or write to a
+//                        caller's ostream; only tools/ binaries own stdout
+//   raw-mutex            std::mutex / std::lock_guard / friends in src/
+//                        outside common/thread_annotations.hpp — a raw mutex
+//                        is invisible to -Wthread-safety
+//   blocking-call-in-handler
+//                        (src/svc/session*, src/svc/service* only) sleeps,
+//                        synchronous fstream/fopen, fd reads and socket
+//                        waits in the command-handler layer, which runs on
+//                        each session's single worker thread — a blocked
+//                        handler stalls the whole tenant
+//   unordered-iteration  range-for or .begin() over a std::unordered_map/
+//                        unordered_set declared in the same file
 //   unchecked-solve-status
-//                        an LpSolution's .values/.objective consumed while
-//                        the file never inspects that solution's .status or
+//                        an LpSolution's .values/.objective read in a file
+//                        that never reads that solution's .status or
 //                        .optimal() — IterationLimit/Infeasible solutions
 //                        carry empty or stale vectors, so acting on them
 //                        silently schedules garbage
-//   unordered-serialize  any std::unordered_* container inside src/ckpt/ —
-//                        snapshot byte streams must be byte-stable
-//                        (ckpt/codec.hpp), and hash-order anywhere in the
-//                        serialization layer is a latent nondeterminism bug
-//                        even before someone iterates it; use std::map/
-//                        std::set (layers above may keep unordered state but
-//                        must serialize a sorted copy)
 //   shared-mutable-static
-//                        non-const static data at namespace or function
-//                        scope in src/ — a mutable static is shared by every
-//                        farm worker by definition; make it const, per-
-//                        instance state, or `static thread_local` (exempt).
-//                        Heuristic: a static whose declarator reaches `(`
-//                        before any `=`/`;` is treated as a function
+//                        non-const static data at namespace, class or
+//                        function scope in src/ — a mutable static is shared
+//                        by every farm worker by definition; make it const,
+//                        per-instance state, or `static thread_local`
+//                        (exempt). Heuristic: a static whose declarator
+//                        reaches `(` before any `=` is treated as a function
 //                        declaration; spell static-object initializers with
 //                        `=` or `{}` so the linter can see them
-//   raw-mutex            std::mutex / std::lock_guard / friends outside
-//                        common/thread_annotations.hpp — lips::Mutex and
-//                        lips::MutexLock carry the clang thread-safety
-//                        capability annotations; a raw mutex is invisible
-//                        to -Wthread-safety
-//   rng-by-ref-escape    class member storing `Rng&`/`Rng*` without a
-//                        LIPS_PER_THREAD marker on the member or an
-//                        externally-synchronized marker on the class — a
-//                        stored stream reference is how one Rng silently
-//                        ends up drawn from two threads (or re-ordered),
-//                        breaking seed reproducibility
+//   rng-by-ref-escape    class member storing `Rng&`/`Rng*` with no thread
+//                        role declared on it or its class — how one Rng
+//                        ends up drawn from two threads
 //   unguarded-member-mutation
 //                        a class holding a by-value lips::Mutex member has a
 //                        mutable data member with no LIPS_GUARDED_BY(...)
 //                        annotation — the member is invisible to clang's
-//                        analysis, so a lock-free access would compile
-//                        silently. Atomics, const/static members, and
-//                        LIPS_PER_THREAD-marked members are exempt
+//                        analysis. Atomics, references, const/static members
+//                        and LIPS_PER_THREAD-marked members are exempt
 //   farm-shared-state    (src/farm/ only) the farm's serial-vs-threaded
 //                        bit-identity contract bans hidden shared or sticky
-//                        state: any non-const static — *including*
-//                        thread_local, which leaks state between runs when
-//                        pool threads are reused — and any mutable data
-//                        member of a class that does not declare its thread
-//                        role (a LIPS_EXTERNALLY_SYNCHRONIZED or
-//                        LIPS_PER_THREAD head marker, or a per-member
-//                        LIPS_GUARDED_BY/LIPS_PER_THREAD annotation)
-//   blocking-call-in-handler
-//                        (src/svc/session*, src/svc/service* only) a raw
-//                        blocking primitive — sleeps, synchronous fstream/
-//                        fopen, fd reads, socket waits (accept/recv/poll/
-//                        select/connect) — inside the service's command-
-//                        handler layer, which runs on each session's single
-//                        worker thread; a blocked handler stalls the whole
-//                        tenant behind the bounded queue
+//                        state: every static shared-mutable-static flags
+//                        *and* the thread_local ones (pool threads are
+//                        reused, so they leak state between runs), and every
+//                        member unguarded-member-mutation would flag, in any
+//                        class without a LIPS_EXTERNALLY_SYNCHRONIZED or
+//                        LIPS_PER_THREAD head marker
 //
-// The four concurrency rules apply under src/ (and to lint_fixtures/tsa_*
-// files, which opt in so the self-test can seed violations);
-// farm-shared-state applies under src/farm/ (and lint_fixtures/tsa_farm*);
-// blocking-call-in-handler applies to the svc handler layer (and
-// lint_fixtures/svc_handler*).
+// Fixture files opt into the scoped rules by name (tsa_*, tsa_farm*,
+// svc_handler*) so the self-test can seed violations; see Path gating.
 //
 // Usage:
-//   lips_lint [--format=json] <file>...   lint; exit 1 if any finding
-//   lips_lint --self-test <file>...       every finding must match a
-//                                         `// lint-expect(<rule>)` marker on
-//                                         its line, and every marker must
-//                                         fire
+//   lips_lint <file>...              one stderr line per finding,
+//                                    `file:line: [rule] message`; exit 1 if
+//                                    any
+//   lips_lint --self-test <file>...  every finding must match a
+//                                    `// lint-expect(<rule>)` marker on its
+//                                    line, and every marker must fire
 //
-// Tree scans skip any path with a directory component starting with "build"
-// (configured build trees: build/, build-asan/, ...) and anything under
-// bench/results/ (committed benchmark artifacts) so a stray generated or
-// vendored file can never produce phantom findings.
-#include <cstdio>
+// The caller chooses the files: the ctest glob in tools/CMakeLists.txt and
+// CI's `git ls-files` both leave out build trees and bench/results/.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <regex>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -132,7 +112,7 @@ struct Finding {
   std::string message;
 };
 
-// --- Pass 1: lexical --------------------------------------------------------
+// --- Lexical pass -----------------------------------------------------------
 
 /// Replace comments and string/char literals with spaces (newlines kept) so
 /// rule regexes only ever see code. The raw text is still consulted for
@@ -204,43 +184,39 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-// --- Path gating ------------------------------------------------------------
-
-bool in_bench(const std::string& path) {
-  return path.find("bench/") != std::string::npos;
+bool contains(const std::string& s, std::string_view part) {
+  return s.find(part) != std::string::npos;
 }
 
-/// Checkpoint serialization layer, subject to unordered-serialize. Only the
-/// ckpt fixture opts in (violations.cpp seeds unordered containers for the
-/// unordered-iteration rule and must not trip this one).
-bool in_ckpt_layer(const std::string& path) {
-  return path.find("src/ckpt/") != std::string::npos ||
-         path.find("lint_fixtures/ckpt") != std::string::npos;
+// --- Path gating ------------------------------------------------------------
+
+bool everywhere(const std::string& /*path*/) { return true; }
+
+bool outside_bench(const std::string& path) {
+  return !contains(path, "bench/");
 }
 
 /// Library source subject to raw-stdout-in-lib: everything under src/ except
 /// the obs exporters (whose whole job is formatting to a stream; they still
 /// take the ostream from the caller rather than grabbing stdout). The lint
-/// fixture opts in so the self-test can seed violations.
+/// fixtures opt in so the self-test can seed violations.
 bool stdout_banned(const std::string& path) {
-  if (path.find("lint_fixtures") != std::string::npos) return true;
-  return path.find("src/") != std::string::npos &&
-         path.find("src/obs/export") == std::string::npos;
+  if (contains(path, "lint_fixtures")) return true;
+  return contains(path, "src/") && !contains(path, "src/obs/export");
 }
 
 /// Concurrency rules: library code under src/, plus the tsa_* fixtures that
 /// seed violations for the self-test.
 bool in_concurrency_scope(const std::string& path) {
-  return path.find("src/") != std::string::npos ||
-         path.find("lint_fixtures/tsa_") != std::string::npos;
+  return contains(path, "src/") || contains(path, "lint_fixtures/tsa_");
 }
 
 /// The farm-shared-state rule: the worker-pool library itself, plus its
 /// seeded fixture (which also matches the tsa_ concurrency opt-in above, so
 /// fixture lines carry markers for every rule that fires on them).
 bool in_farm_scope(const std::string& path) {
-  return path.find("src/farm/") != std::string::npos ||
-         path.find("lint_fixtures/tsa_farm") != std::string::npos;
+  return contains(path, "src/farm/") ||
+         contains(path, "lint_fixtures/tsa_farm");
 }
 
 /// The blocking-call-in-handler rule: the svc command-handler layer only —
@@ -248,29 +224,72 @@ bool in_farm_scope(const std::string& path) {
 /// transport (server.cpp) and client legitimately block on fds, so they are
 /// deliberately out of scope; the svc_handler fixture seeds violations.
 bool in_svc_handler_scope(const std::string& path) {
-  return path.find("src/svc/session") != std::string::npos ||
-         path.find("src/svc/service") != std::string::npos ||
-         path.find("lint_fixtures/svc_handler") != std::string::npos;
+  return contains(path, "src/svc/session") ||
+         contains(path, "src/svc/service") ||
+         contains(path, "lint_fixtures/svc_handler");
 }
 
-/// Tree-scan exclusion: configured build trees (any directory component
-/// starting with "build": build/, build-asan/, build.rel/, ...) and the
-/// committed benchmark artifacts under bench/results/. Only directory
-/// components count — a *file* named build_info.cpp is still linted.
-bool excluded_from_scan(const std::string& path) {
-  std::vector<std::string> comps;
-  std::string comp;
-  std::stringstream ss(path);
-  while (std::getline(ss, comp, '/')) comps.push_back(comp);
-  if (!comps.empty()) comps.pop_back();  // drop the filename component
-  for (std::size_t i = 0; i < comps.size(); ++i) {
-    if (comps[i].rfind("build", 0) == 0) return true;
-    if (comps[i] == "results" && i > 0 && comps[i - 1] == "bench") return true;
-  }
-  return false;
+// --- Banned patterns --------------------------------------------------------
+
+/// A rule that is one pattern: every match in a file the rule applies to is
+/// a finding, except in the rule's one exempt file (a path suffix; empty for
+/// none).
+struct BannedPattern {
+  const char* rule;
+  std::regex pattern;
+  bool (*applies)(const std::string& path);
+  const char* exempt;
+  const char* message;
+};
+
+const std::vector<BannedPattern>& banned_patterns() {
+  static const std::vector<BannedPattern> table = {
+      {"raw-cost-double",
+       std::regex(R"(\bdouble\s+[A-Za-z_]\w*(?:_cost\w*|_mc|_bytes|_secs)\b)"),
+       everywhere, "common/units.hpp",
+       "cost/size/time quantity typed as raw double; use the types in "
+       "common/units.hpp"},
+      {"raw-rng", std::regex(R"(\b(?:srand|rand)\s*\(|\brandom_device\b)"),
+       everywhere, "common/rng.hpp",
+       "unseeded/global RNG; use lips::Rng (common/rng.hpp)"},
+      {"nondet-time",
+       std::regex(R"(\b(?:system_clock|steady_clock|high_resolution_clock)\b)"
+                  R"(|\bgettimeofday\b|\btime\s*\(\s*(?:NULL|nullptr|0)\s*\))"
+                  R"(|\bclock\s*\(\s*\))"),
+       outside_bench, "",
+       "wall-clock read in deterministic code; thread simulated time "
+       "through instead"},
+      {"raw-stdout-in-lib", std::regex(R"(\bstd\s*::\s*cout\b|\bprintf\s*\()"),
+       stdout_banned, "",
+       "printf/std::cout in src/ library code; return data or write through "
+       "an obs exporter's ostream instead"},
+      {"raw-mutex",
+       std::regex(R"(\bstd\s*::\s*(?:recursive_|timed_|recursive_timed_)"
+                  R"(|shared_|shared_timed_)?mutex\b)"
+                  R"(|\bstd\s*::\s*(?:lock_guard|unique_lock|scoped_lock)"
+                  R"(|shared_lock)\b)"),
+       in_concurrency_scope, "common/thread_annotations.hpp",
+       "raw std::mutex/lock is invisible to clang -Wthread-safety; use "
+       "lips::Mutex + lips::MutexLock (common/thread_annotations.hpp)"},
+      // One worker thread serves every queued command of a session; sleeps,
+      // synchronous file streams and fd/socket waits belong in the transport
+      // (server.cpp) or the ckpt/obs layers the handlers call through.
+      {"blocking-call-in-handler",
+       std::regex(R"((?:\bsleep_for\b|\bsleep_until\b|\busleep\s*\()"
+                  R"(|\bnanosleep\s*\(|\bsleep\s*\(|\b[io]?fstream\b(?!>))"
+                  R"(|\bfopen\s*\(|\bfreopen\s*\(|\bread\s*\(|\brecv\s*\()"
+                  R"(|\brecvfrom\s*\(|\baccept\s*\(|\bpoll\s*\(|\bselect\s*\()"
+                  R"(|\bconnect\s*\(|\bwaitpid\s*\(|\bgetchar\s*\()"
+                  R"(|\bscanf\s*\())"),
+       in_svc_handler_scope, "",
+       "blocking primitive in a svc command handler; handlers run on the "
+       "session's only worker thread — push waits into the transport or a "
+       "lower layer"},
+  };
+  return table;
 }
 
-// --- Pass 2: structural -----------------------------------------------------
+// --- Structural pass --------------------------------------------------------
 
 /// One top-level member statement inside a class body (text up to and
 /// including its terminating ';', nested braces collapsed).
@@ -357,16 +376,49 @@ std::vector<ClassInfo> parse_classes(const std::string& code) {
   return out;
 }
 
+/// A LIPS_EXTERNALLY_SYNCHRONIZED or LIPS_PER_THREAD head marker states the
+/// thread role of the whole class.
+bool declares_thread_role(const ClassInfo& ci) {
+  return contains(ci.head, "LIPS_EXTERNALLY_SYNCHRONIZED") ||
+         contains(ci.head, "LIPS_PER_THREAD");
+}
+
+/// The name of the mutable data member that member statement `t` declares
+/// without a thread annotation, or "" when it declares anything else: a
+/// function, a reference (not reseatable), a const/static/atomic member, a
+/// type or alias, a by-value Mutex, or a member already marked
+/// LIPS_GUARDED_BY / LIPS_PER_THREAD.
+std::string unannotated_data_member(const std::string& t) {
+  static const std::regex mutex_value(R"(\bMutex\s+[A-Za-z_])");
+  static const std::regex immutable(
+      R"(\b(?:static|const|constexpr|using|typedef)"
+      R"(|friend|atomic|enum|class|struct)\b)");
+  static const std::regex data_member(
+      R"(\b(?:[A-Za-z_][\w:<>,&*\s]*?)\s[&*]?([A-Za-z_]\w*)\s*(?:;|=|\{))");
+  if (contains(t, "LIPS_GUARDED_BY") || contains(t, "LIPS_PER_THREAD"))
+    return "";
+  if (std::regex_search(t, mutex_value) || std::regex_search(t, immutable))
+    return "";
+  const std::size_t paren = t.find('(');
+  const std::size_t init = std::min(t.find('='), t.find('{'));
+  if (paren != std::string::npos &&
+      (init == std::string::npos || paren < init))
+    return "";  // member function
+  if (contains(t, "&") && !contains(t, "&&") && paren == std::string::npos &&
+      init == std::string::npos)
+    return "";  // reference member
+  std::smatch sm;
+  if (!std::regex_search(t, sm, data_member)) return "";
+  return sm[1].str();
+}
+
 // --- The per-file engine ----------------------------------------------------
 
 struct FileLint {
   std::string path;
-  // Pass 1 state.
   std::vector<std::string> raw_lines;
   std::string code;  // comment/string-stripped, newline-preserving
-  // Pass 2 state.
   std::vector<ClassInfo> classes;
-  // Pass 3 state.
   std::set<std::string> unordered_names;
   std::set<std::string> lp_solution_names;
 
@@ -385,27 +437,27 @@ struct FileLint {
     return true;
   }
 
+  /// Every name the first capture group of `decl` declares in the file.
+  std::set<std::string> declared(const std::regex& decl) const {
+    std::set<std::string> names;
+    for (auto it = std::sregex_iterator(code.begin(), code.end(), decl);
+         it != std::sregex_iterator(); ++it)
+      names.insert((*it)[1].str());
+    return names;
+  }
+
   void parse() {
     classes = parse_classes(code);
-    {
-      static const std::regex decl(
-          R"(\bunordered_(?:map|set)\s*<[^;{]*?>\s+([A-Za-z_]\w*))");
-      for (auto it = std::sregex_iterator(code.begin(), code.end(), decl);
-           it != std::sregex_iterator(); ++it)
-        unordered_names.insert((*it)[1].str());
-    }
-    {
-      static const std::regex decl(R"(\bLpSolution\s+([A-Za-z_]\w*)\s*[=;])");
-      for (auto it = std::sregex_iterator(code.begin(), code.end(), decl);
-           it != std::sregex_iterator(); ++it)
-        lp_solution_names.insert((*it)[1].str());
-    }
+    static const std::regex unordered(
+        R"(\bunordered_(?:map|set)\s*<[^;{]*?>\s+([A-Za-z_]\w*))");
+    static const std::regex solution(R"(\bLpSolution\s+([A-Za-z_]\w*)\s*[=;])");
+    unordered_names = declared(unordered);
+    lp_solution_names = declared(solution);
   }
 
   bool suppressed(std::size_t line_no, const std::string& rule) const {
     if (line_no == 0 || line_no > raw_lines.size()) return false;
-    return raw_lines[line_no - 1].find("lips-lint: allow(" + rule + ")") !=
-           std::string::npos;
+    return contains(raw_lines[line_no - 1], "lips-lint: allow(" + rule + ")");
   }
 
   void add(std::size_t line_no, const std::string& rule,
@@ -423,22 +475,44 @@ struct FileLint {
     }
   }
 
-  // --- Pass 4: rules --------------------------------------------------------
-
-  void rule_raw_cost_double() {
-    if (ends_with(path, "common/units.hpp")) return;
-    static const std::regex re(
-        R"(\bdouble\s+[A-Za-z_]\w*(?:_cost\w*|_mc|_bytes|_secs)\b)");
-    scan_regex(re, "raw-cost-double",
-               "cost/size/time quantity typed as raw double; use the "
-               "types in common/units.hpp");
+  /// Offset of every non-const static data declaration, and whether it is
+  /// thread_local. A declarator that reaches `(` before any `=` is a
+  /// function, not data.
+  std::vector<std::pair<std::size_t, bool>> mutable_statics() const {
+    static const std::regex keyword(R"(\bstatic\b)");
+    static const std::regex constant(R"(\bconst(?:expr|init)?\b)");
+    std::vector<std::pair<std::size_t, bool>> out;
+    for (auto it = std::sregex_iterator(code.begin(), code.end(), keyword);
+         it != std::sregex_iterator(); ++it) {
+      const std::size_t at = static_cast<std::size_t>(it->position());
+      const std::size_t after = at + 6;
+      // Declaration text up to the terminator; bounded so a parse mishap
+      // cannot scan the whole file.
+      const std::size_t end = code.find_first_of(";{", after);
+      if (end == std::string::npos || end - after > 500) continue;
+      const std::string decl = code.substr(after, end - after);
+      if (std::regex_search(decl, constant)) continue;
+      const std::size_t paren = decl.find('(');
+      const std::size_t eq = decl.find('=');
+      if (paren != std::string::npos &&
+          (eq == std::string::npos || paren < eq))
+        continue;
+      // An empty declarator ("static;" after macro stripping) is noise.
+      if (decl.find_first_not_of(" \t\n\r\f\v") == std::string::npos)
+        continue;
+      out.emplace_back(at, contains(decl, "thread_local"));
+    }
+    return out;
   }
 
-  void rule_raw_rng() {
-    if (ends_with(path, "common/rng.hpp")) return;
-    static const std::regex re(R"(\b(?:srand|rand)\s*\(|\brandom_device\b)");
-    scan_regex(re, "raw-rng",
-               "unseeded/global RNG; use lips::Rng (common/rng.hpp)");
+  // --- Rules ----------------------------------------------------------------
+
+  void rule_banned_patterns() {
+    for (const BannedPattern& b : banned_patterns()) {
+      if (!b.applies(path) || (*b.exempt != '\0' && ends_with(path, b.exempt)))
+        continue;
+      scan_regex(b.pattern, b.rule, b.message);
+    }
   }
 
   void rule_unordered_iteration() {
@@ -450,45 +524,6 @@ struct FileLint {
                      "' has implementation-defined order; use std::map/"
                      "std::set or sort first");
     }
-  }
-
-  void rule_float_type() {
-    static const std::regex re(R"(\bfloat\b)");
-    scan_regex(re, "float-type",
-               "float narrows the cost model's precision; use double or a "
-               "units.hpp type");
-  }
-
-  void rule_nondet_time() {
-    if (in_bench(path)) return;
-    static const std::regex re(
-        R"(\b(?:system_clock|steady_clock|high_resolution_clock)\b)"
-        R"(|\bgettimeofday\b|\btime\s*\(\s*(?:NULL|nullptr|0)\s*\))"
-        R"(|\bclock\s*\(\s*\))");
-    scan_regex(re, "nondet-time",
-               "wall-clock read in deterministic code; thread simulated "
-               "time through instead");
-  }
-
-  void rule_raw_stdout_in_lib() {
-    if (!stdout_banned(path)) return;
-    static const std::regex re(R"(\bstd\s*::\s*cout\b|\bprintf\s*\()");
-    scan_regex(re, "raw-stdout-in-lib",
-               "printf/std::cout in src/ library code; return data or "
-               "write through an obs exporter's ostream instead");
-  }
-
-  void rule_unordered_serialize() {
-    // The checkpoint layer turns state into bytes, and hash iteration order
-    // would leak straight into CRC-guarded files; ban the containers
-    // outright there rather than auditing every loop.
-    if (!in_ckpt_layer(path)) return;
-    static const std::regex re(
-        R"(\bunordered_(?:map|set|multimap|multiset)\b)");
-    scan_regex(re, "unordered-serialize",
-               "unordered container in checkpoint serialization code; "
-               "snapshot bytes must be deterministic — use std::map/"
-               "std::set (or serialize a sorted copy upstream)");
   }
 
   void rule_unchecked_solve_status() {
@@ -511,52 +546,14 @@ struct FileLint {
 
   void rule_shared_mutable_static() {
     if (!in_concurrency_scope(path)) return;
-    static const std::regex re(R"(\bstatic\b)");
-    for (auto it = std::sregex_iterator(code.begin(), code.end(), re);
-         it != std::sregex_iterator(); ++it) {
-      const std::size_t at = static_cast<std::size_t>(it->position());
-      const std::size_t after = at + 6;
-      // static_cast / static_assert are keywords of their own.
-      if (code.compare(after, 1, "_") == 0) continue;
-      // Declaration text up to the terminator; bounded so a parse mishap
-      // cannot scan the whole file.
-      const std::size_t end = code.find_first_of(";{", after);
-      if (end == std::string::npos || end - after > 500) continue;
-      const std::string decl = code.substr(after, end - after);
-      // const/constexpr statics are immutable — shared reads are fine.
-      if (std::regex_search(decl, std::regex(R"(\bconst(?:expr|init)?\b)")))
-        continue;
-      // thread_local statics are per-thread by definition (the sanctioned
-      // escape hatch for genuinely-needed function-scope state).
-      if (decl.find("thread_local") != std::string::npos) continue;
-      // Function heuristic: a '(' before any '=' marks a declarator with a
-      // parameter list (static member/free function) — not shared data.
-      const std::size_t paren = decl.find('(');
-      const std::size_t eq = decl.find('=');
-      if (paren != std::string::npos &&
-          (eq == std::string::npos || paren < eq))
-        continue;
-      // An empty declarator ("static;" after macro stripping) is noise.
-      if (std::regex_search(
-              decl, std::regex(R"(^\s*$)")))
-        continue;
+    // thread_local statics are per-thread by definition (the sanctioned
+    // escape hatch for genuinely-needed function-scope state).
+    for (const auto& [at, thread_local_static] : mutable_statics()) {
+      if (thread_local_static) continue;
       add(line_of(code, at), "shared-mutable-static",
           "mutable static is shared state across every farm worker; make it "
           "const, per-instance, or static thread_local");
     }
-  }
-
-  void rule_raw_mutex() {
-    if (!in_concurrency_scope(path)) return;
-    if (ends_with(path, "common/thread_annotations.hpp")) return;
-    static const std::regex re(
-        R"(\bstd\s*::\s*(?:recursive_|timed_|recursive_timed_|shared_)"
-        R"(|shared_timed_)?mutex\b)"
-        R"(|\bstd\s*::\s*(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b)");
-    scan_regex(re, "raw-mutex",
-               "raw std::mutex/lock is invisible to clang -Wthread-safety; "
-               "use lips::Mutex + lips::MutexLock "
-               "(common/thread_annotations.hpp)");
   }
 
   void rule_rng_by_ref_escape() {
@@ -564,16 +561,11 @@ struct FileLint {
     static const std::regex member_re(
         R"(\bRng\s*[&*]\s*(?:const\s+)?([A-Za-z_]\w*)\s*(?:;|=|\{))");
     for (const ClassInfo& ci : classes) {
-      // A class annotated externally-synchronized / per-thread owns its
-      // synchronization story wholesale.
-      const bool class_marked =
-          ci.head.find("LIPS_EXTERNALLY_SYNCHRONIZED") != std::string::npos ||
-          ci.head.find("LIPS_PER_THREAD") != std::string::npos;
-      if (class_marked) continue;
+      if (declares_thread_role(ci)) continue;
       for (const MemberStmt& m : ci.members) {
         std::smatch sm;
         if (!std::regex_search(m.text, sm, member_re)) continue;
-        if (m.text.find("LIPS_PER_THREAD") != std::string::npos) continue;
+        if (contains(m.text, "LIPS_PER_THREAD")) continue;
         add(line_of(code, m.offset + static_cast<std::size_t>(sm.position())),
             "rng-by-ref-escape",
             "class '" + ci.name + "' stores an Rng reference ('" +
@@ -590,49 +582,19 @@ struct FileLint {
     // synchronized; every mutable member must then be visible to the
     // analysis. (Mutex& members — MutexLock-style RAII — do not count.)
     static const std::regex mutex_member(
-        R"(\b(?:lips\s*::\s*)?(?:mutable\s+)?Mutex\s+([A-Za-z_]\w*)\s*;)");
-    static const std::regex data_member(
-        R"(\b(?:[A-Za-z_][\w:<>,&*\s]*?)\s[&*]?([A-Za-z_]\w*)\s*(?:;|=|\{))");
+        R"(\b(?:lips\s*::\s*)?(?:mutable\s+)?Mutex\s+[A-Za-z_]\w*\s*;)");
     for (const ClassInfo& ci : classes) {
-      std::set<std::string> mutex_names;
+      const bool holds_mutex =
+          std::any_of(ci.members.begin(), ci.members.end(),
+                      [](const MemberStmt& m) {
+                        return std::regex_search(m.text, mutex_member);
+                      });
+      if (!holds_mutex) continue;
       for (const MemberStmt& m : ci.members) {
-        std::smatch sm;
-        std::string rest = m.text;
-        while (std::regex_search(rest, sm, mutex_member)) {
-          mutex_names.insert(sm[1].str());
-          rest = sm.suffix();
-        }
-      }
-      if (mutex_names.empty()) continue;
-      for (const MemberStmt& m : ci.members) {
-        const std::string& t = m.text;
-        // Skip: the mutexes themselves, functions (parameter list before
-        // any initializer), immutable/static/atomic members, references
-        // (non-reseatable), using/typedef/friend declarations, and members
-        // already annotated or explicitly marked per-thread.
-        if (t.find("LIPS_GUARDED_BY") != std::string::npos) continue;
-        if (t.find("LIPS_PER_THREAD") != std::string::npos) continue;
-        if (std::regex_search(t, std::regex(R"(\bMutex\s+[A-Za-z_])")))
-          continue;
-        if (std::regex_search(
-                t, std::regex(R"(\b(?:static|const|constexpr|using|typedef)"
-                              R"(|friend|atomic|enum|class|struct)\b)")))
-          continue;
-        const std::size_t paren = t.find('(');
-        const std::size_t eq = t.find('=');
-        const std::size_t brace = t.find('{');
-        const std::size_t init = std::min(eq, brace);
-        if (paren != std::string::npos &&
-            (init == std::string::npos || paren < init))
-          continue;
-        if (t.find('&') != std::string::npos &&
-            t.find("&&") == std::string::npos && paren == std::string::npos &&
-            init == std::string::npos)
-          continue;
-        std::smatch sm;
-        if (!std::regex_search(t, sm, data_member)) continue;
+        const std::string name = unannotated_data_member(m.text);
+        if (name.empty()) continue;
         add(line_of(code, m.offset), "unguarded-member-mutation",
-            "member '" + sm[1].str() + "' of mutex-holding class '" + ci.name +
+            "member '" + name + "' of mutex-holding class '" + ci.name +
                 "' lacks LIPS_GUARDED_BY(<mutex>); unguarded members are "
                 "invisible to -Wthread-safety");
       }
@@ -641,73 +603,29 @@ struct FileLint {
 
   void rule_farm_shared_state() {
     if (!in_farm_scope(path)) return;
-    // Part 1: statics. Stricter than shared-mutable-static — thread_local
-    // is NOT exempt here. Pool threads are reused across batches and cells,
-    // so thread_local state survives from one run into the next and makes a
-    // result depend on which worker executed it: exactly the failure the
-    // farm's bit-identity contract forbids.
-    {
-      static const std::regex re(R"(\bstatic\b)");
-      for (auto it = std::sregex_iterator(code.begin(), code.end(), re);
-           it != std::sregex_iterator(); ++it) {
-        const std::size_t at = static_cast<std::size_t>(it->position());
-        const std::size_t after = at + 6;
-        if (code.compare(after, 1, "_") == 0) continue;  // static_cast/assert
-        const std::size_t end = code.find_first_of(";{", after);
-        if (end == std::string::npos || end - after > 500) continue;
-        const std::string decl = code.substr(after, end - after);
-        if (std::regex_search(decl, std::regex(R"(\bconst(?:expr|init)?\b)")))
-          continue;
-        const std::size_t paren = decl.find('(');
-        const std::size_t eq = decl.find('=');
-        if (paren != std::string::npos &&
-            (eq == std::string::npos || paren < eq))
-          continue;  // function declarator, not data
-        if (std::regex_search(decl, std::regex(R"(^\s*$)"))) continue;
-        const bool tl = decl.find("thread_local") != std::string::npos;
-        add(line_of(code, at), "farm-shared-state",
-            tl ? "thread_local static in farm code outlives a run: pool "
-                 "threads are reused, so sticky per-thread state breaks "
-                 "serial-vs-threaded bit-identity; pass state through "
-                 "run-local objects instead"
-               : "mutable static in farm code is shared across workers; "
-                 "the farm's determinism contract requires all mutable "
-                 "state to be run-local");
-      }
+    // Statics, thread_local included: pool threads are reused across
+    // batches and cells, so thread_local state survives from one run into
+    // the next and makes a result depend on which worker executed it.
+    for (const auto& [at, thread_local_static] : mutable_statics()) {
+      add(line_of(code, at), "farm-shared-state",
+          thread_local_static
+              ? "thread_local static in farm code outlives a run: pool "
+                "threads are reused, so sticky per-thread state breaks "
+                "serial-vs-threaded bit-identity; pass state through "
+                "run-local objects instead"
+              : "mutable static in farm code is shared across workers; the "
+                "farm's determinism contract requires all mutable state to "
+                "be run-local");
     }
-    // Part 2: every farm class must declare its thread role. A head marker
-    // (LIPS_EXTERNALLY_SYNCHRONIZED / LIPS_PER_THREAD) covers the whole
-    // class; otherwise each mutable data member needs its own annotation.
+    // Every farm class must declare its thread role, at its head or on
+    // each mutable data member.
     for (const ClassInfo& ci : classes) {
-      const bool class_marked =
-          ci.head.find("LIPS_EXTERNALLY_SYNCHRONIZED") != std::string::npos ||
-          ci.head.find("LIPS_PER_THREAD") != std::string::npos;
-      if (class_marked) continue;
-      static const std::regex data_member(
-          R"(\b(?:[A-Za-z_][\w:<>,&*\s]*?)\s[&*]?([A-Za-z_]\w*)\s*(?:;|=|\{))");
+      if (declares_thread_role(ci)) continue;
       for (const MemberStmt& m : ci.members) {
-        const std::string& t = m.text;
-        if (t.find("LIPS_GUARDED_BY") != std::string::npos) continue;
-        if (t.find("LIPS_PER_THREAD") != std::string::npos) continue;
-        if (std::regex_search(
-                t, std::regex(R"(\b(?:static|const|constexpr|using|typedef)"
-                              R"(|friend|atomic|enum|class|struct|Mutex)\b)")))
-          continue;
-        const std::size_t paren = t.find('(');
-        const std::size_t eq = t.find('=');
-        const std::size_t brace = t.find('{');
-        const std::size_t init = std::min(eq, brace);
-        if (paren != std::string::npos &&
-            (init == std::string::npos || paren < init))
-          continue;  // member function
-        if (t.find('&') != std::string::npos &&
-            t.find("&&") == std::string::npos && paren == std::string::npos &&
-            init == std::string::npos)
-          continue;  // reference member (non-reseatable)
-        std::smatch sm;
-        if (!std::regex_search(t, sm, data_member)) continue;
+        const std::string name = unannotated_data_member(m.text);
+        if (name.empty()) continue;
         add(line_of(code, m.offset), "farm-shared-state",
-            "member '" + sm[1].str() + "' of farm class '" + ci.name +
+            "member '" + name + "' of farm class '" + ci.name +
                 "' has no declared thread role; mark the class "
                 "LIPS_EXTERNALLY_SYNCHRONIZED / LIPS_PER_THREAD or annotate "
                 "the member (DESIGN.md §13 determinism contract)");
@@ -715,95 +633,21 @@ struct FileLint {
     }
   }
 
-  void rule_blocking_call_in_handler() {
-    if (!in_svc_handler_scope(path)) return;
-    // One worker thread serves every queued command of a session; a raw
-    // blocking primitive in the handler layer stalls the whole tenant (and
-    // the BUSY backpressure behind it). Sleeps, synchronous file streams,
-    // and direct fd/socket waits all belong in the transport (server.cpp)
-    // or the ckpt/obs layers the handlers call through.
-    static const std::regex re(
-        R"((?:\bsleep_for\b|\bsleep_until\b|\busleep\s*\(|\bnanosleep\s*\()"
-        R"(|\bsleep\s*\(|\b[io]?fstream\b(?!>)|\bfopen\s*\(|\bfreopen\s*\()"
-        R"(|\bread\s*\(|\brecv\s*\(|\brecvfrom\s*\(|\baccept\s*\()"
-        R"(|\bpoll\s*\(|\bselect\s*\(|\bconnect\s*\(|\bwaitpid\s*\()"
-        R"(|\bgetchar\s*\(|\bscanf\s*\())");
-    scan_regex(re, "blocking-call-in-handler",
-               "blocking primitive in a svc command handler; handlers run "
-               "on the session's only worker thread — push waits into the "
-               "transport or a lower layer");
-  }
-
   void run() {
     parse();
-    rule_raw_cost_double();
-    rule_raw_rng();
+    rule_banned_patterns();
     rule_unordered_iteration();
-    rule_float_type();
-    rule_nondet_time();
-    rule_raw_stdout_in_lib();
-    rule_unordered_serialize();
     rule_unchecked_solve_status();
     rule_shared_mutable_static();
-    rule_raw_mutex();
     rule_rng_by_ref_escape();
     rule_unguarded_member_mutation();
     rule_farm_shared_state();
-    rule_blocking_call_in_handler();
   }
 };
 
-// --- Output -----------------------------------------------------------------
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Machine-readable findings: a JSON array of {file, line, rule, message},
-/// written to stdout (CI turns each element into a GitHub problem-matcher
-/// annotation). Empty array when clean; exit code still signals findings.
-void print_json(const std::vector<Finding>& findings) {
-  std::cout << "[";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    std::cout << (i == 0 ? "\n" : ",\n")
-              << "  {\"file\": \"" << json_escape(f.file)
-              << "\", \"line\": " << f.line << ", \"rule\": \""
-              << json_escape(f.rule) << "\", \"message\": \""
-              << json_escape(f.message) << "\"}";
-  }
-  std::cout << (findings.empty() ? "]\n" : "\n]\n");
-}
-
-/// Self-test: the fixture seeds one violation per rule, each tagged with
+/// Self-test: the fixtures seed violations, each tagged with
 /// `// lint-expect(<rule>)`. Pass iff findings and markers agree exactly.
-int self_test(FileLint& f) {
+int self_test(const FileLint& f) {
   std::set<std::pair<std::size_t, std::string>> expected;
   static const std::regex marker(R"(lint-expect\(([a-z-]+)\))");
   for (std::size_t i = 0; i < f.raw_lines.size(); ++i) {
@@ -835,24 +679,23 @@ int self_test(FileLint& f) {
   return failures == 0 ? 0 : 1;
 }
 
+constexpr const char* kUsage = "usage: lips_lint [--self-test] <file>...\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> files;
   bool self = false;
-  bool json = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--self-test") {
       self = true;
-    } else if (arg == "--format=json") {
-      json = true;
-    } else if (arg == "--format=text") {
-      json = false;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: lips_lint [--self-test] [--format=json|text] "
-                   "<file>...\n";
+      std::cout << kUsage;
       return 0;
+    } else if (arg.rfind("--", 0) == 0) {
+      std::cerr << "lips_lint: unknown option " << arg << "\n" << kUsage;
+      return 2;
     } else {
       files.push_back(arg);
     }
@@ -862,14 +705,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   int exit_code = 0;
-  std::size_t skipped = 0;
-  std::vector<Finding> all;
-  std::size_t linted = 0;
+  std::size_t findings = 0;
   for (const std::string& path : files) {
-    if (!self && excluded_from_scan(path)) {
-      ++skipped;
-      continue;
-    }
     FileLint f;
     f.path = path;
     if (!f.load()) {
@@ -877,34 +714,24 @@ int main(int argc, char** argv) {
       exit_code = 2;
       continue;
     }
-    ++linted;
     f.run();
     if (self) {
       if (self_test(f) != 0) exit_code = 1;
       continue;
     }
-    if (!f.findings.empty()) exit_code = 1;
-    if (json) {
-      all.insert(all.end(), f.findings.begin(), f.findings.end());
-    } else {
-      for (const Finding& fd : f.findings)
-        std::cerr << fd.file << ":" << fd.line << ": [" << fd.rule << "] "
-                  << fd.message << "\n";
-      all.insert(all.end(), f.findings.begin(), f.findings.end());
-    }
+    // The one output format; CI's "Lint annotations" step parses it, and
+    // the lint_text_format test holds the tool to that step's pattern.
+    for (const Finding& fd : f.findings)
+      std::cerr << fd.file << ":" << fd.line << ": [" << fd.rule << "] "
+                << fd.message << "\n";
+    findings += f.findings.size();
   }
-  if (!self) {
-    if (json) {
-      print_json(all);
-    } else if (all.empty()) {
-      std::cout << "lips-lint: " << linted << " files clean";
-      if (skipped > 0)
-        std::cout << " (" << skipped
-                  << " skipped under build*/ or bench/results/)";
-      std::cout << "\n";
-    } else {
-      std::cerr << "lips-lint: " << all.size() << " finding(s)\n";
-    }
+  if (self) return exit_code;
+  if (findings == 0) {
+    std::cout << "lips-lint: " << files.size() << " files clean\n";
+  } else {
+    std::cout << "lips-lint: " << findings << " finding(s)\n";
+    if (exit_code == 0) exit_code = 1;
   }
   return exit_code;
 }

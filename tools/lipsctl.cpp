@@ -15,11 +15,6 @@
 //                             early once the CI is tighter than
 //                             --target-halfwidth. --out writes the
 //                             canonical BENCH_sweep.json)
-//   lipsctl serve (--socket PATH | --stdio) [--snapshot-dir DIR]
-//                 [--queue-capacity N]
-//                            (run the lipsd co-scheduler service in-process;
-//                             same flags and semantics as the lipsd binary —
-//                             src/svc, DESIGN.md §14)
 //   lipsctl replay --connect SOCKET [--cell SPEC] [--seed S]
 //                  [--session NAME]
 //                            (drive the seeded scenario through a running
@@ -93,7 +88,6 @@
 #include <sstream>
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 
 #include "ckpt/store.hpp"
@@ -106,13 +100,11 @@
 #include "farm/recipe.hpp"
 #include "farm/sweep_json.hpp"
 #include "obs/export.hpp"
+#include "obs/trace.hpp"
 #include "core/lips_policy.hpp"
 #include "lp/solver_faults.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
-#include "svc/daemon.hpp"
-#include "svc/server.hpp"
-#include "svc/service.hpp"
 
 namespace {
 
@@ -327,7 +319,7 @@ int sweep_main(int argc, char** argv) {
   cfg.metrics = &metrics;
   // A sweep's *results* are deterministic; its wall clock is telemetry the
   // farm itself never reads (that is the callers' job, here and in bench/).
-  const auto t0 = std::chrono::steady_clock::now();  // lips-lint: allow(nondet-time)
+  const std::uint64_t t0_us = obs::monotonic_now_us();
   farm::SweepResult sweep;
   try {
     sweep = farm::run_sweep(cfg);
@@ -336,9 +328,7 @@ int sweep_main(int argc, char** argv) {
     return 1;
   }
   const double wall_s =
-      std::chrono::duration<double>(
-          std::chrono::steady_clock::now() - t0)  // lips-lint: allow(nondet-time)
-          .count();
+      static_cast<double>(obs::monotonic_now_us() - t0_us) / 1e6;
 
   Table t;
   t.set_header({"scenario", "stat", "seeds", "mean", "±95% CI", "p5", "p50",
@@ -373,52 +363,6 @@ int sweep_main(int argc, char** argv) {
     std::cout << "sweep artifact written to " << out_file << "\n";
   }
   return all_reconcile ? 0 : 1;
-}
-
-// `lipsctl serve` is the lipsd daemon hosted inside lipsctl — identical
-// strict flag contract (svc::parse_daemon_args), identical transports. It
-// exists so the one binary a user already has can both drive and host a
-// service, e.g. `lipsctl serve --stdio` under a supervisor.
-int serve_main(int argc, char** argv) {
-  const svc::DaemonArgs args =
-      svc::parse_daemon_args({argv + 1, argv + argc});
-  switch (args.mode) {
-    case svc::DaemonArgs::Mode::Version:
-      std::cout << version_line() << "\n";
-      return 0;
-    case svc::DaemonArgs::Mode::Help:
-      std::cout << svc::daemon_usage();
-      return 0;
-    case svc::DaemonArgs::Mode::Error:
-      std::cerr << "lipsctl serve: " << args.error << "\n"
-                << svc::daemon_usage();
-      return 64;  // EX_USAGE
-    case svc::DaemonArgs::Mode::Serve:
-      break;
-  }
-  obs::MetricRegistry metrics;
-  obs::Tracer tracer;
-  svc::ServiceOptions options;
-  options.queue_capacity = args.queue_capacity;
-  options.snapshot_root = args.snapshot_dir;
-  options.metrics = &metrics;
-  options.tracer = &tracer;
-  svc::Service service(options);
-  svc::Server server(service);
-  if (args.stdio) {
-    server.serve_fd(0, 1);
-    return 0;
-  }
-  try {
-    server.listen_unix(args.socket_path);
-  } catch (const std::exception& e) {
-    std::cerr << "lipsctl serve: " << user_message(e) << "\n";
-    return 1;
-  }
-  std::cerr << "lipsctl serve: listening on " << server.socket_path()
-            << "\n";
-  server.run();
-  return 0;
 }
 
 [[noreturn]] void replay_usage(const char* argv0) {
@@ -496,8 +440,6 @@ int replay_main(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "sweep") == 0)
     return sweep_main(argc - 1, argv + 1);
-  if (argc > 1 && std::strcmp(argv[1], "serve") == 0)
-    return serve_main(argc - 1, argv + 1);
   if (argc > 1 && std::strcmp(argv[1], "replay") == 0)
     return replay_main(argc - 1, argv + 1);
   const Args args = parse(argc, argv);
