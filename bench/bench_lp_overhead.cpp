@@ -147,11 +147,13 @@ std::vector<double> resolve_remaining(const Instance& inst,
   return remaining;
 }
 
+// Both re-solve benchmarks time and count epochs 1..N-1 only; epoch 0 is
+// cold on either side.
 void BM_EpochLpResolveCold(benchmark::State& state) {
   const Instance inst = make_instance(1608, 20, 20, 20);
   std::size_t pivots = 0, solves = 0;
   for (auto _ : state) {
-    for (std::size_t e = 0; e < kResolveEpochs; ++e) {
+    for (std::size_t e = 1; e < kResolveEpochs; ++e) {
       const core::LpSchedule s = core::solve_co_scheduling(
           inst.cluster, inst.workload, resolve_options(inst, e), {},
           resolve_remaining(inst, e));
@@ -167,20 +169,25 @@ BENCHMARK(BM_EpochLpResolveCold)->Unit(benchmark::kMillisecond);
 
 void BM_EpochLpResolveWarm(benchmark::State& state) {
   const Instance inst = make_instance(1608, 20, 20, 20);
-  std::size_t pivots = 0, resolves = 0, warm = 0, reused = 0, fallbacks = 0;
+  std::size_t pivots = 0, resolves = 0, warm = 0, reused = 0;
+  core::EpochLpContext ctx;
   for (auto _ : state) {
-    core::EpochLpContext ctx;  // epoch 0 is cold; 1..N-1 are re-solves
-    for (std::size_t e = 0; e < kResolveEpochs; ++e) {
+    state.PauseTiming();  // a fresh context and its cold epoch 0
+    ctx.invalidate();
+    benchmark::DoNotOptimize(ctx.solve(inst.cluster, inst.workload,
+                                       resolve_options(inst, 0), {},
+                                       resolve_remaining(inst, 0))
+                                 .objective_mc);
+    state.ResumeTiming();
+    for (std::size_t e = 1; e < kResolveEpochs; ++e) {
       const core::LpSchedule s =
           ctx.solve(inst.cluster, inst.workload, resolve_options(inst, e), {},
                     resolve_remaining(inst, e));
       benchmark::DoNotOptimize(s.objective_mc);
-      if (e == 0) continue;  // count re-solves only, like the cold baseline
       pivots += s.lp_iterations;
       resolves += 1;
       warm += s.warm_start_used ? 1 : 0;
       reused += s.model_reused ? 1 : 0;
-      fallbacks += s.cold_fallback ? 1 : 0;
     }
   }
   state.counters["pivots_per_resolve"] =
@@ -189,7 +196,6 @@ void BM_EpochLpResolveWarm(benchmark::State& state) {
       static_cast<double>(warm) / static_cast<double>(resolves);
   state.counters["model_reuse_frac"] =
       static_cast<double>(reused) / static_cast<double>(resolves);
-  state.counters["cold_fallbacks"] = static_cast<double>(fallbacks);
 }
 BENCHMARK(BM_EpochLpResolveWarm)->Unit(benchmark::kMillisecond);
 

@@ -1,24 +1,17 @@
 #include "core/epoch_lp_context.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <tuple>
 #include <utility>
 
-#include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace lips::core {
 
 namespace {
-
-/// Feasibility tolerance for accepting an incremental solution. Looser than
-/// the solver's pivot tolerance: max_violation re-evaluates rows in original
-/// (unscaled) units, where capacity rows carry MB/ECU-sized coefficients.
-constexpr double kFeasTol = 1e-5;
 
 std::vector<std::size_t> sorted_unique(const std::vector<std::size_t>& v) {
   std::vector<std::size_t> out = v;
@@ -143,8 +136,7 @@ void EpochLpContext::fields(Ar& ar, Self& self) {
        ckpt::seq(self.basis_.slacks, basis_status));
   }
   ar(self.stats_.solves, self.stats_.builds, self.stats_.model_reuses,
-     self.stats_.warm_solves, self.stats_.cold_fallbacks, self.stats_.pivots,
-     self.stats_.repair_pivots);
+     self.stats_.warm_solves, self.stats_.pivots, self.stats_.repair_pivots);
 }
 
 void EpochLpContext::save_state(ckpt::Writer& w) const { fields(w, *this); }
@@ -207,67 +199,25 @@ LpSchedule EpochLpContext::solve(
   key_ = std::move(key);
   have_model_ = true;
 
-  lp::LpSolution sol = lp::solve(model_, options.solver_options, &start);
-
-  // Guard rail: an incrementally-obtained optimum must satisfy the model it
-  // claims to solve. (The solver already falls back internally on repair
-  // failure; this catches anything that slips through, e.g. a numerically
-  // marginal basis.) On violation: rebuild cold and re-solve cold.
-  bool cold_fallback = false;
-  if (sol.optimal() && (delta || sol.warm_start_used) &&
-      model_.max_violation(sol.values) > kFeasTol)
-    cold_fallback = true;
-
-#ifndef NDEBUG
-  // Skipped under fault injection: the extra solve would consume the
-  // injector's deterministic RNG stream, and injected corruption makes the
-  // two objectives legitimately diverge (the validation gate and the
-  // degradation ladder own that case).
-  if (!cold_fallback && delta && sol.optimal() &&
-      options.solver_options.fault_injector == nullptr) {
-    // Debug cross-check: the in-place-updated model must be the model a
-    // cold build would produce — compare optimal objectives.
-    lp::LpModel check;
-    detail::ModelLayout check_layout;
-    builder.build(nullptr, check, check_layout);
-    const lp::LpSolution cold = lp::solve(check, options.solver_options);
-    LIPS_ASSERT(cold.status == sol.status,
-                "incremental and cold solve status diverged");
-    LIPS_ASSERT(std::fabs(cold.objective - sol.objective) <=
-                    1e-6 + 1e-5 * std::fabs(cold.objective),
-                "incremental and cold solve objective diverged");
-  }
-#endif
-
-  if (cold_fallback) {
-    ++stats_.cold_fallbacks;
-    stats_.pivots += sol.iterations;  // the wasted incremental attempt
-    lp::LpModel fresh;
-    detail::ModelLayout fresh_layout;
-    builder.build(nullptr, fresh, fresh_layout);
-    model_ = std::move(fresh);
-    layout_ = std::move(fresh_layout);
-    sol = lp::solve(model_, options.solver_options);
-  }
+  const lp::LpSolution sol =
+      lp::solve(model_, options.solver_options, &start);
 
   stats_.pivots += sol.iterations;
   stats_.repair_pivots += sol.repair_iterations;
   if (sol.warm_start_used) ++stats_.warm_solves;
 
   LpSchedule sched = builder.decode(sol, layout_);
-  sched.model_reused = delta && !cold_fallback;
+  sched.model_reused = delta;
   sched.warm_start_used = sol.warm_start_used;
-  sched.cold_fallback = cold_fallback;
   sched.lp_repair_iterations = sol.repair_iterations;
   sched.certified =
       detail::certify_solution(model_, sol, options.solver_options);
 
   if (obs_.metrics != nullptr) {
     obs::MetricRegistry& reg = *obs_.metrics;
-    const char* mode = cold_fallback          ? "cold_fallback"
-                       : sol.warm_start_used  ? "warm"
-                                              : "cold";
-    reg.counter("lips_lp_solves_total", {{"mode", mode}}).inc();
+    reg.counter("lips_lp_solves_total",
+                {{"mode", sol.warm_start_used ? "warm" : "cold"}})
+        .inc();
     reg.counter("lips_lp_pivots_total")
         .inc(static_cast<double>(sol.iterations));
     if (sol.repair_iterations > 0)
@@ -280,12 +230,10 @@ LpSchedule EpochLpContext::solve(
                  1000.0);
   }
   if (obs_.tracer != nullptr && obs_.tracer->enabled())
-    obs_.tracer->instant(cold_fallback         ? "lp-cold-fallback"
-                         : sol.warm_start_used ? "lp-warm-solve"
-                                               : "lp-cold-solve",
-                         "lp", "pivots", static_cast<double>(sol.iterations),
-                         "repair_pivots",
-                         static_cast<double>(sol.repair_iterations));
+    obs_.tracer->instant(
+        sol.warm_start_used ? "lp-warm-solve" : "lp-cold-solve", "lp",
+        "pivots", static_cast<double>(sol.iterations), "repair_pivots",
+        static_cast<double>(sol.repair_iterations));
 
   // Keep the final basis for the next epoch; a failed solve exports none.
   basis_ = sol.optimal() ? sol.basis : lp::Basis{};

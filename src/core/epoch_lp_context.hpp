@@ -13,13 +13,11 @@
 //    onto the new model by column/row *identity* ((job, machine, store) for
 //    task variables, (data, store) for placement variables, RowKey for
 //    slacks) so the solve still warm-starts;
-//  * any incremental solution that fails the model's own feasibility check
-//    triggers an automatic cold rebuild + cold solve (`cold_fallback` in the
-//    returned LpSchedule), so results are always as trustworthy as the
-//    one-shot `solve_co_scheduling`. Every optimal answer is then proved
-//    against the model it solved (lp::certify, LpSchedule::certified).
-//    Debug builds additionally cross-check the in-place-updated model
-//    against a cold build.
+//  * every optimal answer, incremental or not, is proved against the model
+//    it solved (lp::certify, LpSchedule::certified). The context reports
+//    the verdict and retries nothing itself: LipsPolicy takes its ladder's
+//    next rung (a cold rebuild) on an uncertified answer, as it does on a
+//    failed solve or a rejected schedule (DESIGN.md §10).
 //
 // A context is bound to one (cluster, workload) pair for its useful life;
 // pointing it at different objects is safe (the structure key mismatches and
@@ -49,7 +47,6 @@ class EpochLpContext {
     std::size_t builds = 0;         ///< full model (re)builds
     std::size_t model_reuses = 0;   ///< in-place numeric updates (no rebuild)
     std::size_t warm_solves = 0;    ///< solves finished from a prior basis
-    std::size_t cold_fallbacks = 0; ///< incremental results rejected + re-solved
     std::size_t pivots = 0;         ///< Σ simplex iterations (all solves)
     std::size_t repair_pivots = 0;  ///< Σ dual-simplex repair iterations
   };

@@ -80,16 +80,15 @@ void LipsPolicy::fields(Ar& ar, Self& self) {
                }),
      ckpt::sorted(self.doomed_), ckpt::sorted(self.quarantined_),
      ckpt::sorted(self.quarantine_age_), ckpt::state(self.lp_context_),
-     self.lp_solves_, self.lp_failures_, self.lp_fallbacks_,
-     self.off_cycle_resolves_, self.lp_iterations_, self.lp_warm_solves_,
-     self.lp_model_reuses_, self.lp_cold_fallbacks_,
-     self.lp_repair_iterations_, self.quarantine_exclusions_,
-     self.quarantine_probes_, self.planned_cost_mc_, self.fake_node_carry_mc_,
-     self.rung_counts_,
+     self.lp_solves_, self.off_cycle_resolves_, self.lp_iterations_,
+     self.lp_warm_solves_, self.lp_model_reuses_, self.lp_repair_iterations_,
+     self.quarantine_exclusions_, self.quarantine_probes_,
+     self.planned_cost_mc_, self.fake_node_carry_mc_, self.rung_counts_,
      ckpt::seq(self.last_ladder_, ckpt::enums(DegradationRung::ReuseLastPlan,
                                               "degradation rung")),
-     self.schedules_validated_, self.validation_failures_, self.plan_reuses_,
-     self.solver_exceptions_, self.resilience_metrics_registered_,
+     self.schedules_validated_, self.validation_failures_,
+     self.certificate_failures_, self.plan_reuses_, self.solver_exceptions_,
+     self.resilience_metrics_registered_,
      ckpt::seq(self.last_good_plan_, plan),
      ckpt::seq(self.last_good_gates_, gate),
      ckpt::section(self.options_.model.solver_options.fault_injector,
@@ -193,9 +192,10 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
   for (std::size_t s = 0; s < c.store_count(); ++s)
     if (!state.store_up(StoreId{s})) model.excluded_stores.push_back(s);
   // Graceful-degradation ladder (DESIGN.md §10): walk the LP rungs in order
-  // until one produces a schedule that both solves and passes the
-  // independent validation gate. On a healthy pipeline rung 0 is the only
-  // rung ever entered and this block is exactly the old single solve.
+  // until one produces a schedule that solves, carries its KKT certificate
+  // and passes the independent validation gate. On a healthy pipeline rung
+  // 0 is the only rung ever entered and this block is exactly the old
+  // single solve.
   register_resilience_metrics();
   last_ladder_.clear();
   LpSchedule lp;
@@ -233,10 +233,15 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
     lp_repair_iterations_ += attempt.lp_repair_iterations;
     if (attempt.warm_start_used) lp_warm_solves_ += 1;
     if (attempt.model_reused) lp_model_reuses_ += 1;
-    if (attempt.cold_fallback) lp_cold_fallbacks_ += 1;
     if (!attempt.optimal()) continue;
-    if (!attempt.certified && obs_.metrics != nullptr)
-      obs_.metrics->counter("lips_lp_certificate_failures_total").inc();
+    if (!attempt.certified) {
+      // Optimal for some model, but not provably for this one (injected
+      // corruption made the engine solve another): never act on it.
+      certificate_failures_ += 1;
+      if (obs_.metrics != nullptr)
+        obs_.metrics->counter("lips_lp_certificate_failures_total").inc();
+      continue;
+    }
     const ValidationReport verdict =
         validate_schedule(c, w, model, attempt, subset, remaining, origins);
     schedules_validated_ += 1;
@@ -258,7 +263,6 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
     // node keeps the machine side feasible, but the surviving stores may
     // not hold the queue's data). Fall back to a greedy plan so work keeps
     // draining.
-    lp_failures_ += 1;
     enter_rung(DegradationRung::GreedyFallback);
     fallback_plan(state);
     bool any_pin = false;
@@ -376,16 +380,13 @@ void LipsPolicy::register_resilience_metrics() {
   // Counters are registered (at zero) before any escalation can happen, so
   // a fault-free run still exports every lips_degradation_total series and
   // dashboards/CI can assert they are all zero rather than absent.
-  if (obs_.metrics == nullptr) return;
-  // Snapshot payloads leave this series out (obs::deterministic_samples),
-  // so a restored run registers it here again.
-  obs_.metrics->counter("lips_lp_certificate_failures_total");
-  if (resilience_metrics_registered_) return;
+  if (obs_.metrics == nullptr || resilience_metrics_registered_) return;
   for (std::size_t r = 1; r < kNumDegradationRungs; ++r)
     obs_.metrics->counter(
         "lips_degradation_total",
         {{"rung", rung_label(static_cast<DegradationRung>(r))}});
   obs_.metrics->counter("lips_schedule_validation_failures_total");
+  obs_.metrics->counter("lips_lp_certificate_failures_total");
   resilience_metrics_registered_ = true;
 }
 
@@ -441,11 +442,6 @@ void LipsPolicy::apply_throughput_feedback(const sched::ClusterState& state,
 }
 
 void LipsPolicy::fallback_plan(const sched::ClusterState& state) {
-  lp_fallbacks_ += 1;
-  if (obs_.metrics != nullptr)
-    obs_.metrics->counter("lips_policy_fallback_plans_total").inc();
-  if (obs_.tracer != nullptr && obs_.tracer->enabled())
-    obs_.tracer->instant("lips-fallback-plan", "sched");
   const cluster::Cluster& c = state.cluster();
   // No data moves, no gates: each pending task reads from the live store
   // holding the most of its input and runs on the machine minimizing

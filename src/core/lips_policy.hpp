@@ -61,9 +61,9 @@ struct LipsPolicyOptions {
 class LipsPolicy : public sched::Scheduler {
  public:
   /// Rungs of the graceful-degradation ladder (DESIGN.md §10). Each replan
-  /// walks the rungs in order until one produces a schedule that solves AND
-  /// passes validation; every rung entered is recorded, and escalations
-  /// (rungs > Primary) are counted in the MetricRegistry as
+  /// walks the rungs in order until one produces a schedule that solves,
+  /// is certified AND passes validation; every rung entered is recorded,
+  /// and escalations (rungs > Primary) are counted in the MetricRegistry as
   /// `lips_degradation_total{rung=...}`.
   enum class DegradationRung : unsigned char {
     Primary = 0,         ///< incremental warm epoch solve (healthy path)
@@ -113,10 +113,11 @@ class LipsPolicy : public sched::Scheduler {
   // --- introspection (for tests and reports) ------------------------------
   [[nodiscard]] std::size_t lp_solves() const { return lp_solves_; }
   /// Replans where *every* LP rung of the ladder failed and the greedy
-  /// fallback was taken (always equal to lp_fallbacks()). Per-attempt
-  /// failures are visible through degradations() instead.
-  [[nodiscard]] std::size_t lp_failures() const { return lp_failures_; }
-  [[nodiscard]] std::size_t lp_fallbacks() const { return lp_fallbacks_; }
+  /// fallback was taken. Per-attempt failures are visible through
+  /// degradations() instead.
+  [[nodiscard]] std::size_t lp_failures() const {
+    return degradations(DegradationRung::GreedyFallback);
+  }
   /// Times the given ladder rung was entered. Primary counts replans that
   /// reached the solve stage; every other rung counts escalations (all zero
   /// on a healthy run).
@@ -140,6 +141,11 @@ class LipsPolicy : public sched::Scheduler {
   }
   [[nodiscard]] std::size_t validation_failures() const {
     return validation_failures_;
+  }
+  /// Optimal LP answers that failed their KKT certificate (lp::certify).
+  /// Each one sent the replan to the next rung, like a validation failure.
+  [[nodiscard]] std::size_t certificate_failures() const {
+    return certificate_failures_;
   }
   /// Replans that restored the last validated plan (rung 4 taken).
   [[nodiscard]] std::size_t plan_reuses() const { return plan_reuses_; }
@@ -167,10 +173,6 @@ class LipsPolicy : public sched::Scheduler {
   /// Replans that updated the cached LP model in place (no rebuild).
   [[nodiscard]] std::size_t lp_model_reuses() const {
     return lp_model_reuses_;
-  }
-  /// Incremental solves rejected by the feasibility guard and re-solved cold.
-  [[nodiscard]] std::size_t lp_cold_fallbacks() const {
-    return lp_cold_fallbacks_;
   }
   /// Σ dual-simplex repair pivots across warm-started replans.
   [[nodiscard]] std::size_t lp_repair_iterations() const {
@@ -240,13 +242,10 @@ class LipsPolicy : public sched::Scheduler {
   EpochLpContext lp_context_;
 
   std::size_t lp_solves_ = 0;
-  std::size_t lp_failures_ = 0;
-  std::size_t lp_fallbacks_ = 0;
   std::size_t off_cycle_resolves_ = 0;
   std::size_t lp_iterations_ = 0;
   std::size_t lp_warm_solves_ = 0;
   std::size_t lp_model_reuses_ = 0;
-  std::size_t lp_cold_fallbacks_ = 0;
   std::size_t lp_repair_iterations_ = 0;
   std::size_t quarantine_exclusions_ = 0;
   std::size_t quarantine_probes_ = 0;
@@ -259,6 +258,7 @@ class LipsPolicy : public sched::Scheduler {
   std::vector<DegradationRung> last_ladder_;
   std::size_t schedules_validated_ = 0;
   std::size_t validation_failures_ = 0;
+  std::size_t certificate_failures_ = 0;
   std::size_t plan_reuses_ = 0;
   std::size_t solver_exceptions_ = 0;
   bool resilience_metrics_registered_ = false;

@@ -76,20 +76,18 @@ struct LpSchedule {
   /// one-shot solve_* entry points). `model_reused` — the cached model was
   /// updated in place instead of rebuilt; `warm_start_used` — the solver
   /// reached this solution from the previous epoch's basis;
-  /// `cold_fallback` — the incremental path produced a solution that failed
-  /// the feasibility check and a cold rebuild+solve supplied this result;
   /// `lp_repair_iterations` — dual-simplex pivots spent restoring primal
   /// feasibility after the basis import (a subset of lp_iterations).
   bool model_reused = false;
   bool warm_start_used = false;
-  bool cold_fallback = false;
   std::size_t lp_repair_iterations = 0;
 
   /// The solution passed lp::certify against the model it was solved from
   /// (set by every solve path; false unless Optimal). Under solver-fault
   /// injection the engine may solve a corrupted copy of that model, so an
-  /// optimal but uncertified plan is possible there; LipsPolicy counts it
-  /// in `lips_lp_certificate_failures_total`.
+  /// optimal but uncertified plan is possible there. LipsPolicy never acts
+  /// on one: it counts it (`certificate_failures()`,
+  /// `lips_lp_certificate_failures_total`) and takes the next ladder rung.
   bool certified = false;
 
   [[nodiscard]] bool optimal() const {

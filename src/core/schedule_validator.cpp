@@ -9,10 +9,10 @@ namespace lips::core {
 
 namespace {
 
-// Fraction-domain slack: EpochLpContext accepts warm solutions up to
-// kFeasTol = 1e-5 of constraint violation, and decode drops portions below
-// 1e-9 each; 1e-4 sits safely above both while staying orders of magnitude
-// below anything corruption produces.
+// Fraction-domain slack: a plan reaches this gate only with its KKT
+// certificate, whose rows hold to lp::certify's 1e-7 relative residual,
+// and decode drops portions below 1e-9 each; 1e-4 sits safely above both
+// while staying orders of magnitude below anything corruption produces.
 constexpr double kFracTol = 1e-4;
 
 struct Checker {

@@ -952,6 +952,12 @@ SolveStatus Engine::cold_solve() {
   {
     const SolveStatus s = run_primal(cost1);
     if (s == SolveStatus::IterationLimit) return s;
+    // A non-finite right-hand side leaves a non-finite artificial, which
+    // phase 1 cannot drive to zero; it can end Unbounded then.
+    if (s == SolveStatus::Unbounded &&
+        !std::all_of(b_.begin(), b_.end(),
+                     [](double v) { return std::isfinite(v); }))
+      return SolveStatus::Infeasible;
     LIPS_ASSERT(s != SolveStatus::Unbounded, "phase-1 bounded below by 0");
     double art_sum = 0.0;
     for (std::size_t j = art_begin_; j < num_cols(); ++j) art_sum += value_[j];

@@ -13,8 +13,8 @@
 //     a stale price feed or an uninitialized read;
 //   * RHS corruption        — a NaN/Inf entry lands in a constraint
 //     right-hand side, which can drive phase 1 to a bogus "Optimal" whose
-//     decoded schedule is garbage (exactly what the schedule validation
-//     gate exists to catch);
+//     decoded schedule is garbage, or leave it unbounded (reported as
+//     Infeasible: the artificials cannot reach zero);
 //   * warm-basis corruption — imported bases get a few entries rewritten
 //     before import, the analogue of reusing a basis across an epoch whose
 //     structure silently changed;
@@ -33,6 +33,8 @@
 // An injected objective or RHS corruption makes the engine solve a model
 // other than the caller's, so its "optimal" answer can fail lp::certify;
 // that is the one case in which an uncertified answer is not a solver bug.
+// The certificate catches it before the schedule validation gate does, and
+// core::LipsPolicy takes its ladder's next rung instead of acting on it.
 #pragma once
 
 #include <cstddef>

@@ -212,8 +212,7 @@ std::size_t MetricRegistry::series_count() const {
 std::vector<MetricRegistry::Sample> deterministic_samples(
     std::vector<MetricRegistry::Sample> samples) {
   std::erase_if(samples, [](const MetricRegistry::Sample& s) {
-    return s.name == "lips_lp_solve_duration_ms" ||
-           s.name == "lips_lp_certificate_failures_total";
+    return s.name == "lips_lp_solve_duration_ms";
   });
   return samples;
 }

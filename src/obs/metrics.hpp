@@ -217,10 +217,7 @@ class MetricRegistry {
 /// simulation: wall-clock profiling such as `lips_lp_solve_duration_ms`.
 /// Those differ between two identical runs, so every copy of a registry a
 /// determinism contract covers leaves them out — farm run results
-/// (DESIGN.md §13) and simulator snapshot payloads (§11). The
-/// solver-health counter `lips_lp_certificate_failures_total` is left out
-/// too: it checks the plans rather than being part of them, and keeping it
-/// out keeps snapshot payloads byte-identical to runs that predate it.
+/// (DESIGN.md §13) and simulator snapshot payloads (§11).
 [[nodiscard]] std::vector<MetricRegistry::Sample> deterministic_samples(
     std::vector<MetricRegistry::Sample> samples);
 

@@ -10,12 +10,17 @@
 // reconciles bit-identically against the simulator's bill.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "ckpt/snapshot.hpp"
+#include "ckpt/store.hpp"
 #include "common/error.hpp"
 #include "core/epoch_lp_context.hpp"
 #include "core/lips_policy.hpp"
@@ -312,10 +317,14 @@ void expect_bitwise_reconciled(const ChaosRun& run) {
 
 /// Run one faulty+straggler LiPS simulation with the solver under fault
 /// injection. Returns through out-params so the storm sweep can aggregate.
+/// With `checkpoint_dir` the run snapshots every epoch; with `restore_from`
+/// it resumes from that snapshot.
 void chaos_run(std::uint64_t seed, const lp::SolverFaultConfig& fault_cfg,
                ChaosRun* run, LipsPolicy** policy_out,
                std::unique_ptr<LipsPolicy>* holder,
-               std::unique_ptr<lp::SolverFaultInjector>* injector_holder) {
+               std::unique_ptr<lp::SolverFaultInjector>* injector_holder,
+               const ckpt::CheckpointDir* checkpoint_dir = nullptr,
+               const ckpt::Snapshot* restore_from = nullptr) {
   const cluster::Cluster c = cluster::make_ec2_cluster(8, 0.5, 2);
   Rng rng(seed);
   workload::SwimParams sp;
@@ -335,6 +344,8 @@ void chaos_run(std::uint64_t seed, const lp::SolverFaultConfig& fault_cfg,
   cfg.task_timeout_s = 1200.0;
   cfg.faults = storm(c.machine_count(), c.store_count(), seed);
   cfg.obs = obs::Observer{&run->metrics, &run->tracer, &run->ledger};
+  cfg.checkpoint_dir = checkpoint_dir;
+  cfg.restore_from = restore_from;
   run->result = sim::simulate(c, sw.workload, **policy_out, cfg);
 }
 
@@ -385,7 +396,6 @@ TEST(SolverChaos, StormSweepCompletesValidatesAndReconciles) {
     expect_bitwise_reconciled(run);
     EXPECT_EQ(run.ledger.meter_total(obs::CostMeter::FakeNodeCarry),
               lips->fake_node_carry_mc());
-    EXPECT_EQ(lips->lp_failures(), lips->lp_fallbacks());
 
     total_injected += injector->stats().total_injected();
     total_degradations += lips->total_degradations();
@@ -412,7 +422,6 @@ TEST(SolverChaos, BudgetStarvationFallsBackToGreedyAndCompletes) {
 
   // Every LP rung starves, so every replan ends in the greedy fallback.
   EXPECT_GT(lips->degradations(Rung::GreedyFallback), 0u);
-  EXPECT_EQ(lips->lp_failures(), lips->lp_fallbacks());
   EXPECT_GT(injector->stats().budgets_starved, 0u);
   expect_ladder_ordered(*lips);
   expect_bitwise_reconciled(run);
@@ -519,9 +528,11 @@ TEST(LpCertificate, FaultFreeSwimRunCertifiesEveryPlan) {
 }
 
 // Injected objective corruption makes the engine solve another model than
-// the policy's: its optimal answers fail the certificate, which counts
-// them without stopping the run (and without the debug assert, which
-// stands down while an injector is installed).
+// the policy's: its optimal answers fail the certificate (without the debug
+// assert, which stands down while an injector is installed), and each
+// failure sends the replan one rung down the ladder, as a rejected schedule
+// does. In this world no solve throws or ends non-optimal, so every
+// escalation is a certificate failure or a rejection.
 TEST(LpCertificate, InjectedCorruptionIsCounted) {
   lp::SolverFaultConfig fault_cfg;
   fault_cfg.huge_probability = 1.0;
@@ -532,8 +543,60 @@ TEST(LpCertificate, InjectedCorruptionIsCounted) {
   std::unique_ptr<lp::SolverFaultInjector> injector;
   ASSERT_NO_THROW(chaos_run(4, fault_cfg, &run, &lips, &holder, &injector));
   EXPECT_GT(injector->stats().objective_huges, 0u);
-  EXPECT_GT(certificate_failures(run.metrics), 0.0);
+  EXPECT_GT(lips->certificate_failures(), 0u);
+  EXPECT_EQ(certificate_failures(run.metrics),
+            static_cast<double>(lips->certificate_failures()));
+  EXPECT_EQ(lips->solver_exceptions(), 0u);
+  EXPECT_EQ(lips->degradations(Rung::ColdRebuild) +
+                lips->degradations(Rung::SanitizedRetry) +
+                lips->degradations(Rung::GreedyFallback),
+            lips->certificate_failures() + lips->validation_failures());
   expect_bitwise_reconciled(run);
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// The count is ladder state that snapshots carry: a run resumed from any
+// of its snapshots exports the uninterrupted run's count.
+TEST(LpCertificate, ResumedRunExportsTheUninterruptedCount) {
+  lp::SolverFaultConfig fault_cfg;
+  fault_cfg.huge_probability = 0.5;
+  fault_cfg.seed = 3;
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / "lips_certificate_resume";
+  std::filesystem::remove_all(path);
+  const ckpt::CheckpointDir dir(path.string(), /*keep=*/1024);
+  ChaosRun baseline;
+  LipsPolicy* lips = nullptr;
+  std::unique_ptr<LipsPolicy> holder;
+  std::unique_ptr<lp::SolverFaultInjector> injector;
+  chaos_run(3, fault_cfg, &baseline, &lips, &holder, &injector, &dir);
+  EXPECT_GT(lips->certificate_failures(), 0u);
+  const double want = certificate_failures(baseline.metrics);
+  EXPECT_EQ(want, static_cast<double>(lips->certificate_failures()));
+
+  const std::vector<std::string> files = dir.list();
+  ASSERT_GT(files.size(), 2u);
+  for (const std::string& file : files) {
+    SCOPED_TRACE(file);
+    const ckpt::Snapshot snap = ckpt::decode_snapshot(read_file(file));
+    ChaosRun resumed;
+    LipsPolicy* resumed_lips = nullptr;
+    std::unique_ptr<LipsPolicy> resumed_holder;
+    std::unique_ptr<lp::SolverFaultInjector> resumed_injector;
+    chaos_run(3, fault_cfg, &resumed, &resumed_lips, &resumed_holder,
+              &resumed_injector, nullptr, &snap);
+    ASSERT_TRUE(resumed.result.restored);
+    EXPECT_EQ(resumed.result.schedule_digest,
+              baseline.result.schedule_digest);
+    EXPECT_EQ(resumed_lips->certificate_failures(),
+              lips->certificate_failures());
+    EXPECT_EQ(certificate_failures(resumed.metrics), want);
+  }
 }
 
 }  // namespace

@@ -699,13 +699,13 @@ std::vector<std::uint8_t> scripted_snapshot_payload(const std::string& root) {
 }
 
 TEST(SnapshotRestore, PayloadDigestIsPinned) {
-  // Recorded before the session payload moved to one field list; a change
-  // that moves it changes the format and must bump kSessionPayloadVersion.
+  // Recorded at session payload version 2; a change that moves it changes
+  // the format and must bump kSessionPayloadVersion.
   const std::vector<std::uint8_t> payload =
       scripted_snapshot_payload(scratch_dir("restore_digest"));
   ckpt::Fnv1a64 d;
   d.bytes(payload.data(), payload.size());
-  EXPECT_EQ(d.digest(), 0x839C483722C22820ULL)
+  EXPECT_EQ(d.digest(), 0x225B2A8E49EE1D45ULL)
       << "payload digest 0x" << std::hex << d.digest();
 }
 
@@ -755,7 +755,7 @@ TEST(SnapshotRestore, UndecodableNewestSnapshotsFallBackToAnOlderGoodOne) {
 
   // Sequence 3: CRC-valid with a ledger cell whose category is out of range.
   ckpt::Writer w;
-  w.u64(1);     // session payload version
+  w.u64(2);     // session payload version
   w.str("t1");  // session name
   w.u64(seed);
   w.f64(0.0);   // clock

@@ -707,7 +707,7 @@ int main(int argc, char** argv) {
       os << "lips lp: " << lips_policy->lp_solves() << " solves ("
          << lips_policy->lp_warm_solves() << " warm, "
          << lips_policy->lp_model_reuses() << " model reuses, "
-         << lips_policy->lp_cold_fallbacks() << " cold fallbacks), "
+         << lips_policy->certificate_failures() << " uncertified), "
          << lips_policy->total_lp_iterations() << " pivots ("
          << lips_policy->lp_repair_iterations() << " dual repair), "
          << lips_policy->off_cycle_resolves() << " off-cycle re-solves\n";
