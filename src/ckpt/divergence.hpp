@@ -37,7 +37,7 @@ struct DivergenceReport {
     const std::vector<std::string>& baseline,
     const std::vector<std::string>& resumed, std::size_t max_mismatches = 16);
 
-/// Human-readable report (the chaos CI lane uploads this as an artifact).
+/// Human-readable report (the CI sanitize lane uploads it as an artifact).
 void write_divergence_report(const DivergenceReport& report, std::ostream& os);
 
 }  // namespace lips::ckpt

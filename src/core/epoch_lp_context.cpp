@@ -36,7 +36,6 @@ EpochLpContext::StructureKey EpochLpContext::make_key(
   key.excluded_machines = sorted_unique(options.excluded_machines);
   key.excluded_stores = sorted_unique(options.excluded_stores);
   key.online = options.epoch_s > 0;
-  key.bandwidth_rows = options.bandwidth_rows;
   key.fake_node = options.fake_node;
   key.max_candidate_machines = options.max_candidate_machines;
   key.max_candidate_stores = options.max_candidate_stores;
@@ -114,7 +113,7 @@ void EpochLpContext::fields(Ar& ar, Self& self) {
     ar(self.key_.machine_count, self.key_.store_count, self.key_.data_count,
        ckpt::seq(self.key_.jobs), ckpt::seq(self.key_.excluded_machines),
        ckpt::seq(self.key_.excluded_stores), self.key_.online,
-       self.key_.bandwidth_rows, self.key_.fake_node,
+       self.key_.fake_node,
        self.key_.max_candidate_machines, self.key_.max_candidate_stores,
        ckpt::state(self.model_),
        ckpt::seq(self.layout_.dvars,
@@ -199,8 +198,7 @@ LpSchedule EpochLpContext::solve(
   key_ = std::move(key);
   have_model_ = true;
 
-  const lp::LpSolution sol =
-      lp::solve(model_, options.solver_options, &start);
+  const lp::LpSolution sol = lp::solve(model_, &start, options.fault_injector);
 
   stats_.pivots += sol.iterations;
   stats_.repair_pivots += sol.repair_iterations;
@@ -211,7 +209,7 @@ LpSchedule EpochLpContext::solve(
   sched.warm_start_used = sol.warm_start_used;
   sched.lp_repair_iterations = sol.repair_iterations;
   sched.certified =
-      detail::certify_solution(model_, sol, options.solver_options);
+      detail::certify_solution(model_, sol, options.fault_injector);
 
   if (obs_.metrics != nullptr) {
     obs::MetricRegistry& reg = *obs_.metrics;

@@ -95,7 +95,6 @@ class EpochLpContext {
     std::vector<std::size_t> excluded_machines;  // sorted, deduplicated
     std::vector<std::size_t> excluded_stores;    // sorted, deduplicated
     bool online = false;  // epoch_s > 0
-    bool bandwidth_rows = false;
     bool fake_node = false;
     std::size_t max_candidate_machines = 0;
     std::size_t max_candidate_stores = 0;

@@ -27,8 +27,6 @@ const char* rung_label(LipsPolicy::DegradationRung rung) {
       return "primary";
     case LipsPolicy::DegradationRung::ColdRebuild:
       return "cold_rebuild";
-    case LipsPolicy::DegradationRung::SanitizedRetry:
-      return "sanitized_retry";
     case LipsPolicy::DegradationRung::GreedyFallback:
       return "greedy_fallback";
     case LipsPolicy::DegradationRung::ReuseLastPlan:
@@ -43,8 +41,6 @@ const char* rung_instant_name(LipsPolicy::DegradationRung rung) {
       return "lips-degradation-primary";
     case LipsPolicy::DegradationRung::ColdRebuild:
       return "lips-degradation-cold-rebuild";
-    case LipsPolicy::DegradationRung::SanitizedRetry:
-      return "lips-degradation-sanitized-retry";
     case LipsPolicy::DegradationRung::GreedyFallback:
       return "lips-degradation-greedy-fallback";
     case LipsPolicy::DegradationRung::ReuseLastPlan:
@@ -80,18 +76,13 @@ void LipsPolicy::fields(Ar& ar, Self& self) {
                }),
      ckpt::sorted(self.doomed_), ckpt::sorted(self.quarantined_),
      ckpt::sorted(self.quarantine_age_), ckpt::state(self.lp_context_),
-     self.lp_solves_, self.off_cycle_resolves_, self.lp_iterations_,
-     self.lp_warm_solves_, self.lp_model_reuses_, self.lp_repair_iterations_,
-     self.quarantine_exclusions_, self.quarantine_probes_,
-     self.planned_cost_mc_, self.fake_node_carry_mc_, self.rung_counts_,
-     ckpt::seq(self.last_ladder_, ckpt::enums(DegradationRung::ReuseLastPlan,
-                                              "degradation rung")),
-     self.schedules_validated_, self.validation_failures_,
-     self.certificate_failures_, self.plan_reuses_, self.solver_exceptions_,
-     self.resilience_metrics_registered_,
+     self.off_cycle_resolves_, self.quarantine_exclusions_,
+     self.quarantine_probes_, self.planned_cost_mc_, self.fake_node_carry_mc_,
+     self.rung_counts_, self.schedules_validated_, self.validation_failures_,
+     self.certificate_failures_, self.solver_exceptions_,
      ckpt::seq(self.last_good_plan_, plan),
      ckpt::seq(self.last_good_gates_, gate),
-     ckpt::section(self.options_.model.solver_options.fault_injector,
+     ckpt::section(self.options_.model.fault_injector,
                    "snapshot carries solver-fault-injector state but the "
                    "restored policy has no injector installed"));
 }
@@ -173,7 +164,6 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
     origins[i] = best;
   }
 
-  lp_solves_ += 1;
   ModelOptions model = options_.model;
   model.price_time = state.now();  // honor spot-price schedules
   // Down machines cannot run work and spot-warned ones are about to die;
@@ -193,46 +183,26 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
     if (!state.store_up(StoreId{s})) model.excluded_stores.push_back(s);
   // Graceful-degradation ladder (DESIGN.md §10): walk the LP rungs in order
   // until one produces a schedule that solves, carries its KKT certificate
-  // and passes the independent validation gate. On a healthy pipeline rung
-  // 0 is the only rung ever entered and this block is exactly the old
-  // single solve.
+  // and passes the independent validation gate. Primary is the incremental
+  // epoch solve (model reuse + warm basis); ColdRebuild first drops the
+  // cached model and basis, so a stale or corrupted warm state cannot poison
+  // it. On a healthy pipeline Primary is the only rung ever entered.
   register_resilience_metrics();
-  last_ladder_.clear();
   LpSchedule lp;
   bool accepted = false;
-  for (int rung = 0; rung <= 2 && !accepted; ++rung) {
-    enter_rung(static_cast<DegradationRung>(rung));
+  for (const DegradationRung rung :
+       {DegradationRung::Primary, DegradationRung::ColdRebuild}) {
+    enter_rung(rung);
+    if (rung == DegradationRung::ColdRebuild) lp_context_.invalidate();
     LpSchedule attempt;
     try {
-      if (rung == 0) {
-        // Rung 0: incremental epoch solve (model reuse + warm basis).
-        attempt = lp_context_.solve(c, w, model, subset, remaining, origins);
-      } else if (rung == 1) {
-        // Rung 1: drop the cached model and basis — a stale or corrupted
-        // warm state cannot poison a cold rebuild.
-        lp_context_.invalidate();
-        attempt = lp_context_.solve(c, w, model, subset, remaining, origins);
-      } else {
-        // Rung 2: bounded one-shot retry with model re-sanitization — the
-        // solver re-derives its computational arrays from the (finiteness-
-        // guarded) LpModel right before pivoting, stripping non-finite and
-        // absurd coefficients, and starts from no basis at all.
-        lp_context_.invalidate();
-        ModelOptions sanitized = model;
-        sanitized.solver_options.sanitize_model = true;
-        attempt =
-            solve_co_scheduling(c, w, sanitized, subset, remaining, origins);
-      }
+      attempt = lp_context_.solve(c, w, model, subset, remaining, origins);
     } catch (const std::exception&) {
       // A long-running planner must degrade, not die: a pivot blow-up under
       // a corrupted model is one more reason to take the next rung.
       solver_exceptions_ += 1;
       continue;
     }
-    lp_iterations_ += attempt.lp_iterations;
-    lp_repair_iterations_ += attempt.lp_repair_iterations;
-    if (attempt.warm_start_used) lp_warm_solves_ += 1;
-    if (attempt.model_reused) lp_model_reuses_ += 1;
     if (!attempt.optimal()) continue;
     if (!attempt.certified) {
       // Optimal for some model, but not provably for this one (injected
@@ -257,12 +227,12 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
     }
     lp = std::move(attempt);
     accepted = true;
+    break;
   }
   if (!accepted) {
-    // Rung 3: every LP rung failed (e.g. genuinely Infeasible — the fake
-    // node keeps the machine side feasible, but the surviving stores may
-    // not hold the queue's data). Fall back to a greedy plan so work keeps
-    // draining.
+    // Every LP rung failed (e.g. genuinely Infeasible — the fake node keeps
+    // the machine side feasible, but the surviving stores may not hold the
+    // queue's data). Fall back to a greedy plan so work keeps draining.
     enter_rung(DegradationRung::GreedyFallback);
     fallback_plan(state);
     bool any_pin = false;
@@ -270,13 +240,12 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
       if (!queue.empty()) any_pin = true;
     if (!any_pin && !last_good_plan_.empty() &&
         last_good_plan_.size() == plan_.size()) {
-      // Rung 4: greedy produced nothing runnable but an earlier epoch's
-      // validated plan exists — restore its pins and gates. Pins whose
-      // tasks already ran are dropped at launch time (is_pending check).
+      // Greedy produced nothing runnable but an earlier epoch's validated
+      // plan exists — restore its pins and gates. Pins whose tasks already
+      // ran are dropped at launch time (is_pending check).
       enter_rung(DegradationRung::ReuseLastPlan);
       plan_ = last_good_plan_;
       gates_ = last_good_gates_;
-      plan_reuses_ += 1;
     }
     return;
   }
@@ -359,13 +328,12 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
   }
 
   // This plan solved and validated: snapshot its pins and gates as the
-  // ladder's last resort (rung 4).
+  // ladder's last resort (ReuseLastPlan).
   last_good_plan_ = plan_;
   last_good_gates_ = gates_;
 }
 
 void LipsPolicy::enter_rung(DegradationRung rung) {
-  last_ladder_.push_back(rung);
   rung_counts_[static_cast<std::size_t>(rung)] += 1;
   if (rung == DegradationRung::Primary) return;  // healthy path, not counted
   if (obs_.metrics != nullptr)
@@ -380,14 +348,13 @@ void LipsPolicy::register_resilience_metrics() {
   // Counters are registered (at zero) before any escalation can happen, so
   // a fault-free run still exports every lips_degradation_total series and
   // dashboards/CI can assert they are all zero rather than absent.
-  if (obs_.metrics == nullptr || resilience_metrics_registered_) return;
+  if (obs_.metrics == nullptr) return;
   for (std::size_t r = 1; r < kNumDegradationRungs; ++r)
     obs_.metrics->counter(
         "lips_degradation_total",
         {{"rung", rung_label(static_cast<DegradationRung>(r))}});
   obs_.metrics->counter("lips_schedule_validation_failures_total");
   obs_.metrics->counter("lips_lp_certificate_failures_total");
-  resilience_metrics_registered_ = true;
 }
 
 void LipsPolicy::apply_throughput_feedback(const sched::ClusterState& state,

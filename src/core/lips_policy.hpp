@@ -62,20 +62,18 @@ class LipsPolicy : public sched::Scheduler {
  public:
   /// Rungs of the graceful-degradation ladder (DESIGN.md §10). Each replan
   /// walks the rungs in order until one produces a schedule that solves,
-  /// is certified AND passes validation; every rung entered is recorded,
-  /// and escalations (rungs > Primary) are counted in the MetricRegistry as
+  /// is certified AND passes validation. Both LP rungs are one
+  /// EpochLpContext::solve. Every rung entered is counted; escalations
+  /// (rungs > Primary) are also counted in the MetricRegistry as
   /// `lips_degradation_total{rung=...}`.
   enum class DegradationRung : unsigned char {
     Primary = 0,         ///< incremental warm epoch solve (healthy path)
     ColdRebuild = 1,     ///< drop cached model + basis, rebuild, solve cold
-    SanitizedRetry = 2,  ///< one-shot solve with model re-sanitization
-                         ///< (non-finite/absurd coefficients stripped,
-                         ///< basis reset)
-    GreedyFallback = 3,  ///< greedy fallback_plan, no LP
-    ReuseLastPlan = 4,   ///< greedy produced nothing runnable: restore the
+    GreedyFallback = 2,  ///< greedy fallback_plan, no LP
+    ReuseLastPlan = 3,   ///< greedy produced nothing runnable: restore the
                          ///< last validated plan's pins and gates
   };
-  static constexpr std::size_t kNumDegradationRungs = 5;
+  static constexpr std::size_t kNumDegradationRungs = 4;
 
   explicit LipsPolicy(LipsPolicyOptions options = {});
 
@@ -111,7 +109,10 @@ class LipsPolicy : public sched::Scheduler {
   void load_state(ckpt::Reader& reader) override;
 
   // --- introspection (for tests and reports) ------------------------------
-  [[nodiscard]] std::size_t lp_solves() const { return lp_solves_; }
+  /// Replans that reached the solve stage (rung Primary entered).
+  [[nodiscard]] std::size_t lp_solves() const {
+    return degradations(DegradationRung::Primary);
+  }
   /// Replans where *every* LP rung of the ladder failed and the greedy
   /// fallback was taken. Per-attempt failures are visible through
   /// degradations() instead.
@@ -131,10 +132,6 @@ class LipsPolicy : public sched::Scheduler {
       total += rung_counts_[r];
     return total;
   }
-  /// The sequence of rungs the most recent replan walked, in order.
-  [[nodiscard]] const std::vector<DegradationRung>& last_ladder() const {
-    return last_ladder_;
-  }
   /// Validation gate traffic: schedules checked / schedules rejected.
   [[nodiscard]] std::size_t schedules_validated() const {
     return schedules_validated_;
@@ -147,8 +144,6 @@ class LipsPolicy : public sched::Scheduler {
   [[nodiscard]] std::size_t certificate_failures() const {
     return certificate_failures_;
   }
-  /// Replans that restored the last validated plan (rung 4 taken).
-  [[nodiscard]] std::size_t plan_reuses() const { return plan_reuses_; }
   /// Solver-layer exceptions swallowed by the ladder (a daemon degrades
   /// instead of dying on a pivot blow-up under a corrupted model).
   [[nodiscard]] std::size_t solver_exceptions() const {
@@ -165,18 +160,21 @@ class LipsPolicy : public sched::Scheduler {
   [[nodiscard]] Millicents fake_node_carry_mc() const {
     return fake_node_carry_mc_;
   }
+  /// Σ simplex pivots across every LP attempt.
   [[nodiscard]] std::size_t total_lp_iterations() const {
-    return lp_iterations_;
+    return lp_context_.stats().pivots;
   }
-  /// Replans solved from the previous plan's simplex basis (warm starts).
-  [[nodiscard]] std::size_t lp_warm_solves() const { return lp_warm_solves_; }
-  /// Replans that updated the cached LP model in place (no rebuild).
+  /// LP attempts solved from the previous plan's simplex basis (warm starts).
+  [[nodiscard]] std::size_t lp_warm_solves() const {
+    return lp_context_.stats().warm_solves;
+  }
+  /// LP attempts that updated the cached model in place (no rebuild).
   [[nodiscard]] std::size_t lp_model_reuses() const {
-    return lp_model_reuses_;
+    return lp_context_.stats().model_reuses;
   }
-  /// Σ dual-simplex repair pivots across warm-started replans.
+  /// Σ dual-simplex repair pivots across warm-started LP attempts.
   [[nodiscard]] std::size_t lp_repair_iterations() const {
-    return lp_repair_iterations_;
+    return lp_context_.stats().repair_pivots;
   }
   /// Machine×replan exclusions due to low observed throughput.
   [[nodiscard]] std::size_t quarantine_exclusions() const {
@@ -214,13 +212,13 @@ class LipsPolicy : public sched::Scheduler {
   /// surviving stores cannot hold the queue's data): pin each pending task
   /// greedily to its cheapest live option so work still drains.
   void fallback_plan(const sched::ClusterState& state);
-  /// Record entering a ladder rung: per-rung counter, last_ladder_ trail,
-  /// and (for escalations) the lips_degradation_total metric + a trace
-  /// instant.
+  /// Record entering a ladder rung: per-rung counter and (for escalations)
+  /// the lips_degradation_total metric + a trace instant.
   void enter_rung(DegradationRung rung);
-  /// Pre-register the degradation, validation and LP-certificate metric
-  /// series at zero so a fault-free run still exports them (CI greps for
-  /// the name).
+  /// Register the degradation, validation and LP-certificate metric series
+  /// (at zero when new) so a fault-free run still exports them (CI greps for
+  /// the name). Idempotent; every replan calls it, so a policy restored into
+  /// a fresh registry exports them too.
   void register_resilience_metrics();
 
   LipsPolicyOptions options_;
@@ -238,15 +236,11 @@ class LipsPolicy : public sched::Scheduler {
   std::unordered_map<std::size_t, std::size_t> quarantine_age_;
 
   /// Incremental solve pipeline: caches the built LP model and last basis
-  /// between replans (epoch ticks *and* off-cycle fault re-solves).
+  /// between replans (epoch ticks *and* off-cycle fault re-solves). Every LP
+  /// attempt goes through it, so its stats() are the policy's LP counts.
   EpochLpContext lp_context_;
 
-  std::size_t lp_solves_ = 0;
   std::size_t off_cycle_resolves_ = 0;
-  std::size_t lp_iterations_ = 0;
-  std::size_t lp_warm_solves_ = 0;
-  std::size_t lp_model_reuses_ = 0;
-  std::size_t lp_repair_iterations_ = 0;
   std::size_t quarantine_exclusions_ = 0;
   std::size_t quarantine_probes_ = 0;
   /// Σ epoch-LP objectives (modeled cost).
@@ -255,15 +249,12 @@ class LipsPolicy : public sched::Scheduler {
 
   // --- resilience ladder state (DESIGN.md §10) ----------------------------
   std::array<std::size_t, kNumDegradationRungs> rung_counts_{};
-  std::vector<DegradationRung> last_ladder_;
   std::size_t schedules_validated_ = 0;
   std::size_t validation_failures_ = 0;
   std::size_t certificate_failures_ = 0;
-  std::size_t plan_reuses_ = 0;
   std::size_t solver_exceptions_ = 0;
-  bool resilience_metrics_registered_ = false;
   /// Snapshot of the pins/gates of the last plan that passed validation,
-  /// for rung 4 (ReuseLastPlan). Stale pins are dropped at launch time by
+  /// for rung ReuseLastPlan. Stale pins are dropped at launch time by
   /// the is_pending check in on_slot_available.
   std::vector<std::deque<PinnedTask>> last_good_plan_;
   std::vector<Gate> last_good_gates_;

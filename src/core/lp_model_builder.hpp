@@ -72,11 +72,11 @@ struct ModelLayout {
 
 /// Whether `sol` passes lp::certify against `model`, the model it was
 /// solved from (LpSchedule::certified). An optimal answer that fails is a
-/// solver bug unless a solver-fault injector is installed, so debug builds
-/// assert that case.
+/// solver bug unless a solver-fault `injector` is installed, so debug
+/// builds assert that case.
 [[nodiscard]] bool certify_solution(const lp::LpModel& model,
                                     const lp::LpSolution& sol,
-                                    const lp::SolverOptions& options);
+                                    const lp::SolverFaultInjector* injector);
 
 /// Shared builder for the three paper models (Figs. 2, 3, 4).
 class ModelBuilder {

@@ -18,14 +18,14 @@ using cluster::Cluster;
 using workload::Workload;
 
 bool certify_solution(const lp::LpModel& model, const lp::LpSolution& sol,
-                      const lp::SolverOptions& options) {
+                      const lp::SolverFaultInjector* injector) {
   if (!sol.optimal()) return false;
   const bool ok = lp::certify(model, sol).ok();
 #ifndef NDEBUG
-  LIPS_ASSERT(ok || options.fault_injector != nullptr,
+  LIPS_ASSERT(ok || injector != nullptr,
               "optimal LP solution failed its KKT certificate");
 #else
-  (void)options;
+  (void)injector;
 #endif
   return ok;
 }
@@ -395,7 +395,7 @@ void ModelBuilder::build(const FixedPlacement* fixed, lp::LpModel& model,
   }
 
   // ---- Constraint (21): per-(job, machine) epoch transfer time. ----------
-  if (opt_.epoch_s > 0 && opt_.bandwidth_rows) {
+  if (opt_.epoch_s > 0) {
     for (std::size_t kq = 0; kq < jobs_.size(); ++kq) {
       const workload::Job& job = w_.job(jobs_[kq]);
       if (job.data.empty()) continue;
@@ -565,9 +565,9 @@ LpSchedule ModelBuilder::run(const FixedPlacement* fixed) const {
   lp::LpModel model;
   ModelLayout layout;
   build(fixed, model, layout);
-  const lp::LpSolution sol = lp::solve(model, opt_.solver_options);
+  const lp::LpSolution sol = lp::solve(model, nullptr, opt_.fault_injector);
   LpSchedule sched = decode(sol, layout);
-  sched.certified = certify_solution(model, sol, opt_.solver_options);
+  sched.certified = certify_solution(model, sol, opt_.fault_injector);
   return sched;
 }
 

@@ -72,12 +72,13 @@ struct LpSchedule {
   std::size_t lp_constraints = 0;
   std::size_t lp_iterations = 0;
 
-  /// Incremental-solve telemetry (EpochLpContext; always false/0 on the
-  /// one-shot solve_* entry points). `model_reused` — the cached model was
-  /// updated in place instead of rebuilt; `warm_start_used` — the solver
-  /// reached this solution from the previous epoch's basis;
-  /// `lp_repair_iterations` — dual-simplex pivots spent restoring primal
-  /// feasibility after the basis import (a subset of lp_iterations).
+  /// Incremental-solve telemetry of this one solve (EpochLpContext, whose
+  /// stats() keep the totals; always false/0 on the one-shot solve_* entry
+  /// points). `model_reused` — the cached model was updated in place
+  /// instead of rebuilt; `warm_start_used` — the solver reached this
+  /// solution from the previous epoch's basis; `lp_repair_iterations` —
+  /// dual-simplex pivots spent restoring primal feasibility after the basis
+  /// import (a subset of lp_iterations).
   bool model_reused = false;
   bool warm_start_used = false;
   std::size_t lp_repair_iterations = 0;
@@ -104,10 +105,6 @@ using FixedPlacement = std::vector<std::vector<DataPlacement>>;
 struct ModelOptions {
   /// Epoch length in seconds; 0 means offline (use each machine's uptime).
   double epoch_s = 0.0;
-
-  /// Include the per-(job, machine) epoch bandwidth rows (21). Only
-  /// meaningful when epoch_s > 0.
-  bool bandwidth_rows = true;
 
   /// Add the fake node F (paper §V-B). Only meaningful when epoch_s > 0.
   bool fake_node = false;
@@ -151,8 +148,9 @@ struct ModelOptions {
   /// schedules, Cluster::cpu_price_mc_at). Negative = use static prices.
   double price_time = -1.0;
 
-  /// LP solver options.
-  lp::SolverOptions solver_options{};
+  /// Solver-fault injector handed to every lp::solve of these options
+  /// (lp/solver_faults.hpp); not owned, null outside chaos runs.
+  lp::SolverFaultInjector* fault_injector = nullptr;
 };
 
 /// Which jobs to schedule (subset view for the online driver); empty means

@@ -244,7 +244,7 @@ ValidationReport validate_schedule(const cluster::Cluster& cluster,
   }
 
   // ---- Epoch bandwidth rows (constraint 21). -----------------------------
-  if (options.epoch_s > 0 && options.bandwidth_rows) {
+  if (options.epoch_s > 0) {
     for (const auto& [key, secs] : transfer_time)
       ck.check(secs <= options.epoch_s * (1.0 + 1e-5) + kFracTol,
                secs - options.epoch_s,

@@ -28,8 +28,9 @@
 // repair) falls back to the cold two-phase solve. See DESIGN.md §8.
 //
 // Callers prove each optimal answer with lp::certify; epoch re-solves go
-// through core::EpochLpContext, which keeps warm-start basis reuse,
-// iteration budgets and the certificate in one place.
+// through core::EpochLpContext, which keeps warm-start basis reuse and the
+// certificate in one place. Every pivot budget is
+// lp::automatic_iteration_budget's, unless a fault injector starves it.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -161,12 +162,11 @@ class DenseMatrix {
 // by the primal phases, the dual repair phase, and basis import/export.
 class Engine {
  public:
-  Engine(const LpModel& model, const SolverOptions& options)
+  Engine(const LpModel& model, SolverFaultInjector* injector)
       : model_(model),
-        opt_(options),
         n_user_(model.num_variables()),
         m_(model.num_constraints()),
-        chaos_(options.fault_injector),
+        chaos_(injector),
         binv_(m_) {}
 
   [[nodiscard]] LpSolution run(const Basis* start);
@@ -219,10 +219,7 @@ class Engine {
     }
   }
 
-  void sanitize_computational_form();
-
   const LpModel& model_;
-  const SolverOptions& opt_;
   const std::size_t n_user_;
   const std::size_t m_;
   SolverFaultInjector* const chaos_;  // may be null
@@ -305,17 +302,6 @@ void Engine::build_columns() {
     col_entry_[next[n_user_ + i]++] = {i, 1.0};
   }
   art_begin_ = n;
-}
-
-void Engine::sanitize_computational_form() {
-  // Re-derive the computational objective and RHS from the LpModel, whose
-  // mutators reject non-finite input — so this pass heals anything that
-  // corrupted the arrays *after* ingest (fault injection, and in a future
-  // daemon any stale in-place numeric update), including finite-but-absurd
-  // entries that pass a bare finiteness check yet poison pricing.
-  for (std::size_t j = 0; j < art_begin_; ++j)
-    cost2_[j] = j < n_user_ ? model_.variable(j).objective : 0.0;
-  for (std::size_t i = 0; i < m_; ++i) b_[i] = model_.constraint(i).rhs;
 }
 
 void Engine::init_cold_point() {
@@ -933,16 +919,12 @@ std::size_t Engine::count_dual_infeasible() {
 SolveStatus Engine::cold_solve() {
   // Classic two-phase solve from the all-artificial basis. When entered as a
   // warm-start fallback, `iterations_` keeps accumulating (the wasted warm
-  // pivots are honestly reported) and an automatic budget is re-granted at
-  // cold scale; an explicit budget is never extended.
+  // pivots are honestly reported) and the budget is re-granted at cold
+  // scale.
   init_cold_point();
   append_artificials();
   banned_.assign(num_cols(), 0);
-  if (opt_.max_iterations > 0) {
-    max_iter_ = opt_.max_iterations;
-  } else {
-    max_iter_ = iterations_ + automatic_iteration_budget(m_, num_cols());
-  }
+  max_iter_ = iterations_ + automatic_iteration_budget(m_, num_cols());
   if (chaos_ != nullptr) max_iter_ = chaos_->cap_budget(iterations_, max_iter_);
 
   std::vector<double> cost1(num_cols(), 0.0);
@@ -1034,10 +1016,8 @@ LpSolution Engine::run(const Basis* start) {
     chaos_->corrupt_costs(cost2_);
     chaos_->corrupt_rhs(b_);
   }
-  if (opt_.sanitize_model) sanitize_computational_form();
   banned_.assign(num_cols(), 0);
 
-  const bool explicit_budget = opt_.max_iterations > 0;
   SolveStatus result = SolveStatus::IterationLimit;
   bool solved = false;
 
@@ -1055,10 +1035,8 @@ LpSolution Engine::run(const Basis* start) {
     (void)flips;
     const std::size_t primal_bad = count_primal_infeasible();
     const std::size_t dual_bad = count_dual_infeasible();
-    max_iter_ = explicit_budget
-                    ? opt_.max_iterations
-                    : automatic_iteration_budget(m_, num_cols(),
-                                                 primal_bad + dual_bad);
+    max_iter_ =
+        automatic_iteration_budget(m_, num_cols(), primal_bad + dual_bad);
     if (chaos_ != nullptr)
       max_iter_ = chaos_->cap_budget(iterations_, max_iter_);
 
@@ -1082,15 +1060,9 @@ LpSolution Engine::run(const Basis* start) {
         warm_used_ = true;
         result = s;
         solved = true;
-      } else if (s == SolveStatus::IterationLimit && explicit_budget) {
-        // The caller asked for exactly this budget; report the limit
-        // honestly instead of silently buying more pivots.
-        warm_used_ = true;
-        result = s;
-        solved = true;
       }
-      // IterationLimit under an automatic budget: the delta-sized budget
-      // was wrong for this repair — fall through to a cold solve.
+      // IterationLimit: the delta-sized budget was wrong for this repair —
+      // fall through to a cold solve.
     }
   }
 
@@ -1133,10 +1105,10 @@ LpSolution Engine::run(const Basis* start) {
 
 }  // namespace
 
-LpSolution solve(const LpModel& model, const SolverOptions& options,
-                 const Basis* start) {
+LpSolution solve(const LpModel& model, const Basis* start,
+                 SolverFaultInjector* injector) {
   if (start != nullptr && start->empty()) start = nullptr;
-  Engine engine(model, options);
+  Engine engine(model, injector);
   return engine.run(start);
 }
 

@@ -87,32 +87,15 @@ class SolverFaultInjector;  // lp/solver_faults.hpp
 /// tolerance of its certificate.
 inline constexpr double kTolerance = 1e-7;
 
-/// Options of a solve: its pivot budget, the degradation ladder's
-/// re-sanitized retry and the chaos hook.
-struct SolverOptions {
-  std::size_t max_iterations = 0;   ///< 0 = automatic (see
-                                    ///< automatic_iteration_budget)
-  /// Re-derive the engine's computational objective/RHS arrays from the
-  /// (finiteness-guarded) LpModel right before pivoting, healing NaN/Inf
-  /// and |c| >= 1e50 entries that crept in after ingest. This is the
-  /// degradation ladder's "re-sanitized retry" rung; off by default because
-  /// a healthy pipeline never needs it.
-  bool sanitize_model = false;
-  /// Deterministic chaos hook (lp/solver_faults.hpp); not owned, may be
-  /// null. The engine consults it at its corruption seams.
-  SolverFaultInjector* fault_injector = nullptr;
-};
-
-/// The pivot budget used when `SolverOptions::max_iterations == 0`.
+/// The pivot budget of a solve.
 ///
 /// Cold solves scale with model size (`rows + columns`, columns counting
 /// slacks and artificials). Warm-started solves scale with the observed
 /// *delta* instead — the number of primal-infeasible basics plus
 /// dual-infeasible nonbasics right after basis import — because a good basis
 /// needs pivots proportional to what changed, not to how big the model is;
-/// the warm budget is capped by the cold one. A warm solve that exhausts an
-/// automatic budget falls back to a cold solve with a fresh cold budget (an
-/// *explicit* `max_iterations` is never silently extended this way).
+/// the warm budget is capped by the cold one. A warm solve that exhausts its
+/// budget falls back to a cold solve with a fresh cold budget.
 [[nodiscard]] std::size_t automatic_iteration_budget(
     std::size_t num_rows, std::size_t num_columns,
     std::optional<std::size_t> warm_delta = std::nullopt);
@@ -122,10 +105,11 @@ struct SolverOptions {
 /// and repairs it instead of starting from an all-artificial basis, and
 /// abandons it for a cold solve when it cannot, so the answer is always as
 /// correct as a cold one. Never throws for infeasible or unbounded models —
-/// those are reported through the status.
+/// those are reported through the status. A non-null `injector`
+/// (lp/solver_faults.hpp; not owned) corrupts the solve at its seams.
 [[nodiscard]] LpSolution solve(const LpModel& model,
-                               const SolverOptions& options = {},
-                               const Basis* start = nullptr);
+                               const Basis* start = nullptr,
+                               SolverFaultInjector* injector = nullptr);
 
 /// The Karush–Kuhn–Tucker conditions of an optimal solution, checked
 /// against the model it claims to solve. Each field is the worst residual

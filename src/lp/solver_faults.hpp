@@ -1,12 +1,12 @@
 // Seeded, deterministic fault injection for the LP solving layer — the
 // adversary that proves the scheduler-side resilience ladder works.
 //
-// A SolverFaultInjector is installed on a solve path by pointing
-// SolverOptions::fault_injector at it (the one-shot model builder and
-// core::EpochLpContext both hand the options to lp::solve unchanged, so one
-// injector covers cold solves and warm epoch re-solves alike). The revised
-// simplex engine then consults it at four seams, mirroring the ways a real
-// long-running planner corrupts itself:
+// A SolverFaultInjector is installed on a solve path by passing it to
+// lp::solve, or by pointing core::ModelOptions::fault_injector at it (the
+// one-shot model builder and core::EpochLpContext both hand that pointer to
+// lp::solve unchanged, so one injector covers cold solves and warm epoch
+// re-solves alike). The revised simplex engine then consults it at four
+// seams, mirroring the ways a real long-running planner corrupts itself:
 //
 //   * objective corruption  — a NaN or huge (1e100) entry lands in the
 //     engine's computational cost vector after model ingest, the analogue of
@@ -21,7 +21,9 @@
 //   * refactorization failure and budget starvation — the engine is forced
 //     to treat the basis matrix as singular once per solve, or capped to a
 //     handful of pivots, the analogue of numerical breakdown and epoch
-//     deadline pressure.
+//     deadline pressure. Starvation is the one way to hold a solve below
+//     its automatic budget (lp::automatic_iteration_budget), so it is also
+//     how tests reach SolveStatus::IterationLimit.
 //
 // Determinism: all randomness flows through one seeded lips::Rng. Each
 // begin_solve() draws a fixed number of uniforms regardless of which faults

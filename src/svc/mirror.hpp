@@ -7,8 +7,8 @@
 // read set is fully enumerable (pending/task/is_pending, stored_fraction and
 // holders, machine_up/store_up, observed_throughput, cluster/workload, and
 // now(), the policy's only clock), so a mirror fed bit-exact values produces
-// bit-exact plans; tests/test_svc.cpp and the svc-smoke CI lane hold that
-// bar end to end.
+// bit-exact plans; tests/test_svc.cpp and the CI sanitize lane's socket
+// replay hold that bar end to end.
 //
 // Wire input is untrusted: every task, job, data, machine and store id a
 // STATE or JOB carries is checked against the session's world, and every

@@ -13,7 +13,7 @@
 // self-pipe) so lipsd's SIGTERM handler can call it directly. run() then
 // stops accepting, shuts down every live connection socket (unblocking
 // blocked readers), joins reader threads, and drains all sessions via
-// Service::shutdown() — the clean-SIGTERM gate the svc-smoke CI lane holds.
+// Service::shutdown() — the clean-SIGTERM gate the CI sanitize lane holds.
 //
 // Thread role: run() is the accept loop (call from one thread); reader
 // threads are internal; request_stop() may be called from any thread or a

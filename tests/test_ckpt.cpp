@@ -525,7 +525,7 @@ RunArtifacts run_storm(const std::string& kind, std::uint64_t seed,
   if (kind == "lips") {
     core::LipsPolicyOptions lo;
     lo.epoch_s = 300.0;
-    lo.model.solver_options.fault_injector = &injector;
+    lo.model.fault_injector = &injector;
     policy = std::make_unique<core::LipsPolicy>(lo);
     cfg.hdfs_replication = 1;
     cfg.task_timeout_s = 1200.0;
@@ -719,12 +719,12 @@ TEST(CkptSim, PayloadsAreDeterministicWithAMetricRegistry) {
 // Snapshot bytes are a compatibility surface: a snapshot written by one
 // build must restore under the next. These digests were recorded before the
 // serializers moved to one field list per type, and the lips one again at
-// format version 2; a change that moves any of them changes the format and
+// format version 3; a change that moves any of them changes the format and
 // must bump ckpt::kSnapshotVersion.
 
 TEST(CkptFormat, SnapshotPayloadDigestsArePinned) {
   const std::pair<std::string, std::uint64_t> pinned[] = {
-      {"lips", 0x634534FF817C338CULL},
+      {"lips", 0x0E9ECC12CC125C0BULL},
       {"delay", 0xB166FF0242746151ULL},
       {"fifo", 0xD4AAB63B6638BE7AULL},
       {"fair", 0x5157B877A1836EC3ULL},

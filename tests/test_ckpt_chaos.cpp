@@ -5,8 +5,8 @@
 // left on disk and must finish with *exactly* the uninterrupted run's
 // schedule digest, cost ledger, and event trace, across many seeds and with
 // cluster fault storms plus LP solver fault injection active. Any
-// divergence is written out as a human-readable report (the CI chaos lane
-// uploads it as an artifact).
+// divergence is written out as a human-readable report (the CI sanitize
+// lane uploads it as an artifact).
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -52,7 +52,7 @@ std::string scratch_dir(const std::string& tag) {
   return p.string();
 }
 
-/// Where divergence reports land; the CI chaos lane uploads this directory.
+/// Where divergence reports land; the CI sanitize lane uploads this directory.
 std::string divergence_report_path(const std::string& tag) {
   const char* env = std::getenv("LIPS_DIVERGENCE_DIR");
   const fs::path dir = env != nullptr ? fs::path(env) : fs::path("ckpt-divergence");
@@ -97,7 +97,7 @@ RunArtifacts run_scenario(std::uint64_t seed,
 
   core::LipsPolicyOptions lo;
   lo.epoch_s = 300.0;
-  lo.model.solver_options.fault_injector = &injector;
+  lo.model.fault_injector = &injector;
   core::LipsPolicy policy(lo);
 
   obs::CostLedger ledger;

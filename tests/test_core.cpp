@@ -410,7 +410,6 @@ TEST(OnlineModel, FakeNodeDefersOverflow) {
   ModelOptions opt;
   opt.epoch_s = 100.0;
   opt.fake_node = true;
-  opt.bandwidth_rows = false;
   const LpSchedule s = solve_co_scheduling(c, w, opt);
   ASSERT_TRUE(s.optimal());
   ASSERT_EQ(s.deferred_fraction.size(), 1u);
@@ -425,7 +424,6 @@ TEST(OnlineModel, WithoutFakeNodeOverflowIsInfeasible) {
   ModelOptions opt;
   opt.epoch_s = 100.0;
   opt.fake_node = false;
-  opt.bandwidth_rows = false;
   EXPECT_EQ(solve_co_scheduling(c, w, opt).status,
             lp::SolveStatus::Infeasible);
 }
@@ -455,7 +453,6 @@ TEST(OnlineModel, BandwidthRowLimitsDataHeavyAssignment) {
   ModelOptions opt;
   opt.epoch_s = 320.0;  // plenty of CPU but only 32 MB per link-epoch
   opt.fake_node = true;
-  opt.bandwidth_rows = true;
   const LpSchedule s = solve_co_scheduling(c, w, opt);
   ASSERT_TRUE(s.optimal());
   // Each (job, machine) pair can transfer at most 32 MB = 5% of 640 MB;
@@ -472,7 +469,6 @@ TEST(OnlineModel, EpochCapsCapacityTighterThanUptime) {
   ModelOptions online;
   online.epoch_s = 400.0;  // 400 ECU-s per machine < 640 total demand
   online.fake_node = true;
-  online.bandwidth_rows = false;
   const LpSchedule on = solve_co_scheduling(c, w, online);
   ASSERT_TRUE(off.optimal());
   ASSERT_TRUE(on.optimal());
@@ -544,7 +540,6 @@ TEST(Rounding, DeferredWorkGetsFewerTasks) {
   ModelOptions opt;
   opt.epoch_s = 100.0;  // fits 200/640
   opt.fake_node = true;
-  opt.bandwidth_rows = false;
   const LpSchedule s = solve_co_scheduling(c, w, opt);
   ASSERT_TRUE(s.optimal());
   const RoundedSchedule r = round_schedule(c, w, s);

@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "lp/model.hpp"
 #include "lp/solver.hpp"
+#include "lp/solver_faults.hpp"
 #include "pivot_pin.hpp"
 
 namespace lips::lp {
@@ -91,10 +92,18 @@ TEST(LpModel, ObjectiveAndViolation) {
 }
 
 /// lp::solve, with the certificate asserted on every optimal answer.
-LpSolution solve_certified(const LpModel& m, const SolverOptions& options = {}) {
-  LpSolution s = solve(m, options);
+LpSolution solve_certified(const LpModel& m) {
+  LpSolution s = solve(m);
   EXPECT_TRUE(certified(m, s));
   return s;
+}
+
+/// An injector that caps every solve's budget at one pivot.
+SolverFaultInjector one_pivot_budget() {
+  SolverFaultConfig cfg;
+  cfg.budget_starvation_probability = 1.0;
+  cfg.starved_iterations = 1;
+  return SolverFaultInjector(cfg);
 }
 
 TEST(LpSolve, TextbookTwoVariable) {
@@ -116,8 +125,8 @@ TEST(LpSolve, TextbookTwoVariable) {
 
 TEST(LpSolve, IterationBudgetExhaustionReturnsIterationLimit) {
   // The textbook model needs at least two pivots (both variables enter the
-  // basis at the optimum). A budget of one iteration must come back as
-  // IterationLimit cleanly — no hang, no assert — and the identical model
+  // basis at the optimum). A budget starved to one iteration must come back
+  // as IterationLimit cleanly — no hang, no assert — and the identical model
   // must still solve to optimality under the automatic budget.
   LpModel m;
   m.add_variable(0, kInf, -3.0, "x");
@@ -125,9 +134,8 @@ TEST(LpSolve, IterationBudgetExhaustionReturnsIterationLimit) {
   m.add_constraint(row({{0, 1.0}}), Sense::LessEqual, 4.0);
   m.add_constraint(row({{1, 2.0}}), Sense::LessEqual, 12.0);
   m.add_constraint(row({{0, 3.0}, {1, 2.0}}), Sense::LessEqual, 18.0);
-  SolverOptions tight;
-  tight.max_iterations = 1;
-  const LpSolution limited = solve(m, tight);
+  SolverFaultInjector starve = one_pivot_budget();
+  const LpSolution limited = solve(m, nullptr, &starve);
   EXPECT_EQ(limited.status, SolveStatus::IterationLimit);
   EXPECT_FALSE(limited.optimal());
   EXPECT_EQ(pin_of(limited), (PivotPin{1, 0, false, 0x681157f59a650b24ULL}));
@@ -503,9 +511,8 @@ TEST(LpPivotPins, ColdSolveCrossesPeriodicRefactorization) {
 }
 
 // Iteration-limit status is reported rather than looping forever.
-TEST(LpSolverOptions, IterationLimitReported) {
-  SolverOptions opts;
-  opts.max_iterations = 1;
+TEST(LpSolve, IterationLimitReported) {
+  SolverFaultInjector starve = one_pivot_budget();
   LpModel m;
   for (int j = 0; j < 10; ++j) m.add_variable(0, kInf, -1.0 - j);
   for (int i = 0; i < 10; ++i) {
@@ -514,7 +521,7 @@ TEST(LpSolverOptions, IterationLimitReported) {
       es.push_back({static_cast<std::size_t>(j), 1.0 + ((i + j) % 3)});
     m.add_constraint(es, Sense::LessEqual, 50.0);
   }
-  EXPECT_EQ(solve(m, opts).status, SolveStatus::IterationLimit);
+  EXPECT_EQ(solve(m, nullptr, &starve).status, SolveStatus::IterationLimit);
 }
 
 TEST(LpSolve, StatusNamesAreStable) {

@@ -244,7 +244,7 @@ TEST(SolverFaultInjector, DeterministicAcrossIdenticalRuns) {
   const auto run_sequence = [&](std::vector<lp::SolveStatus>* statuses) {
     lp::SolverFaultInjector injector(cfg);
     core::ModelOptions opt = f.options;
-    opt.solver_options.fault_injector = &injector;
+    opt.fault_injector = &injector;
     core::EpochLpContext ctx;
     for (std::size_t e = 0; e < 6; ++e) {
       opt.price_time = 600.0 * static_cast<double>(e);
@@ -335,7 +335,7 @@ void chaos_run(std::uint64_t seed, const lp::SolverFaultConfig& fault_cfg,
   *injector_holder = std::make_unique<lp::SolverFaultInjector>(fault_cfg);
   core::LipsPolicyOptions lo;
   lo.epoch_s = 400.0;
-  lo.model.solver_options.fault_injector = injector_holder->get();
+  lo.model.fault_injector = injector_holder->get();
   *holder = std::make_unique<LipsPolicy>(lo);
   *policy_out = holder->get();
 
@@ -354,16 +354,9 @@ void chaos_run(std::uint64_t seed, const lp::SolverFaultConfig& fault_cfg,
 /// non-increasing down the ladder.
 void expect_ladder_ordered(const LipsPolicy& lips) {
   EXPECT_GE(lips.degradations(Rung::ColdRebuild),
-            lips.degradations(Rung::SanitizedRetry));
-  EXPECT_GE(lips.degradations(Rung::SanitizedRetry),
             lips.degradations(Rung::GreedyFallback));
   EXPECT_GE(lips.degradations(Rung::GreedyFallback),
             lips.degradations(Rung::ReuseLastPlan));
-  // The most recent replan's ladder is strictly escalating from Primary.
-  const std::vector<Rung>& ladder = lips.last_ladder();
-  for (std::size_t i = 1; i < ladder.size(); ++i)
-    EXPECT_LT(static_cast<unsigned>(ladder[i - 1]),
-              static_cast<unsigned>(ladder[i]));
 }
 
 TEST(SolverChaos, StormSweepCompletesValidatesAndReconciles) {
@@ -484,13 +477,12 @@ TEST(SolverChaos, NoFaultsTakesPrimaryRungOnly) {
   EXPECT_EQ(lips.validation_failures(), 0u);
   EXPECT_EQ(lips.total_degradations(), 0u);
   EXPECT_EQ(lips.solver_exceptions(), 0u);
-  EXPECT_EQ(lips.plan_reuses(), 0u);
   for (std::size_t r = 1; r < LipsPolicy::kNumDegradationRungs; ++r)
     EXPECT_EQ(lips.degradations(static_cast<Rung>(r)), 0u);
   expect_bitwise_reconciled(run);
 
-  // The degradation series are pre-registered at zero, so a fault-free
-  // metrics export still exposes them (the CI chaos lane greps for this).
+  // The degradation series are registered at zero, so a fault-free metrics
+  // export still exposes them (CI's solver-fault storm greps for this).
   std::ostringstream prom;
   obs::write_prometheus(run.metrics.snapshot(), prom);
   EXPECT_NE(prom.str().find("lips_degradation_total"), std::string::npos);
@@ -548,7 +540,6 @@ TEST(LpCertificate, InjectedCorruptionIsCounted) {
             static_cast<double>(lips->certificate_failures()));
   EXPECT_EQ(lips->solver_exceptions(), 0u);
   EXPECT_EQ(lips->degradations(Rung::ColdRebuild) +
-                lips->degradations(Rung::SanitizedRetry) +
                 lips->degradations(Rung::GreedyFallback),
             lips->certificate_failures() + lips->validation_failures());
   expect_bitwise_reconciled(run);

@@ -328,7 +328,6 @@ TEST(LipsPolicySim, ShortEpochsDeferWorkAcrossEpochs) {
   const Workload w = one_job(1.0, 10 * 64.0, 10);  // 640 ECU-s
   core::LipsPolicyOptions opt;
   opt.epoch_s = 100.0;  // 200 ECU-s capacity per epoch → several epochs
-  opt.model.bandwidth_rows = false;
   core::LipsPolicy lips(opt);
   const SimResult r = simulate(c, w, lips);
   ASSERT_TRUE(r.completed);

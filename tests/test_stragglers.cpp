@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/lips_policy.hpp"
+#include "lp/solver_faults.hpp"
 #include "sched/fifo_scheduler.hpp"
 #include "sim/simulator.hpp"
 
@@ -302,14 +303,18 @@ TEST(LipsFeedback, QuarantinesPersistentlySlowMachineAndProbes) {
 }
 
 TEST(LipsFeedback, IterationStarvedLpFallsBackToGreedyPlan) {
-  // A one-iteration simplex budget makes every epoch LP come back
-  // IterationLimit; the policy must take its greedy fallback each time and
-  // still drain the queue.
+  // A simplex budget starved to one iteration makes every epoch LP come
+  // back IterationLimit; the policy must take its greedy fallback each time
+  // and still drain the queue.
   const Cluster c = two_nodes(5.0, 1.0, /*slots=*/2);
   const Workload w = one_job(10.0, 10 * 64.0, 10);
+  lp::SolverFaultConfig starve;
+  starve.budget_starvation_probability = 1.0;
+  starve.starved_iterations = 1;
+  lp::SolverFaultInjector injector(starve);
   core::LipsPolicyOptions lo;
   lo.epoch_s = 2000.0;
-  lo.model.solver_options.max_iterations = 1;
+  lo.model.fault_injector = &injector;
   core::LipsPolicy lips(lo);
   const SimResult r = simulate(c, w, lips);
   ASSERT_TRUE(r.completed);

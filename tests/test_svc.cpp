@@ -661,12 +661,10 @@ TEST(SnapshotRestore, RestoreRejectsMissingSnapshotAndWrongSeed) {
   EXPECT_THROW(Session("tenant", sc, 2, ro), PreconditionError);
 }
 
-/// A scripted session — arrivals, one epoch, a launch — that ends in
-/// SNAPSHOT. Returns the snapshot payload it wrote.
-std::vector<std::uint8_t> scripted_snapshot_payload(const std::string& root) {
-  const farm::ScenarioSpec sc =
-      farm::parse_scenario_spec("name=snap,nodes=4,jobs=2");
-  const std::uint64_t seed = 9;
+/// Two task descriptors for job 0 of the (spec, seed) world, reading the
+/// job's first data object.
+std::vector<WireTask> job0_tasks(const farm::ScenarioSpec& sc,
+                                 std::uint64_t seed) {
   const farm::RunInputs in = farm::make_run_inputs(sc, seed);
   std::vector<WireTask> tasks;
   for (std::size_t i = 0; i < 2; ++i) {
@@ -680,11 +678,23 @@ std::vector<std::uint8_t> scripted_snapshot_payload(const std::string& root) {
       t.data = in.workload.job(JobId{0}).data.front().value();
     tasks.push_back(t);
   }
+  return tasks;
+}
+
+/// A scripted session — arrivals, one epoch, a launch — that ends in
+/// SNAPSHOT. Returns the snapshot payload it wrote.
+std::vector<std::uint8_t> scripted_snapshot_payload(
+    const std::string& root, obs::MetricRegistry* metrics = nullptr) {
+  const farm::ScenarioSpec sc =
+      farm::parse_scenario_spec("name=snap,nodes=4,jobs=2");
+  const std::uint64_t seed = 9;
+  const std::vector<WireTask> tasks = job0_tasks(sc, seed);
   WireState st;
   st.now = 0.0;
   st.pending = {0, 1};
   SessionOptions so;
   so.snapshot_root = root;
+  so.metrics = metrics;
   Session s("tenant", sc, seed, so);
   EXPECT_EQ(s.handle("STATE", encode_state(st)).status, Reply::Status::Ok);
   EXPECT_EQ(s.handle("JOB", "job=0,tasks=" + encode_tasks(tasks)).status,
@@ -699,14 +709,55 @@ std::vector<std::uint8_t> scripted_snapshot_payload(const std::string& root) {
 }
 
 TEST(SnapshotRestore, PayloadDigestIsPinned) {
-  // Recorded at session payload version 2; a change that moves it changes
+  // Recorded at session payload version 3; a change that moves it changes
   // the format and must bump kSessionPayloadVersion.
   const std::vector<std::uint8_t> payload =
       scripted_snapshot_payload(scratch_dir("restore_digest"));
   ckpt::Fnv1a64 d;
   d.bytes(payload.data(), payload.size());
-  EXPECT_EQ(d.digest(), 0x225B2A8E49EE1D45ULL)
+  EXPECT_EQ(d.digest(), 0x57CCBB0F57E054EDULL)
       << "payload digest 0x" << std::hex << d.digest();
+}
+
+// lipsd's registry is daemon-wide and no snapshot carries it, so a session
+// restored by a new process starts from an empty one. Its first TICK must
+// register every resilience series of the ladder, at zero, as a fresh
+// session's does.
+TEST(SnapshotRestore, RestoredSessionExportsResilienceSeries) {
+  const std::string root = scratch_dir("restore_metrics");
+  obs::MetricRegistry writer_metrics;
+  (void)scripted_snapshot_payload(root, &writer_metrics);
+
+  const farm::ScenarioSpec sc =
+      farm::parse_scenario_spec("name=snap,nodes=4,jobs=2");
+  const std::uint64_t seed = 9;
+  obs::MetricRegistry fresh;
+  SessionOptions ro;
+  ro.snapshot_root = root;
+  ro.restore = true;
+  ro.metrics = &fresh;
+  Session restored("tenant", sc, seed, ro);
+  WireState st;
+  st.now = sc.epoch_s;
+  st.pending = {0, 1};
+  const std::string tasks = encode_tasks(job0_tasks(sc, seed));
+  ASSERT_EQ(restored.handle("STATE", encode_state(st)).status,
+            Reply::Status::Ok);
+  ASSERT_EQ(restored.handle("JOB", "job=0,tasks=" + tasks).status,
+            Reply::Status::Ok);
+  ASSERT_EQ(restored.handle("TICK", "").status, Reply::Status::Ok);
+
+  const auto exported = [&fresh](const std::string& name,
+                                 const obs::Labels& labels) {
+    for (const obs::MetricRegistry::Sample& smp : fresh.snapshot())
+      if (smp.name == name && smp.labels == labels) return true;
+    return false;
+  };
+  for (const char* rung :
+       {"cold_rebuild", "greedy_fallback", "reuse_last_plan"})
+    EXPECT_TRUE(exported("lips_degradation_total", {{"rung", rung}})) << rung;
+  EXPECT_TRUE(exported("lips_schedule_validation_failures_total", {}));
+  EXPECT_TRUE(exported("lips_lp_certificate_failures_total", {}));
 }
 
 // Sequence 1 is good; sequences 2 and 3 pass their CRC but their payloads do

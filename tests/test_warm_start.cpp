@@ -35,8 +35,8 @@ using pins::pin_of;
 
 // ------------------------------------------- automatic iteration budget ---
 
-// Satellite fix for `max_iterations == 0`: the budget scales with model size
-// cold and with the observed infeasibility delta warm. Pins the formula:
+// The budget of every solve scales with model size cold and with the
+// observed infeasibility delta warm. Pins the formula:
 //   cold(m, n)        = 500 + 60 * (m + n)
 //   warm(m, n, delta) = min(200 + 10 * m + 50 * delta, cold(m, n))
 TEST(AutomaticIterationBudget, PinsFormula) {
@@ -112,7 +112,7 @@ TEST(BasisRoundTrip, BitIdenticalAndDeterministic) {
     EXPECT_EQ(again.basis, cold.basis) << "trial " << trial;
 
     // Round trip: warm solve from the optimal basis is a no-op.
-    const LpSolution warm = solve(m, {}, &cold.basis);
+    const LpSolution warm = solve(m, &cold.basis);
     ASSERT_TRUE(warm.optimal()) << "trial " << trial;
     EXPECT_TRUE(warm.warm_start_attempted);
     EXPECT_TRUE(warm.warm_start_used) << "trial " << trial;
@@ -152,7 +152,7 @@ TEST(WarmStart, MatchesColdUnderRandomPerturbation) {
     }
 
     const LpSolution cold = solve(m);
-    const LpSolution warm = solve(m, {}, &base.basis);
+    const LpSolution warm = solve(m, &base.basis);
     EXPECT_TRUE(warm.warm_start_attempted) << "trial " << trial;
     ASSERT_EQ(warm.status, cold.status)
         << "trial " << trial << ": warm " << to_string(warm.status)
@@ -186,34 +186,9 @@ TEST(WarmStart, ReportsInfeasibilityFromStaleBasis) {
 
   m.set_rhs(0, 5.0);  // sum of four [0,1] vars can never reach 5
   const LpSolution cold = solve(m);
-  const LpSolution warm = solve(m, {}, &base.basis);
+  const LpSolution warm = solve(m, &base.basis);
   EXPECT_EQ(cold.status, SolveStatus::Infeasible);
   EXPECT_EQ(warm.status, SolveStatus::Infeasible);
-}
-
-// An *explicit* iteration budget is honored on the warm path — the solver
-// must report IterationLimit rather than silently granting itself the cold
-// budget (which only the automatic mode may do).
-TEST(WarmStart, ExplicitIterationLimitHonored) {
-  LpModel m;
-  const std::size_t n = 8;
-  for (std::size_t j = 0; j < n; ++j) m.add_variable(0.0, 1.0, -1.0);
-  std::vector<Entry> es;
-  for (std::size_t j = 0; j < n; ++j) es.push_back({j, 1.0});
-  m.add_constraint(es, Sense::LessEqual, static_cast<double>(n) - 1.0);
-  const LpSolution base = solve(m);
-  ASSERT_TRUE(base.optimal());
-
-  // Collapse the capacity so every at-upper column must be walked back.
-  m.set_rhs(0, 0.5);
-  SolverOptions tight;
-  tight.max_iterations = 1;
-  const LpSolution warm = solve(m, tight, &base.basis);
-  EXPECT_EQ(warm.status, SolveStatus::IterationLimit);
-  // With an automatic budget the same warm solve completes.
-  const LpSolution ok = solve(m, {}, &base.basis);
-  ASSERT_TRUE(ok.optimal());
-  EXPECT_NEAR(ok.objective, solve(m).objective, 1e-9);
 }
 
 // Pivot-path pins under a seeded solver-fault storm: chains of warm-started
@@ -229,8 +204,6 @@ TEST(LpPivotPins, WarmChainsUnderSolverFaultStorm) {
   cfg.basis_corruption_probability = 0.4;
   cfg.seed = 24;
   SolverFaultInjector chaos(cfg);
-  SolverOptions options;
-  options.fault_injector = &chaos;
   Rng rng(240601);
   ChainPin chain;
   for (int trial = 0; trial < 25; ++trial) {
@@ -238,7 +211,7 @@ TEST(LpPivotPins, WarmChainsUnderSolverFaultStorm) {
         random_feasible_model(rng, 4 + rng.index(10), 3 + rng.index(7));
     Basis basis;
     for (int epoch = 0; epoch < 4; ++epoch) {
-      const LpSolution s = solve(m, options, basis.empty() ? nullptr : &basis);
+      const LpSolution s = solve(m, basis.empty() ? nullptr : &basis, &chaos);
       chain.add(pin_of(s));
       if (s.optimal()) basis = s.basis;
       for (std::size_t i = 0; i < m.num_constraints(); ++i) {

@@ -530,7 +530,7 @@ int main(int argc, char** argv) {
       if (!args.solver_faults.empty()) {
         injector =
             std::make_unique<lp::SolverFaultInjector>(solver_fault_config);
-        lo.model.solver_options.fault_injector = injector.get();
+        lo.model.fault_injector = injector.get();
       }
       auto lips = std::make_unique<core::LipsPolicy>(lo);
       lips_policy = lips.get();
@@ -716,8 +716,6 @@ int main(int argc, char** argv) {
          << " rejected), degradations: "
          << lips_policy->degradations(core::LipsPolicy::DegradationRung::ColdRebuild)
          << " cold rebuild, "
-         << lips_policy->degradations(core::LipsPolicy::DegradationRung::SanitizedRetry)
-         << " sanitized retry, "
          << lips_policy->degradations(core::LipsPolicy::DegradationRung::GreedyFallback)
          << " greedy fallback, "
          << lips_policy->degradations(core::LipsPolicy::DegradationRung::ReuseLastPlan)
