@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <tuple>
+#include <compare>
+#include <cstddef>
+#include <iterator>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -42,31 +45,97 @@ EpochLpContext::StructureKey EpochLpContext::make_key(
   return key;
 }
 
-lp::Basis EpochLpContext::remap_basis(const detail::ModelLayout& from_layout,
-                                      const lp::Basis& from,
-                                      const detail::ModelLayout& to_layout) {
+namespace detail {
+
+namespace {
+
+/// A task variable's identity: (job, machine, store + 1), 0 for no store.
+struct TaskKey {
+  std::size_t job;
+  std::size_t machine;
+  std::size_t store;
+  auto operator<=>(const TaskKey&) const = default;
+};
+
+TaskKey task_key(const TaskVar& tv) {
+  return {tv.job.value(), tv.machine, tv.store ? tv.store->value() + 1 : 0};
+}
+
+/// One identity of the old model with the status it had there. `at` is its
+/// position in the old layout: of two equal keys the first wins a lookup,
+/// as in a map filled by emplace.
+template <class Key>
+struct Keyed {
+  Key key;
+  std::size_t at;
+  lp::BasisStatus status;
+  bool operator<(const Keyed& o) const {
+    return key < o.key || (!(o.key < key) && at < o.at);
+  }
+};
+
+/// The old model's identities of one kind, sorted for lookup. A build over
+/// an ascending job subset emits most identities in order already, so the
+/// sort is usually skipped, and a new model asks for them in the same
+/// order, so a lookup first tries the entry after the previous hit.
+template <class Key>
+class StatusLookup {
+ public:
+  explicit StatusLookup(std::vector<Keyed<Key>> ids) : ids_(std::move(ids)) {
+    if (!std::is_sorted(ids_.begin(), ids_.end()))
+      std::sort(ids_.begin(), ids_.end());
+  }
+
+  /// The old status of `key`, or null when the old model lacked it.
+  const lp::BasisStatus* find(const Key& key) {
+    // The hint is the first entry of `key` when the entry before it is
+    // smaller; otherwise search.
+    auto it = ids_.begin() + static_cast<std::ptrdiff_t>(next_);
+    const bool hit = it != ids_.end() && !(key < it->key) &&
+                     !(it->key < key) &&
+                     (it == ids_.begin() || std::prev(it)->key < key);
+    if (!hit) {
+      it = std::partition_point(ids_.begin(), ids_.end(),
+                                [&](const Keyed<Key>& k) { return k.key < key; });
+      if (it == ids_.end() || key < it->key) return nullptr;
+    }
+    next_ = static_cast<std::size_t>(it - ids_.begin()) + 1;
+    return &it->status;
+  }
+
+ private:
+  std::vector<Keyed<Key>> ids_;
+  std::size_t next_ = 0;
+};
+
+}  // namespace
+
+lp::Basis remap_basis(const ModelLayout& from_layout, const lp::Basis& from,
+                      const ModelLayout& to_layout) {
   if (from.variables.size() != from_layout.num_variables ||
       from.slacks.size() != from_layout.rows.size())
     return {};
 
-  // Identity → status maps for the old model. Ordered maps: deterministic
-  // and keyed by tuples (lips-lint bans unordered iteration, and these are
-  // iterated implicitly via lookups only — ordered is simply the safe idiom).
-  using TaskKey = std::tuple<std::size_t, std::size_t, std::size_t>;
-  std::map<TaskKey, lp::BasisStatus> tmap;
-  std::map<std::pair<std::size_t, std::size_t>, lp::BasisStatus> dmap;
-  std::map<detail::RowKey, lp::BasisStatus> rmap;
-  auto task_key = [](const detail::TaskVar& tv) {
-    return TaskKey{tv.job.value(), tv.machine,
-                   tv.store ? tv.store->value() + 1 : 0};
-  };
-  for (const detail::TaskVar& tv : from_layout.tvars)
-    tmap.emplace(task_key(tv), from.variables[tv.lp_var]);
-  for (const detail::DataVar& dv : from_layout.dvars)
-    dmap.emplace(std::pair{dv.data.value(), dv.store.value()},
-                 from.variables[dv.lp_var]);
+  // The old model's identities with their statuses.
+  using DataKey = std::pair<std::size_t, std::size_t>;  // (data, store)
+  std::vector<Keyed<TaskKey>> task_ids;
+  task_ids.reserve(from_layout.tvars.size());
+  for (const TaskVar& tv : from_layout.tvars)
+    task_ids.push_back(
+        {task_key(tv), task_ids.size(), from.variables[tv.lp_var]});
+  std::vector<Keyed<DataKey>> data_ids;
+  data_ids.reserve(from_layout.dvars.size());
+  for (const DataVar& dv : from_layout.dvars)
+    data_ids.push_back({{dv.data.value(), dv.store.value()},
+                        data_ids.size(),
+                        from.variables[dv.lp_var]});
+  std::vector<Keyed<RowKey>> row_ids;
+  row_ids.reserve(from_layout.rows.size());
   for (std::size_t i = 0; i < from_layout.rows.size(); ++i)
-    rmap.emplace(from_layout.rows[i], from.slacks[i]);
+    row_ids.push_back({from_layout.rows[i], i, from.slacks[i]});
+  StatusLookup tasks(std::move(task_ids));
+  StatusLookup data(std::move(data_ids));
+  StatusLookup rows(std::move(row_ids));
 
   // New columns/rows the old model never saw default to nonbasic-at-lower;
   // the solver's basis import sanitizes statuses against the actual bounds
@@ -74,20 +143,20 @@ lp::Basis EpochLpContext::remap_basis(const detail::ModelLayout& from_layout,
   lp::Basis to;
   to.variables.assign(to_layout.num_variables, lp::BasisStatus::AtLower);
   to.slacks.assign(to_layout.rows.size(), lp::BasisStatus::AtLower);
-  for (const detail::TaskVar& tv : to_layout.tvars) {
-    const auto it = tmap.find(task_key(tv));
-    if (it != tmap.end()) to.variables[tv.lp_var] = it->second;
-  }
-  for (const detail::DataVar& dv : to_layout.dvars) {
-    const auto it = dmap.find(std::pair{dv.data.value(), dv.store.value()});
-    if (it != dmap.end()) to.variables[dv.lp_var] = it->second;
-  }
-  for (std::size_t i = 0; i < to_layout.rows.size(); ++i) {
-    const auto it = rmap.find(to_layout.rows[i]);
-    if (it != rmap.end()) to.slacks[i] = it->second;
-  }
+  for (const TaskVar& tv : to_layout.tvars)
+    if (const lp::BasisStatus* st = tasks.find(task_key(tv)))
+      to.variables[tv.lp_var] = *st;
+  for (const DataVar& dv : to_layout.dvars)
+    if (const lp::BasisStatus* st =
+            data.find(DataKey{dv.data.value(), dv.store.value()}))
+      to.variables[dv.lp_var] = *st;
+  for (std::size_t i = 0; i < to_layout.rows.size(); ++i)
+    if (const lp::BasisStatus* st = rows.find(to_layout.rows[i]))
+      to.slacks[i] = *st;
   return to;
 }
+
+}  // namespace detail
 
 void EpochLpContext::invalidate() {
   have_model_ = false;
@@ -152,6 +221,10 @@ LpSchedule EpochLpContext::solve(
   // Wall-clock read only when a registry will consume the sample.
   const std::uint64_t t_begin_us =
       obs_.metrics != nullptr ? obs::monotonic_now_us() : 0;
+  // Phase spans inside lp-solve: lp-build (builder, then build or
+  // apply_numeric), lp-remap and lp-simplex.
+  std::optional<obs::Span> build_span;
+  build_span.emplace(obs_.tracer, "lp-build", "lp");
   const detail::ModelBuilder builder(cluster, workload, options, jobs,
                                      remaining_fraction, effective_origins);
   StructureKey key = make_key(cluster, workload, options, builder.jobs());
@@ -183,14 +256,18 @@ LpSchedule EpochLpContext::solve(
   lp::Basis start;
   if (delta) {
     builder.apply_numeric(model_, layout_);
+    build_span.reset();
     start = basis_;
     ++stats_.model_reuses;
   } else {
     lp::LpModel fresh;
     detail::ModelLayout fresh_layout;
     builder.build(nullptr, fresh, fresh_layout);
-    if (have_model_ && !basis_.empty())
-      start = remap_basis(layout_, basis_, fresh_layout);
+    build_span.reset();
+    if (have_model_ && !basis_.empty()) {
+      const obs::Span remap_span(obs_.tracer, "lp-remap", "lp");
+      start = detail::remap_basis(layout_, basis_, fresh_layout);
+    }
     model_ = std::move(fresh);
     layout_ = std::move(fresh_layout);
     ++stats_.builds;
@@ -198,7 +275,10 @@ LpSchedule EpochLpContext::solve(
   key_ = std::move(key);
   have_model_ = true;
 
-  const lp::LpSolution sol = lp::solve(model_, &start, options.fault_injector);
+  const lp::LpSolution sol = [&] {
+    const obs::Span simplex_span(obs_.tracer, "lp-simplex", "lp");
+    return lp::solve(model_, &start, options.fault_injector);
+  }();
 
   stats_.pivots += sol.iterations;
   stats_.repair_pivots += sol.repair_iterations;

@@ -105,12 +105,6 @@ class EpochLpContext {
                                const workload::Workload& workload,
                                const ModelOptions& options,
                                const std::vector<JobId>& jobs);
-  /// Translate a basis across models by column/row identity. Missing
-  /// entries default to nonbasic-at-lower; the solver's import sanitizes
-  /// and completes the set.
-  static lp::Basis remap_basis(const detail::ModelLayout& from_layout,
-                               const lp::Basis& from,
-                               const detail::ModelLayout& to_layout);
 
   obs::Observer obs_{};
   bool have_model_ = false;

@@ -132,18 +132,30 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
   gates_.clear();
   moves_.clear();
 
-  // 1. Queue snapshot: pending task ids per job, FIFO order preserved.
-  std::map<std::size_t, std::vector<std::size_t>> pending_of_job;
+  // 1. Queue snapshot: pending task ids grouped by job, jobs in id order and
+  // each job's ids in pending (FIFO) order. Job subset[g]'s ids are
+  // queue[group_begin[g], group_end[g]); pinning takes them from the end.
+  std::vector<std::pair<std::size_t, std::size_t>> queue;  // (job, task id)
+  queue.reserve(state.pending().size());
   for (const std::size_t id : state.pending())
-    pending_of_job[state.task(id).job.value()].push_back(id);
-  if (pending_of_job.empty()) return;
+    queue.emplace_back(state.task(id).job.value(), id);
+  if (queue.empty()) return;
+  std::stable_sort(queue.begin(), queue.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
 
   JobSubset subset;
   std::vector<double> remaining;
-  for (const auto& [job, ids] : pending_of_job) {
-    subset.push_back(JobId{job});
-    remaining.push_back(static_cast<double>(ids.size()) /
-                        static_cast<double>(w.job(JobId{job}).num_tasks));
+  std::vector<std::size_t> group_begin;
+  std::vector<std::size_t> group_end;
+  for (std::size_t begin = 0, end = 0; begin < queue.size(); begin = end) {
+    while (end < queue.size() && queue[end].first == queue[begin].first) ++end;
+    const JobId job{queue[begin].first};
+    subset.push_back(job);
+    remaining.push_back(static_cast<double>(end - begin) /
+                        static_cast<double>(w.job(job).num_tasks));
+    group_begin.push_back(begin);
+    group_end.push_back(end);
   }
 
   // 2. Solve the online LP over the queue, pricing placement from where
@@ -212,8 +224,11 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
         obs_.metrics->counter("lips_lp_certificate_failures_total").inc();
       continue;
     }
-    const ValidationReport verdict =
-        validate_schedule(c, w, model, attempt, subset, remaining, origins);
+    const ValidationReport verdict = [&] {
+      const obs::Span validate_span(obs_.tracer, "lips-validate", "sched");
+      return validate_schedule(c, w, model, attempt, subset, remaining,
+                               origins);
+    }();
     schedules_validated_ += 1;
     if (!verdict.ok) {
       // A "successful" solve that decodes to garbage: reject it before the
@@ -312,7 +327,9 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
   }
 
   for (const TaskBundle& b : rounded.bundles) {
-    auto& ids = pending_of_job[b.job.value()];
+    const auto job_it = std::lower_bound(subset.begin(), subset.end(), b.job);
+    if (job_it == subset.end() || *job_it != b.job) continue;
+    const auto g = static_cast<std::size_t>(job_it - subset.begin());
     std::vector<std::size_t> gates;
     if (b.store) {
       for (const DataId d : w.job(b.job).data) {
@@ -320,9 +337,9 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
         if (it != gate_of.end()) gates.push_back(it->second);
       }
     }
-    for (std::size_t t = 0; t < b.tasks && !ids.empty(); ++t) {
-      const std::size_t id = ids.back();
-      ids.pop_back();
+    for (std::size_t t = 0; t < b.tasks && group_end[g] > group_begin[g];
+         ++t) {
+      const std::size_t id = queue[--group_end[g]].second;
       plan_[b.machine.value()].push_back(PinnedTask{id, b.store, gates});
     }
   }

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/lp_models.hpp"
@@ -78,6 +79,15 @@ struct ModelLayout {
                                     const lp::LpSolution& sol,
                                     const lp::SolverFaultInjector* injector);
 
+/// Translate a basis across models by column/row identity: (job, machine,
+/// store) for task variables, (data, store) for placement variables, RowKey
+/// for slacks. Entries `to_layout` has but `from_layout` lacks default to
+/// nonbasic-at-lower; the solver's import sanitizes and completes the set.
+/// A basis that does not fit `from_layout` remaps to the empty basis.
+[[nodiscard]] lp::Basis remap_basis(const ModelLayout& from_layout,
+                                    const lp::Basis& from,
+                                    const ModelLayout& to_layout);
+
 /// Shared builder for the three paper models (Figs. 2, 3, 4).
 class ModelBuilder {
  public:
@@ -117,8 +127,15 @@ class ModelBuilder {
   [[nodiscard]] std::vector<std::size_t> candidate_machines(
       JobId k, const std::vector<StoreId>& stores) const;
 
+  /// What a job's objective (7) + (8) coefficients read of the workload,
+  /// looked up once per job.
+  struct JobCost {
+    CpuSeconds cpu;
+    std::vector<std::pair<double, Bytes>> reads;  ///< (JD fraction, size)
+  };
+  [[nodiscard]] JobCost job_cost(JobId k) const;
   /// Objective coefficient of x^t_{kls} (execution + runtime reads).
-  [[nodiscard]] Millicents task_coeff_mc(JobId k, std::size_t l,
+  [[nodiscard]] Millicents task_coeff_mc(const JobCost& job, std::size_t l,
                                          std::optional<StoreId> s) const;
   /// Patience-floor surcharge: full O(i)->s placement for each input of k.
   [[nodiscard]] Millicents placement_bound_mc(JobId k, StoreId s) const;
@@ -133,6 +150,7 @@ class ModelBuilder {
   ModelOptions opt_;
   std::vector<JobId> jobs_;
   std::vector<double> remaining_;
+  std::vector<UsdPerCpuSec> machine_price_mc_;  // price_mc, per machine
   UsdPerCpuSec fake_price_mc_ = UsdPerCpuSec::zero();
   std::vector<StoreId> origins_;
   std::vector<char> machine_excluded_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <set>
 #include <unordered_map>
 
@@ -72,6 +71,13 @@ ModelBuilder::ModelBuilder(const Cluster& cluster, const Workload& workload,
       LIPS_REQUIRE(f > 0.0 && f <= 1.0,
                    "machine throughput factor must be in (0, 1]");
   }
+  // Each machine's price in force for this solve (spot schedules honored
+  // when options.price_time >= 0), looked up once per builder.
+  machine_price_mc_.reserve(c_.machine_count());
+  for (std::size_t l = 0; l < c_.machine_count(); ++l)
+    machine_price_mc_.push_back(
+        opt_.price_time >= 0 ? c_.cpu_price_mc_at(MachineId{l}, opt_.price_time)
+                             : c_.machine(MachineId{l}).cpu_price_mc);
   if (opt_.fake_node) {
     UsdPerCpuSec max_price = UsdPerCpuSec::zero();
     for (std::size_t l = 0; l < c_.machine_count(); ++l)
@@ -82,11 +88,7 @@ ModelBuilder::ModelBuilder(const Cluster& cluster, const Workload& workload,
 }
 
 UsdPerCpuSec ModelBuilder::price_mc(std::size_t l) const {
-  // Machine CPU price in force for this solve (spot schedules honored when
-  // options.price_time >= 0).
-  if (opt_.price_time >= 0)
-    return c_.cpu_price_mc_at(MachineId{l}, opt_.price_time);
-  return c_.machine(MachineId{l}).cpu_price_mc;
+  return machine_price_mc_[l];
 }
 
 StoreId ModelBuilder::origin_of(DataId i) const {
@@ -156,18 +158,24 @@ std::vector<std::size_t> ModelBuilder::candidate_machines(
   return all;
 }
 
-Millicents ModelBuilder::task_coeff_mc(JobId k, std::size_t l,
+ModelBuilder::JobCost ModelBuilder::job_cost(JobId k) const {
+  JobCost cost{CpuSeconds::ecu_s(w_.job_cpu_ecu_s(k)), {}};
+  const workload::Job& job = w_.job(k);
+  cost.reads.reserve(job.data.size());
+  for (std::size_t di = 0; di < job.data.size(); ++di)
+    cost.reads.emplace_back(w_.job_access_fraction(k, di),
+                            Bytes::mb(w_.data(job.data[di]).size_mb));
+  return cost;
+}
+
+Millicents ModelBuilder::task_coeff_mc(const JobCost& job, std::size_t l,
                                        std::optional<StoreId> s) const {
   // Objective (7) + (8): execution plus runtime reads, with traffic scaled
   // by the JD access fraction (partial accesses, paper §III).
-  const CpuSeconds cpu = CpuSeconds::ecu_s(w_.job_cpu_ecu_s(k));
-  Millicents coeff = cpu * price_mc(l);
+  Millicents coeff = job.cpu * price_mc(l);
   if (s) {
-    const workload::Job& job = w_.job(k);
-    for (std::size_t di = 0; di < job.data.size(); ++di)
-      coeff += c_.ms_cost_mc_per_mb(MachineId{l}, *s) *
-               w_.job_access_fraction(k, di) *
-               Bytes::mb(w_.data(job.data[di]).size_mb);
+    const McPerMb ms = c_.ms_cost_mc_per_mb(MachineId{l}, *s);
+    for (const auto& [fraction, size] : job.reads) coeff += ms * fraction * size;
   }
   return coeff;
 }
@@ -279,9 +287,12 @@ void ModelBuilder::build(const FixedPlacement* fixed, lp::LpModel& model,
   // Per job: the candidate (machine, store) grid.
   std::vector<std::vector<StoreId>> job_stores(jobs_.size());
   std::vector<std::vector<std::size_t>> job_machines(jobs_.size());
+  // Job kq's variables are tvars[first_tvar[kq], first_tvar[kq + 1]).
+  std::vector<std::size_t> first_tvar(jobs_.size() + 1, 0);
   for (std::size_t kq = 0; kq < jobs_.size(); ++kq) {
     const JobId k = jobs_[kq];
     const workload::Job& job = w_.job(k);
+    first_tvar[kq] = tvars.size();
 
     // Store set the job may read from: intersection across accessed data
     // (equal to each object's extended candidate set after the union pass
@@ -299,22 +310,31 @@ void ModelBuilder::build(const FixedPlacement* fixed, lp::LpModel& model,
     }
     job_stores[kq] = stores;
     job_machines[kq] = candidate_machines(k, stores);
+    const JobCost cost = job_cost(k);
 
+    // The patience floor's placement surcharge depends on the store only.
+    std::vector<Millicents> bound_of_store;
+    if (co_schedule) {
+      bound_of_store.reserve(stores.size());
+      for (StoreId s : stores)
+        bound_of_store.push_back(placement_bound_mc(k, s));
+    }
     Millicents min_real_coeff = Millicents::infinity();
     for (std::size_t l : job_machines[kq]) {
       if (job.data.empty()) {
         // Input-free job: one variable per machine, objective (7) only.
-        const Millicents exec_mc = task_coeff_mc(k, l, std::nullopt);
+        const Millicents exec_mc = task_coeff_mc(cost, l, std::nullopt);
         const std::size_t v = model.add_variable(0.0, 1.0, exec_mc.mc());
         tvars.push_back(TaskVar{v, k, l, std::nullopt});
         min_real_coeff = std::min(min_real_coeff, exec_mc);
       } else {
-        for (StoreId s : stores) {
-          const Millicents coeff = task_coeff_mc(k, l, s);
+        for (std::size_t si = 0; si < stores.size(); ++si) {
+          const StoreId s = stores[si];
+          const Millicents coeff = task_coeff_mc(cost, l, s);
           const std::size_t v = model.add_variable(0.0, 1.0, coeff.mc());
           tvars.push_back(TaskVar{v, k, l, s});
           Millicents total = coeff;
-          if (co_schedule) total += placement_bound_mc(k, s);
+          if (co_schedule) total += bound_of_store[si];
           min_real_coeff = std::min(min_real_coeff, total);
         }
       }
@@ -326,14 +346,21 @@ void ModelBuilder::build(const FixedPlacement* fixed, lp::LpModel& model,
     }
   }
 
-  // Index tvars per job for constraint assembly.
+  first_tvar[jobs_.size()] = tvars.size();
+
+  // Index tvars per job for constraint assembly: each job's variables go to
+  // the job's last position in the subset.
   std::vector<std::vector<std::size_t>>& tvars_of_job = layout.tvars_of_job;
   tvars_of_job.assign(jobs_.size(), {});
   std::unordered_map<std::size_t, std::size_t> job_pos;
+  job_pos.reserve(jobs_.size());
   for (std::size_t kq = 0; kq < jobs_.size(); ++kq)
     job_pos[jobs_[kq].value()] = kq;
-  for (std::size_t t = 0; t < tvars.size(); ++t)
-    tvars_of_job[job_pos.at(tvars[t].job.value())].push_back(t);
+  for (std::size_t kq = 0; kq < jobs_.size(); ++kq) {
+    std::vector<std::size_t>& ids = tvars_of_job[job_pos.at(jobs_[kq].value())];
+    for (std::size_t t = first_tvar[kq]; t < first_tvar[kq + 1]; ++t)
+      ids.push_back(t);
+  }
 
   auto add_row = [&](std::span<const lp::Entry> row, lp::Sense sense,
                      double rhs, RowKey key) {
@@ -346,6 +373,7 @@ void ModelBuilder::build(const FixedPlacement* fixed, lp::LpModel& model,
     for (std::size_t i = 0; i < w_.data_count(); ++i) {
       if (!active[i]) continue;
       std::vector<lp::Entry> row;
+      row.reserve(data_stores[i].size());
       for (StoreId j : data_stores[i])
         row.push_back({dvar_index.at(dkey(DataId{i}, j)), 1.0});
       add_row(row, lp::Sense::GreaterEqual, 1.0,
@@ -356,6 +384,7 @@ void ModelBuilder::build(const FixedPlacement* fixed, lp::LpModel& model,
   // ---- Constraint (10)/(2)/(20): every job fully scheduled. -------------
   for (std::size_t kq = 0; kq < jobs_.size(); ++kq) {
     std::vector<lp::Entry> row;
+    row.reserve(tvars_of_job[kq].size());
     for (std::size_t t : tvars_of_job[kq]) row.push_back({tvars[t].lp_var, 1.0});
     add_row(row, lp::Sense::GreaterEqual, remaining_[kq],
             RowKey{RowKey::Kind::Job, jobs_[kq].value()});
@@ -396,14 +425,15 @@ void ModelBuilder::build(const FixedPlacement* fixed, lp::LpModel& model,
 
   // ---- Constraint (21): per-(job, machine) epoch transfer time. ----------
   if (opt_.epoch_s > 0) {
+    // Rows in machine order: constraint-row order feeds the simplex pivot
+    // sequence, so it must not depend on anything but the structure.
+    std::vector<std::vector<lp::Entry>> rows(c_.machine_count());
     for (std::size_t kq = 0; kq < jobs_.size(); ++kq) {
       const workload::Job& job = w_.job(jobs_[kq]);
       if (job.data.empty()) continue;
       const Bytes input = Bytes::mb(w_.job_input_mb(jobs_[kq]));
-      // Ordered map: constraint-row order feeds the simplex pivot
-      // sequence, so iterating an unordered container here would make the
-      // solve (and every golden objective value) run-to-run unstable.
-      std::map<std::size_t, std::vector<lp::Entry>> rows;
+      for (std::size_t l : job_machines[kq])
+        rows[l].reserve(job_stores[kq].size());
       for (std::size_t t : tvars_of_job[kq]) {
         const TaskVar& tv = tvars[t];
         if (tv.machine == kFakeNode || !tv.store) continue;
@@ -412,23 +442,40 @@ void ModelBuilder::build(const FixedPlacement* fixed, lp::LpModel& model,
         const Seconds transfer = input / bw;
         rows[tv.machine].push_back({tv.lp_var, transfer.secs()});
       }
-      for (auto& [l, row] : rows)
-        add_row(row, lp::Sense::LessEqual, opt_.epoch_s,
+      for (std::size_t l = 0; l < rows.size(); ++l) {
+        if (rows[l].empty()) continue;
+        add_row(rows[l], lp::Sense::LessEqual, opt_.epoch_s,
                 RowKey{RowKey::Kind::Bandwidth, jobs_[kq].value(), l});
+        rows[l].clear();
+      }
     }
   }
 
   // ---- Constraint (13)/(3)/(24): reads require presence. ----------------
+  // One pass over a job's task variables gathers Σ_l x^t_{k l s} for every
+  // store s at once: `slot_of_store` gives each store the bucket of its
+  // first place in the job's store list, and a bucket keeps the variables
+  // in their column order.
+  std::vector<std::size_t> slot_of_store(c_.store_count(), SIZE_MAX);
+  std::vector<std::vector<lp::Entry>> reads;
+  std::vector<lp::Entry> row;
   for (std::size_t kq = 0; kq < jobs_.size(); ++kq) {
     const workload::Job& job = w_.job(jobs_[kq]);
     if (job.data.empty()) continue;
-    for (StoreId s : job_stores[kq]) {
-      // Gather Σ_l x^t_{k l s} once.
-      std::vector<lp::Entry> lhs;
-      for (std::size_t t : tvars_of_job[kq]) {
-        if (tvars[t].store && *tvars[t].store == s)
-          lhs.push_back({tvars[t].lp_var, 1.0});
-      }
+    const std::vector<StoreId>& stores = job_stores[kq];
+    if (reads.size() < stores.size()) reads.resize(stores.size());
+    for (std::size_t si = 0; si < stores.size(); ++si) {
+      std::size_t& slot = slot_of_store[stores[si].value()];
+      if (slot == SIZE_MAX) slot = si;
+      reads[si].clear();
+      reads[si].reserve(job_machines[kq].size());
+    }
+    for (std::size_t t : tvars_of_job[kq])
+      if (tvars[t].store)
+        reads[slot_of_store[tvars[t].store->value()]].push_back(
+            {tvars[t].lp_var, 1.0});
+    for (StoreId s : stores) {
+      const std::vector<lp::Entry>& lhs = reads[slot_of_store[s.value()]];
       if (lhs.empty()) continue;
       for (DataId i : job.data) {
         const RowKey key{RowKey::Kind::Linking, jobs_[kq].value(), s.value(),
@@ -437,7 +484,7 @@ void ModelBuilder::build(const FixedPlacement* fixed, lp::LpModel& model,
           auto it = dvar_index.find(dkey(i, s));
           LIPS_ASSERT(it != dvar_index.end(),
                       "job candidate store missing data variable");
-          std::vector<lp::Entry> row = lhs;
+          row.assign(lhs.begin(), lhs.end());
           row.push_back({it->second, -1.0});
           add_row(row, lp::Sense::LessEqual, 0.0, key);
         } else {
@@ -445,6 +492,7 @@ void ModelBuilder::build(const FixedPlacement* fixed, lp::LpModel& model,
         }
       }
     }
+    for (StoreId s : stores) slot_of_store[s.value()] = SIZE_MAX;
   }
 
   layout.num_variables = model.num_variables();
@@ -463,19 +511,31 @@ void ModelBuilder::apply_numeric(lp::LpModel& model,
   // Objective: x^t costs move with spot prices; the fake-node patience
   // floor moves with the job's cheapest real option. Iteration order per
   // job matches build(), so min_real_coeff accumulates identically.
+  // The placement surcharge of each (job, store) is computed once.
+  std::vector<Millicents> bound_of_store(c_.store_count());
+  std::vector<char> bound_known(c_.store_count(), false);
   for (std::size_t kq = 0; kq < jobs_.size(); ++kq) {
+    const JobCost cost = job_cost(jobs_[kq]);
     Millicents min_real_coeff = Millicents::infinity();
     std::size_t fake_var = SIZE_MAX;
+    std::fill(bound_known.begin(), bound_known.end(), false);
     for (std::size_t t : layout.tvars_of_job[kq]) {
       const TaskVar& tv = layout.tvars[t];
       if (tv.machine == kFakeNode) {
         fake_var = tv.lp_var;
         continue;
       }
-      const Millicents coeff = task_coeff_mc(tv.job, tv.machine, tv.store);
+      const Millicents coeff = task_coeff_mc(cost, tv.machine, tv.store);
       model.set_objective(tv.lp_var, coeff.mc());
       Millicents total = coeff;
-      if (tv.store) total += placement_bound_mc(tv.job, *tv.store);
+      if (tv.store) {
+        const std::size_t s = tv.store->value();
+        if (!bound_known[s]) {
+          bound_of_store[s] = placement_bound_mc(tv.job, *tv.store);
+          bound_known[s] = true;
+        }
+        total += bound_of_store[s];
+      }
       min_real_coeff = std::min(min_real_coeff, total);
     }
     if (fake_var != SIZE_MAX)

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <string>
+#include <type_traits>
 
 namespace lips::core {
 
@@ -15,19 +17,25 @@ namespace {
 // while staying orders of magnitude below anything corruption produces.
 constexpr double kFracTol = 1e-4;
 
+// A check names what it found only when it fails: `message` is a string
+// literal or a callable that formats the text, called on failure alone, so
+// a passing check costs its comparison and nothing more.
 struct Checker {
   ValidationReport report;
 
-  void check(bool ok_condition, double magnitude,
-             const std::string& message) {
+  template <class Message>
+  void check(bool ok_condition, double magnitude, const Message& message) {
     report.checks += 1;
     if (ok_condition) return;
     report.ok = false;
     report.worst_violation = std::max(report.worst_violation, magnitude);
-    if (report.violations.size() < kMaxReportedViolations)
-      report.violations.push_back({message, magnitude});
-    else
+    if (report.violations.size() >= kMaxReportedViolations) {
       report.dropped += 1;
+    } else if constexpr (std::is_invocable_v<const Message&>) {
+      report.violations.push_back({message(), magnitude});
+    } else {
+      report.violations.push_back({std::string(message), magnitude});
+    }
   }
 };
 
@@ -84,16 +92,18 @@ ValidationReport validate_schedule(const cluster::Cluster& cluster,
   for (std::size_t kq = 0; kq < job_list.size(); ++kq)
     job_pos[job_list[kq].value()] = kq;
 
-  ck.check(schedule.objective_mc.finite(),
-           1.0, "LP objective is not finite: " + fmt(schedule.objective_mc.mc()));
+  ck.check(schedule.objective_mc.finite(), 1.0, [&] {
+    return "LP objective is not finite: " + fmt(schedule.objective_mc.mc());
+  });
   ck.check(schedule.placement_transfer_mc.finite() &&
                schedule.execution_mc.finite() &&
                schedule.runtime_transfer_mc.finite(),
            1.0, "cost breakdown contains a non-finite component");
-  ck.check(schedule.deferred_fraction.size() == job_list.size(), 1.0,
-           "deferred_fraction has " +
-               std::to_string(schedule.deferred_fraction.size()) +
-               " entries for " + std::to_string(job_list.size()) + " jobs");
+  ck.check(schedule.deferred_fraction.size() == job_list.size(), 1.0, [&] {
+    return "deferred_fraction has " +
+           std::to_string(schedule.deferred_fraction.size()) +
+           " entries for " + std::to_string(job_list.size()) + " jobs";
+  });
   if (!ck.report.ok) return ck.report;
 
   std::vector<bool> machine_excluded(cluster.machine_count(), false);
@@ -108,24 +118,28 @@ ValidationReport validate_schedule(const cluster::Cluster& cluster,
   std::vector<double> store_load_mb(cluster.store_count(), 0.0);
   Millicents placement_mc = Millicents::zero();
   for (const DataPlacement& p : schedule.placements) {
-    const std::string where = "placement of data #" +
-                              std::to_string(p.data.value()) + " on store #" +
-                              std::to_string(p.store.value());
-    ck.check(std::isfinite(p.fraction), 1.0,
-             where + " has non-finite fraction " + fmt(p.fraction));
+    const auto where = [&p] {
+      return "placement of data #" + std::to_string(p.data.value()) +
+             " on store #" + std::to_string(p.store.value());
+    };
+    ck.check(std::isfinite(p.fraction), 1.0, [&] {
+      return where() + " has non-finite fraction " + fmt(p.fraction);
+    });
     if (!std::isfinite(p.fraction)) return ck.report;
     ck.check(p.fraction >= -kFracTol && p.fraction <= 1.0 + kFracTol,
-             std::fabs(p.fraction), where + " fraction " + fmt(p.fraction) +
-                 " is outside [0, 1] — transfers must be non-negative");
+             std::fabs(p.fraction), [&] {
+               return where() + " fraction " + fmt(p.fraction) +
+                      " is outside [0, 1] — transfers must be non-negative";
+             });
     ck.check(p.data.value() < workload.data_count(), 1.0,
-             where + " references an unknown data object");
+             [&] { return where() + " references an unknown data object"; });
     ck.check(p.store.value() < cluster.store_count(), 1.0,
-             where + " references an unknown store");
+             [&] { return where() + " references an unknown store"; });
     if (p.data.value() >= workload.data_count() ||
         p.store.value() >= cluster.store_count())
       return ck.report;
     ck.check(!store_excluded[p.store.value()], p.fraction,
-             where + " targets an excluded store");
+             [&] { return where() + " targets an excluded store"; });
     placed[{p.data.value(), p.store.value()}] += p.fraction;
     store_load_mb[p.store.value()] +=
         p.fraction * workload.data(p.data).size_mb;
@@ -138,10 +152,11 @@ ValidationReport validate_schedule(const cluster::Cluster& cluster,
   for (std::size_t s = 0; s < cluster.store_count(); ++s) {
     const double cap_mb = cluster.store(StoreId{s}).capacity_mb;
     ck.check(store_load_mb[s] <= cap_mb * (1.0 + 1e-5) + kFracTol,
-             store_load_mb[s] - cap_mb,
-             "store #" + std::to_string(s) + " capacity exceeded: " +
-                 fmt(store_load_mb[s]) + " MB placed, " + fmt(cap_mb) +
-                 " MB available (constraint 11)");
+             store_load_mb[s] - cap_mb, [&] {
+               return "store #" + std::to_string(s) + " capacity exceeded: " +
+                      fmt(store_load_mb[s]) + " MB placed, " + fmt(cap_mb) +
+                      " MB available (constraint 11)";
+             });
   }
 
   // ---- Portions: range, references, coverage, loads, recomputed cost. ----
@@ -154,26 +169,32 @@ ValidationReport validate_schedule(const cluster::Cluster& cluster,
   Millicents execution_mc = Millicents::zero();
   Millicents runtime_mc = Millicents::zero();
   for (const TaskPortion& tp : schedule.portions) {
-    const std::string where = "portion of job #" +
-                              std::to_string(tp.job.value()) +
-                              " on machine #" +
-                              std::to_string(tp.machine.value());
-    ck.check(std::isfinite(tp.fraction), 1.0,
-             where + " has non-finite fraction " + fmt(tp.fraction));
+    const auto where = [&tp] {
+      return "portion of job #" + std::to_string(tp.job.value()) +
+             " on machine #" + std::to_string(tp.machine.value());
+    };
+    ck.check(std::isfinite(tp.fraction), 1.0, [&] {
+      return where() + " has non-finite fraction " + fmt(tp.fraction);
+    });
     if (!std::isfinite(tp.fraction)) return ck.report;
     ck.check(tp.fraction >= -kFracTol && tp.fraction <= 1.0 + kFracTol,
-             std::fabs(tp.fraction),
-             where + " fraction " + fmt(tp.fraction) + " is outside [0, 1]");
-    ck.check(tp.machine.value() < cluster.machine_count(), 1.0,
-             where + " references an unknown machine (the fake node must "
-                     "decode to deferred_fraction, never to a portion)");
-    ck.check(job_pos.count(tp.job.value()) != 0, 1.0,
-             where + " schedules a job outside the requested subset");
+             std::fabs(tp.fraction), [&] {
+               return where() + " fraction " + fmt(tp.fraction) +
+                      " is outside [0, 1]";
+             });
+    ck.check(tp.machine.value() < cluster.machine_count(), 1.0, [&] {
+      return where() +
+             " references an unknown machine (the fake node must decode to "
+             "deferred_fraction, never to a portion)";
+    });
+    ck.check(job_pos.count(tp.job.value()) != 0, 1.0, [&] {
+      return where() + " schedules a job outside the requested subset";
+    });
     if (tp.machine.value() >= cluster.machine_count() ||
         job_pos.count(tp.job.value()) == 0)
       return ck.report;
     ck.check(!machine_excluded[tp.machine.value()], tp.fraction,
-             where + " targets an excluded machine");
+             [&] { return where() + " targets an excluded machine"; });
     const std::size_t kq = job_pos.at(tp.job.value());
     covered[kq] += tp.fraction;
     machine_load_ecu[tp.machine.value()] +=
@@ -186,7 +207,7 @@ ValidationReport validate_schedule(const cluster::Cluster& cluster,
     execution_mc += tp.fraction * cpu * price;
     if (tp.store) {
       ck.check(tp.store->value() < cluster.store_count(), 1.0,
-               where + " reads from an unknown store");
+               [&] { return where() + " reads from an unknown store"; });
       if (tp.store->value() >= cluster.store_count()) return ck.report;
       const workload::Job& job = workload.job(tp.job);
       if (!job.data.empty()) {
@@ -209,23 +230,26 @@ ValidationReport validate_schedule(const cluster::Cluster& cluster,
   double total_deferred = 0.0;
   for (std::size_t kq = 0; kq < job_list.size(); ++kq) {
     const double deferred = schedule.deferred_fraction[kq];
-    ck.check(std::isfinite(deferred) && deferred >= -kFracTol, 1.0,
-             "job #" + std::to_string(job_list[kq].value()) +
-                 " has invalid deferred fraction " + fmt(deferred));
+    ck.check(std::isfinite(deferred) && deferred >= -kFracTol, 1.0, [&] {
+      return "job #" + std::to_string(job_list[kq].value()) +
+             " has invalid deferred fraction " + fmt(deferred);
+    });
     if (!std::isfinite(deferred)) return ck.report;
     total_deferred += std::max(deferred, 0.0);
     const double assigned = covered[kq] + std::max(deferred, 0.0);
-    ck.check(assigned >= remaining[kq] - kFracTol,
-             remaining[kq] - assigned,
-             "job #" + std::to_string(job_list[kq].value()) +
-                 " is under-covered: " + fmt(assigned) + " assigned of " +
-                 fmt(remaining[kq]) + " remaining (constraint 10)");
+    ck.check(assigned >= remaining[kq] - kFracTol, remaining[kq] - assigned,
+             [&] {
+               return "job #" + std::to_string(job_list[kq].value()) +
+                      " is under-covered: " + fmt(assigned) + " assigned of " +
+                      fmt(remaining[kq]) + " remaining (constraint 10)";
+             });
     // The rows are >=, but with strictly positive costs no optimal vertex
     // over-assigns; well past tolerance it means the decode double-counted.
-    ck.check(assigned <= remaining[kq] + 1e-3, assigned - remaining[kq],
-             "job #" + std::to_string(job_list[kq].value()) +
-                 " is over-covered: " + fmt(assigned) + " assigned of " +
-                 fmt(remaining[kq]) + " remaining");
+    ck.check(assigned <= remaining[kq] + 1e-3, assigned - remaining[kq], [&] {
+      return "job #" + std::to_string(job_list[kq].value()) +
+             " is over-covered: " + fmt(assigned) + " assigned of " +
+             fmt(remaining[kq]) + " remaining";
+    });
   }
 
   // ---- Machine CPU capacity (constraint 12). -----------------------------
@@ -237,21 +261,24 @@ ValidationReport validate_schedule(const cluster::Cluster& cluster,
                               : options.machine_throughput_factor[l];
     const double cap_ecu = m.throughput_ecu * horizon * factor;
     ck.check(machine_load_ecu[l] <= cap_ecu * (1.0 + 1e-5) + kFracTol,
-             machine_load_ecu[l] - cap_ecu,
-             "machine #" + std::to_string(l) + " CPU capacity exceeded: " +
-                 fmt(machine_load_ecu[l]) + " ECU·s demanded, " +
-                 fmt(cap_ecu) + " available (constraint 12)");
+             machine_load_ecu[l] - cap_ecu, [&] {
+               return "machine #" + std::to_string(l) +
+                      " CPU capacity exceeded: " + fmt(machine_load_ecu[l]) +
+                      " ECU·s demanded, " + fmt(cap_ecu) +
+                      " available (constraint 12)";
+             });
   }
 
   // ---- Epoch bandwidth rows (constraint 21). -----------------------------
   if (options.epoch_s > 0) {
     for (const auto& [key, secs] : transfer_time)
       ck.check(secs <= options.epoch_s * (1.0 + 1e-5) + kFracTol,
-               secs - options.epoch_s,
-               "job #" + std::to_string(key.first) + " on machine #" +
-                   std::to_string(key.second) + " needs " + fmt(secs) +
-                   " s of transfer in a " + fmt(options.epoch_s) +
-                   " s epoch (constraint 21)");
+               secs - options.epoch_s, [&] {
+                 return "job #" + std::to_string(key.first) + " on machine #" +
+                        std::to_string(key.second) + " needs " + fmt(secs) +
+                        " s of transfer in a " + fmt(options.epoch_s) +
+                        " s epoch (constraint 21)";
+               });
   }
 
   // ---- Linking (constraint 13): reads are backed by placements. ----------
@@ -263,12 +290,12 @@ ValidationReport validate_schedule(const cluster::Cluster& cluster,
       for (const DataId d : job.data) {
         const auto it = placed.find({d.value(), key.second});
         const double have = it == placed.end() ? 0.0 : it->second;
-        ck.check(have >= fraction - kFracTol, fraction - have,
-                 "job #" + std::to_string(key.first) + " reads " +
-                     fmt(fraction) + " of data #" +
-                     std::to_string(d.value()) + " from store #" +
-                     std::to_string(key.second) + " but only " + fmt(have) +
-                     " is placed there (constraint 13)");
+        ck.check(have >= fraction - kFracTol, fraction - have, [&] {
+          return "job #" + std::to_string(key.first) + " reads " +
+                 fmt(fraction) + " of data #" + std::to_string(d.value()) +
+                 " from store #" + std::to_string(key.second) + " but only " +
+                 fmt(have) + " is placed there (constraint 13)";
+        });
       }
     }
   }
@@ -284,32 +311,38 @@ ValidationReport validate_schedule(const cluster::Cluster& cluster,
   };
   ck.check(close(placement_mc, schedule.placement_transfer_mc),
            std::fabs((placement_mc - schedule.placement_transfer_mc).mc()),
-           "placement transfer cost does not reconcile: decoded " +
-               fmt(schedule.placement_transfer_mc.mc()) + " mc, recomputed " +
-               fmt(placement_mc.mc()) + " mc");
+           [&] {
+             return "placement transfer cost does not reconcile: decoded " +
+                    fmt(schedule.placement_transfer_mc.mc()) +
+                    " mc, recomputed " + fmt(placement_mc.mc()) + " mc";
+           });
   ck.check(close(execution_mc, schedule.execution_mc),
-           std::fabs((execution_mc - schedule.execution_mc).mc()),
-           "execution cost does not reconcile: decoded " +
-               fmt(schedule.execution_mc.mc()) + " mc, recomputed " +
-               fmt(execution_mc.mc()) + " mc");
+           std::fabs((execution_mc - schedule.execution_mc).mc()), [&] {
+             return "execution cost does not reconcile: decoded " +
+                    fmt(schedule.execution_mc.mc()) + " mc, recomputed " +
+                    fmt(execution_mc.mc()) + " mc";
+           });
   ck.check(close(runtime_mc, schedule.runtime_transfer_mc),
-           std::fabs((runtime_mc - schedule.runtime_transfer_mc).mc()),
-           "runtime transfer cost does not reconcile: decoded " +
-               fmt(schedule.runtime_transfer_mc.mc()) + " mc, recomputed " +
-               fmt(runtime_mc.mc()) + " mc");
+           std::fabs((runtime_mc - schedule.runtime_transfer_mc).mc()), [&] {
+             return "runtime transfer cost does not reconcile: decoded " +
+                    fmt(schedule.runtime_transfer_mc.mc()) +
+                    " mc, recomputed " + fmt(runtime_mc.mc()) + " mc";
+           });
   const Millicents residual =
       schedule.objective_mc - schedule.placement_transfer_mc -
       schedule.execution_mc - schedule.runtime_transfer_mc;
-  ck.check(residual >= Millicents::zero() - cost_tol, -residual.mc(),
-           "LP objective " + fmt(schedule.objective_mc.mc()) +
-               " mc is below its own cost breakdown (residual " +
-               fmt(residual.mc()) + " mc)");
+  ck.check(residual >= Millicents::zero() - cost_tol, -residual.mc(), [&] {
+    return "LP objective " + fmt(schedule.objective_mc.mc()) +
+           " mc is below its own cost breakdown (residual " +
+           fmt(residual.mc()) + " mc)";
+  });
   if (total_deferred <= kFracTol)
-    ck.check(residual <= cost_tol, residual.mc(),
-             "LP objective exceeds the cost breakdown by " +
-                 fmt(residual.mc()) +
-                 " mc with nothing deferred — decoded cost is not within "
-                 "tolerance of the objective");
+    ck.check(residual <= cost_tol, residual.mc(), [&] {
+      return "LP objective exceeds the cost breakdown by " +
+             fmt(residual.mc()) +
+             " mc with nothing deferred — decoded cost is not within "
+             "tolerance of the objective";
+    });
 
   return ck.report;
 }

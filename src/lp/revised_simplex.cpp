@@ -253,6 +253,12 @@ class Engine {
 
   std::size_t iterations_ = 0;
   std::size_t repair_iterations_ = 0;
+  // binv_ is the inverse the last refactorize() built, untouched by any eta
+  // update or artificial append since; that refactorization ran when
+  // iterations_ was fresh_at_iteration_. Every caller recomputes the basic
+  // values right after a successful refactorize().
+  bool binv_fresh_ = false;
+  std::size_t fresh_at_iteration_ = 0;
   std::size_t max_iter_ = 0;
   bool warm_used_ = false;
 };
@@ -339,6 +345,7 @@ void Engine::append_artificials() {
   cost2_.resize(num_cols(), 0.0);  // phase-1 cost is handled separately
   // Basis inverse (identity-sign-adjusted: artificial columns are ±e_i, so
   // Binv starts as the diagonal of their signs).
+  binv_fresh_ = false;
   binv_.set_identity();
   for (std::size_t i = 0; i < m_; ++i) {
     if (column(basis_[i]).front().coeff < 0.0) binv_.at(i, i) = -1.0;
@@ -402,10 +409,13 @@ bool Engine::import_basis(const Basis& start) {
 }
 
 bool Engine::refactorize() {
+  binv_fresh_ = false;
   if (chaos_ != nullptr && chaos_->fail_refactorize()) return false;
   const bool ok = invert_basis();
   // Also after a failed inversion: the final refresh reads binv_ either way.
   binv_.mark_nonzeros();
+  binv_fresh_ = ok;
+  fresh_at_iteration_ = iterations_;
   return ok;
 }
 
@@ -512,6 +522,7 @@ void Engine::eta_update(std::size_t leave_row) {
   // sign of a zero, and no reader sees that (each tests == 0.0 or sums from
   // +0.0). The leaving row's marks are rewritten to its nonzeros, so a
   // cancellation in a row clears its mark the next time that row leaves.
+  binv_fresh_ = false;
   const double piv = w_[leave_row];
   LIPS_ASSERT(std::fabs(piv) > 1e-12, "pivot element vanished");
   const double inv = 1.0 / piv;
@@ -1071,8 +1082,15 @@ LpSolution Engine::run(const Basis* start) {
   finalize(out, result);
   if (result != SolveStatus::Optimal) return out;
 
-  // Final numerical refresh for clean output values.
-  if (refactorize()) recompute_basics();
+  // Final numerical refresh for clean output values. When nothing has
+  // touched B⁻¹ or the values since the last refactorization (a warm
+  // re-solve that needed no pivot), the refresh would rebuild the same
+  // inverse and the same values, so it is skipped. Not under a fault
+  // injector: fail_refactorize draws from its stream.
+  const bool untouched = binv_fresh_ && fresh_at_iteration_ == iterations_;
+  if (chaos_ != nullptr || !untouched) {
+    if (refactorize()) recompute_basics();
+  }
 
   for (std::size_t j = 0; j < n_user_; ++j) {
     const Variable& v = model_.variable(j);

@@ -591,17 +591,40 @@ TEST(ObsIntegration, TraceFromSimRunRoundTripsThroughJsonParse) {
   const JsonArray& events = doc.at("traceEvents").arr();
   ASSERT_EQ(events.size(), run.tracer.size());
   double last_ts = -1.0;
-  bool saw_replan = false;
-  bool saw_lp = false;
+  // Each phase span opens and closes inside its parent: lp-build, lp-remap
+  // and lp-simplex inside lp-solve, and lp-solve and lips-validate inside
+  // lips-replan. The simulator's own spans may enclose any of them.
+  const std::map<std::string, std::string> parent_of = {
+      {"lp-solve", "lips-replan"},  {"lips-validate", "lips-replan"},
+      {"lp-build", "lp-solve"},     {"lp-remap", "lp-solve"},
+      {"lp-simplex", "lp-solve"},
+  };
+  std::map<std::string, int> open;
+  std::map<std::string, std::size_t> closed;
   for (const JsonValue& e : events) {
     const double ts = e.at("ts").num();
     EXPECT_GE(ts, last_ts);
     last_ts = ts;
-    saw_replan = saw_replan || e.at("name").str() == "lips-replan";
-    saw_lp = saw_lp || e.at("name").str() == "lp-solve";
+    const std::string& name = e.at("name").str();
+    const std::string& phase = e.at("ph").str();
+    if (phase != "B" && phase != "E") continue;
+    if (const auto it = parent_of.find(name); it != parent_of.end())
+      EXPECT_EQ(open[it->second], 1) << name << " outside " << it->second;
+    if (phase == "B") {
+      open[name] += 1;
+      continue;
+    }
+    open[name] -= 1;
+    closed[name] += 1;
+    for (const auto& [child, parent] : parent_of)
+      if (parent == name) EXPECT_EQ(open[child], 0) << child << " left open";
   }
-  EXPECT_TRUE(saw_replan);
-  EXPECT_TRUE(saw_lp);
+  for (const char* name : {"lips-replan", "lips-validate", "lp-solve",
+                           "lp-build", "lp-remap", "lp-simplex"})
+    EXPECT_GT(closed[name], 0u) << name;
+  // Every solve builds or updates its model and runs the simplex once.
+  EXPECT_EQ(closed["lp-build"], closed["lp-solve"]);
+  EXPECT_EQ(closed["lp-simplex"], closed["lp-solve"]);
 }
 
 TEST(ObsIntegration, LedgerJsonExportParsesAndMatchesTotals) {

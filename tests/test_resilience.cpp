@@ -173,6 +173,18 @@ LipsFixture make_fixture(std::size_t jobs = 12) {
 
 // ------------------------------------------------- validator unit tests ---
 
+// The Flags* cases pin each report's summary, check count and every kept
+// violation's text: the validator formats a message only for a failed
+// check, and these pins show it still counts and words each one the same.
+
+/// Every kept violation's text, one per line.
+std::string violation_texts(const core::ValidationReport& report) {
+  std::string out;
+  for (const core::ScheduleViolation& v : report.violations)
+    out += v.what + "\n";
+  return out;
+}
+
 TEST(ScheduleValidator, AcceptsHealthySchedule) {
   const LipsFixture f = make_fixture();
   const core::LpSchedule s =
@@ -181,7 +193,8 @@ TEST(ScheduleValidator, AcceptsHealthySchedule) {
   const core::ValidationReport report =
       core::validate_schedule(f.cluster, f.workload, f.options, s);
   EXPECT_TRUE(report.ok) << report.summary();
-  EXPECT_GT(report.checks, 0u);
+  EXPECT_EQ(report.checks, 292u);
+  EXPECT_EQ(report.summary(), "schedule valid (292 checks)");
   EXPECT_TRUE(report.violations.empty());
 }
 
@@ -196,6 +209,12 @@ TEST(ScheduleValidator, FlagsNonFiniteFraction) {
       core::validate_schedule(f.cluster, f.workload, f.options, s);
   EXPECT_FALSE(report.ok);
   ASSERT_FALSE(report.violations.empty());
+  EXPECT_EQ(report.summary(),
+            "schedule INVALID: 1 violation(s), worst 1; first: portion of job #0 on "
+            "machine #1 has non-finite fraction nan");
+  EXPECT_EQ(report.checks, 148u);
+  EXPECT_EQ(violation_texts(report),
+            "portion of job #0 on machine #1 has non-finite fraction nan\n");
 }
 
 TEST(ScheduleValidator, FlagsOverAssignedJob) {
@@ -209,6 +228,17 @@ TEST(ScheduleValidator, FlagsOverAssignedJob) {
       core::validate_schedule(f.cluster, f.workload, f.options, s);
   EXPECT_FALSE(report.ok);
   EXPECT_GT(report.worst_violation, 0.0);
+  EXPECT_EQ(report.summary(),
+            "schedule INVALID: 4 violation(s), worst 41.8879; first: portion of "
+            "job #0 on machine #1 fraction 1.5 is outside [0, 1]");
+  EXPECT_EQ(report.checks, 292u);
+  EXPECT_EQ(violation_texts(report),
+            "portion of job #0 on machine #1 fraction 1.5 is outside [0, 1]\n"
+            "job #0 is over-covered: 1.5 assigned of 1 remaining\n"
+            "job #0 reads 1.5 of data #0 from store #1 but only 1 is placed "
+            "there (constraint 13)\n"
+            "execution cost does not reconcile: decoded 5257.93 mc, "
+            "recomputed 5299.82 mc\n");
 }
 
 TEST(ScheduleValidator, FlagsObjectiveMismatch) {
@@ -220,6 +250,15 @@ TEST(ScheduleValidator, FlagsObjectiveMismatch) {
   const core::ValidationReport report =
       core::validate_schedule(f.cluster, f.workload, f.options, s);
   EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.summary(),
+            "schedule INVALID: 1 violation(s), worst 500000; first: LP objective "
+            "exceeds the cost breakdown by 500000 mc with nothing deferred — "
+            "decoded cost is not within tolerance of the objective");
+  EXPECT_EQ(report.checks, 292u);
+  EXPECT_EQ(violation_texts(report),
+            "LP objective exceeds the cost breakdown by 500000 mc with nothing "
+            "deferred — decoded cost is not within tolerance of the "
+            "objective\n");
 }
 
 TEST(ScheduleValidator, FlagsNonOptimalStatus) {
@@ -228,6 +267,13 @@ TEST(ScheduleValidator, FlagsNonOptimalStatus) {
   const core::ValidationReport report =
       core::validate_schedule(f.cluster, f.workload, f.options, s);
   EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.summary(),
+            "schedule INVALID: 1 violation(s), worst 1; first: schedule status is "
+            "not Optimal; nothing downstream may act on its values");
+  EXPECT_EQ(report.checks, 1u);
+  EXPECT_EQ(violation_texts(report),
+            "schedule status is not Optimal; nothing downstream may act on its "
+            "values\n");
 }
 
 // --------------------------------------------- injector determinism -------

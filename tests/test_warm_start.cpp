@@ -14,9 +14,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ckpt/codec.hpp"
+#include "ckpt/digest.hpp"
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
 #include "core/epoch_lp_context.hpp"
@@ -25,6 +30,7 @@
 #include "lp/solver.hpp"
 #include "lp/solver_faults.hpp"
 #include "pivot_pin.hpp"
+#include "workload/swim.hpp"
 #include "workload/workload.hpp"
 
 namespace lips::lp {
@@ -487,5 +493,278 @@ TEST(EpochLpContext, PrunedModelsNeverReuseSkeleton) {
   EXPECT_EQ(ctx.stats().model_reuses, 0u);
 }
 
+
+// ------------------------------------------- model build and remap pins ---
+
+/// Digest of a built model: its snapshot bytes, then every column and row
+/// identity its layout records. Equal digests mean the same model, column
+/// for column and row for row.
+std::uint64_t build_digest(const lp::LpModel& model,
+                           const detail::ModelLayout& layout) {
+  ckpt::Fnv1a64 h;
+  const std::vector<std::uint8_t> bytes = model_bytes(model);
+  h.u64(bytes.size());
+  h.bytes(bytes.data(), bytes.size());
+  h.u64(layout.dvars.size());
+  for (const detail::DataVar& dv : layout.dvars) {
+    h.u64(dv.lp_var);
+    h.u64(dv.data.value());
+    h.u64(dv.store.value());
+  }
+  h.u64(layout.tvars.size());
+  for (const detail::TaskVar& tv : layout.tvars) {
+    h.u64(tv.lp_var);
+    h.u64(tv.job.value());
+    h.u64(tv.machine);
+    h.u64(tv.store ? tv.store->value() + 1 : 0);
+  }
+  h.u64(layout.tvars_of_job.size());
+  for (const std::vector<std::size_t>& ids : layout.tvars_of_job) {
+    h.u64(ids.size());
+    for (const std::size_t t : ids) h.u64(t);
+  }
+  h.u64(layout.rows.size());
+  for (const detail::RowKey& rk : layout.rows) {
+    h.u64(static_cast<std::uint64_t>(rk.kind));
+    h.u64(rk.a);
+    h.u64(rk.b);
+    h.u64(rk.c);
+  }
+  h.u64(layout.num_variables);
+  return h.digest();
+}
+
+std::uint64_t build_digest_of(const detail::ModelBuilder& builder,
+                              const FixedPlacement* fixed = nullptr) {
+  lp::LpModel model;
+  detail::ModelLayout layout;
+  builder.build(fixed, model, layout);
+  return build_digest(model, layout);
+}
+
+/// Gives every machine a spot-price schedule that steps every 600 s.
+void add_spot_prices(cluster::Cluster& c) {
+  for (std::size_t l = 0; l < c.machine_count(); ++l) {
+    std::vector<cluster::PricePoint> schedule;
+    for (std::size_t e = 1; e < 6; ++e)
+      schedule.push_back({600.0 * static_cast<double>(e),
+                          UsdPerCpuSec::mc_per_ecu_s(
+                              0.5 + 0.25 * static_cast<double>((l + e) % 4))});
+    c.set_price_schedule(MachineId{l}, std::move(schedule));
+  }
+}
+
+/// A world whose jobs read one, two or three objects, some partially, plus
+/// an input-free job: every row kind, and linking rows per (store, object).
+Scenario make_multi_object_world() {
+  Scenario s{cluster::make_ec2_cluster(6, 0.5, 3), {}};
+  add_spot_prices(s.cluster);
+  workload::Workload& w = s.workload;
+  std::vector<DataId> d;
+  for (std::size_t i = 0; i < 5; ++i)
+    d.push_back(w.add_data({"d" + std::to_string(i),
+                            512.0 * static_cast<double>(i + 1),
+                            StoreId{(2 * i) % s.cluster.store_count()}}));
+  const auto job = [&](std::vector<DataId> data, std::vector<double> fractions,
+                       double tcp, double fixed) {
+    workload::Job j;
+    j.name = "j" + std::to_string(w.job_count());
+    j.tcp_cpu_s_per_mb = tcp;
+    j.cpu_fixed_ecu_s = fixed;
+    j.data = std::move(data);
+    j.data_fractions = std::move(fractions);
+    j.num_tasks = 8;
+    w.add_job(std::move(j));
+  };
+  job({d[0]}, {}, 0.5, 0.0);
+  job({d[1], d[2]}, {}, 0.2, 0.0);
+  job({d[2], d[3], d[4]}, {1.0, 0.5, 0.25}, 0.05, 0.0);
+  job({}, {}, 0.0, 900.0);
+  job({d[4], d[0]}, {0.75, 1.0}, 1.5, 0.0);
+  return s;
+}
+
+// A faster build must emit the very model the pinned build emitted: the
+// snapshot bytes of every bound, cost, coefficient and rhs, and the layout.
+TEST(ModelBuildPins, OneJobSwimEpoch) {
+  cluster::Cluster c = cluster::make_ec2_cluster(10, 0.5, 2);
+  add_spot_prices(c);
+  Rng rng(7);
+  workload::SwimParams sp;
+  sp.n_jobs = 20;
+  sp.duration_s = 3600.0;
+  const workload::Workload w =
+      workload::make_swim_workload(sp, c, rng).workload;
+  ModelOptions opt;
+  opt.epoch_s = 600.0;
+  opt.fake_node = true;
+  opt.fake_node_pricing = ModelOptions::FakeNodePricing::PatienceMin;
+  opt.fake_node_price_factor = 1.25;
+  opt.price_time = 1500.0;
+  opt.machine_throughput_factor.assign(c.machine_count(), 1.0);
+  opt.machine_throughput_factor[3] = 0.5;
+  std::vector<StoreId> origins;
+  for (std::size_t i = 0; i < w.data_count(); ++i)
+    origins.push_back(StoreId{(i * 3) % c.store_count()});
+  const detail::ModelBuilder builder(c, w, opt, {JobId{3}}, {0.625}, origins);
+  EXPECT_EQ(build_digest_of(builder), 0x520f67d176740b35ULL);
+}
+
+TEST(ModelBuildPins, JobsReadingSeveralObjects) {
+  const Scenario s = make_multi_object_world();
+  ModelOptions online;
+  online.epoch_s = 600.0;
+  online.fake_node = true;
+  online.price_time = 1200.0;
+  online.excluded_machines = {4};
+  online.excluded_stores = {1};
+  EXPECT_EQ(build_digest_of(detail::ModelBuilder(
+                s.cluster, s.workload, online, {},
+                {1.0, 0.5, 0.75, 1.0, 0.25})),
+            0xa04164b91054351fULL);
+  ModelOptions offline;
+  EXPECT_EQ(build_digest_of(
+                detail::ModelBuilder(s.cluster, s.workload, offline, {}, {})),
+            0x664405153be4916aULL);
+}
+
+TEST(ModelBuildPins, FortyNodePrunedModel) {
+  cluster::Cluster c = cluster::make_ec2_cluster(40, 0.5, 4);
+  add_spot_prices(c);
+  Rng rng(11);
+  workload::SwimParams sp;
+  sp.n_jobs = 30;
+  sp.duration_s = 1.0;
+  const workload::Workload w =
+      workload::make_swim_workload(sp, c, rng).workload;
+  ModelOptions opt;
+  opt.epoch_s = 600.0;
+  opt.fake_node = true;
+  opt.price_time = 2400.0;
+  opt.max_candidate_machines = 4;
+  opt.max_candidate_stores = 3;
+  EXPECT_EQ(build_digest_of(detail::ModelBuilder(c, w, opt, {}, {})),
+            0x123053185e36f27bULL);
+}
+
+TEST(ModelBuildPins, FigureTwoFixedPlacement) {
+  const Scenario s = make_scenario(36);
+  FixedPlacement fixed(s.workload.data_count());
+  for (std::size_t i = 0; i < s.workload.data_count(); ++i) {
+    const DataId d{i};
+    const StoreId origin = s.workload.data(d).origin;
+    const StoreId next{(origin.value() + 1) % s.cluster.store_count()};
+    fixed[i].push_back({d, origin, 1.0});
+    if (i % 2 == 0) fixed[i].push_back({d, next, 0.5});
+  }
+  const detail::ModelBuilder builder(s.cluster, s.workload, ModelOptions{}, {},
+                                     {});
+  EXPECT_EQ(build_digest_of(builder, &fixed), 0x97096cc8a7ef0c91ULL);
+}
+
+/// remap_basis's reference: every identity looked up in an ordered map.
+lp::Basis remap_reference(const detail::ModelLayout& from_layout,
+                          const lp::Basis& from,
+                          const detail::ModelLayout& to_layout) {
+  if (from.variables.size() != from_layout.num_variables ||
+      from.slacks.size() != from_layout.rows.size())
+    return {};
+  using TaskKey = std::tuple<std::size_t, std::size_t, std::size_t>;
+  const auto task_key = [](const detail::TaskVar& tv) {
+    return TaskKey{tv.job.value(), tv.machine,
+                   tv.store ? tv.store->value() + 1 : 0};
+  };
+  std::map<TaskKey, lp::BasisStatus> tmap;
+  std::map<std::pair<std::size_t, std::size_t>, lp::BasisStatus> dmap;
+  std::map<detail::RowKey, lp::BasisStatus> rmap;
+  for (const detail::TaskVar& tv : from_layout.tvars)
+    tmap.emplace(task_key(tv), from.variables[tv.lp_var]);
+  for (const detail::DataVar& dv : from_layout.dvars)
+    dmap.emplace(std::pair{dv.data.value(), dv.store.value()},
+                 from.variables[dv.lp_var]);
+  for (std::size_t i = 0; i < from_layout.rows.size(); ++i)
+    rmap.emplace(from_layout.rows[i], from.slacks[i]);
+  lp::Basis to;
+  to.variables.assign(to_layout.num_variables, lp::BasisStatus::AtLower);
+  to.slacks.assign(to_layout.rows.size(), lp::BasisStatus::AtLower);
+  for (const detail::TaskVar& tv : to_layout.tvars)
+    if (const auto it = tmap.find(task_key(tv)); it != tmap.end())
+      to.variables[tv.lp_var] = it->second;
+  for (const detail::DataVar& dv : to_layout.dvars)
+    if (const auto it = dmap.find({dv.data.value(), dv.store.value()});
+        it != dmap.end())
+      to.variables[dv.lp_var] = it->second;
+  for (std::size_t i = 0; i < to_layout.rows.size(); ++i)
+    if (const auto it = rmap.find(to_layout.rows[i]); it != rmap.end())
+      to.slacks[i] = it->second;
+  return to;
+}
+
+/// Random structure for one side of a remap: a job subset (jobs arrive and
+/// leave), machine and store exclusions, and sometimes pruning.
+struct RandomSide {
+  ModelOptions options;
+  JobSubset jobs;
+};
+
+RandomSide random_side(Rng& rng, const Scenario& s) {
+  RandomSide side;
+  side.options.epoch_s = rng.bernoulli(0.8) ? 600.0 : 0.0;
+  side.options.fake_node = side.options.epoch_s > 0 && rng.bernoulli(0.8);
+  side.options.price_time = 600.0 * static_cast<double>(rng.index(6));
+  for (std::size_t k = 0; k < s.workload.job_count(); ++k)
+    if (rng.bernoulli(0.7)) side.jobs.push_back(JobId{k});
+  if (side.jobs.empty()) side.jobs.push_back(JobId{0});
+  for (std::size_t m = 0; m < s.cluster.machine_count(); ++m)
+    if (rng.bernoulli(0.15)) side.options.excluded_machines.push_back(m);
+  for (std::size_t st = 0; st < s.cluster.store_count(); ++st)
+    if (rng.bernoulli(0.15)) side.options.excluded_stores.push_back(st);
+  if (rng.bernoulli(0.3)) {
+    side.options.max_candidate_machines = 2 + rng.index(3);
+    side.options.max_candidate_stores = 2 + rng.index(2);
+  }
+  return side;
+}
+
+// The remap is a lookup by identity. Over random layout pairs it must give
+// exactly what ordered-map lookups give: every status carried over, every
+// identity the old model lacked at lower, and the empty basis for a basis
+// that does not fit its layout.
+TEST(BasisRemap, MatchesOrderedMapReferenceOverRandomLayouts) {
+  Scenario random_world = make_scenario(37);
+  add_spot_prices(random_world.cluster);
+  const Scenario worlds[] = {random_world, make_multi_object_world()};
+  Rng rng(2026);
+  std::size_t carried = 0;
+  for (const Scenario& s : worlds) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const RandomSide a = random_side(rng, s);
+      const RandomSide b = trial % 8 == 0 ? a : random_side(rng, s);
+      lp::LpModel from_model;
+      detail::ModelLayout from_layout;
+      detail::ModelBuilder(s.cluster, s.workload, a.options, a.jobs, {})
+          .build(nullptr, from_model, from_layout);
+      lp::LpModel to_model;
+      detail::ModelLayout to_layout;
+      detail::ModelBuilder(s.cluster, s.workload, b.options, b.jobs, {})
+          .build(nullptr, to_model, to_layout);
+      lp::Basis from;
+      for (std::size_t j = 0; j < from_layout.num_variables; ++j)
+        from.variables.push_back(static_cast<lp::BasisStatus>(rng.index(4)));
+      for (std::size_t i = 0; i < from_layout.rows.size(); ++i)
+        from.slacks.push_back(static_cast<lp::BasisStatus>(rng.index(4)));
+      const lp::Basis want = remap_reference(from_layout, from, to_layout);
+      ASSERT_EQ(detail::remap_basis(from_layout, from, to_layout), want)
+          << "trial " << trial;
+      for (const lp::BasisStatus st : want.variables)
+        if (st != lp::BasisStatus::AtLower) ++carried;
+      lp::Basis short_basis = from;
+      short_basis.slacks.pop_back();
+      EXPECT_TRUE(
+          detail::remap_basis(from_layout, short_basis, to_layout).empty());
+    }
+  }
+  EXPECT_GT(carried, 0u);  // the pairs overlap: statuses did carry over
+}
 }  // namespace
 }  // namespace lips::core
