@@ -30,7 +30,7 @@ namespace lips::ckpt {
 
 inline constexpr char kSnapshotMagic[8] = {'L', 'I', 'P', 'S',
                                            'C', 'K', 'P', 'T'};
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Self-describing header, readable without touching the payload.
 struct SnapshotMeta {

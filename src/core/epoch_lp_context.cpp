@@ -160,7 +160,7 @@ lp::Basis remap_basis(const ModelLayout& from_layout, const lp::Basis& from,
 
 void EpochLpContext::invalidate() {
   have_model_ = false;
-  restored_key_pending_ = false;
+  restored_ = false;
   basis_ = {};
 }
 
@@ -172,11 +172,13 @@ void EpochLpContext::fields(Ar& ar, Self& self) {
     self.model_ = {};
     self.layout_ = {};
     self.basis_ = {};
-    self.restored_key_pending_ = self.have_model_;
+    self.restored_ = self.have_model_;
   }
   if (self.have_model_) {
     // StructureKey minus the raw pointers (restored null, re-adopted by the
-    // first matching solve), the model, its layout, and the exported basis.
+    // first solve), the column and row identities a remap reads, and the
+    // exported basis. The model and the rest of the layout are what the
+    // first solve's build recomputes.
     const auto basis_status =
         ckpt::enums(lp::BasisStatus::Free, "basis status");
     ar(self.key_.machine_count, self.key_.store_count, self.key_.data_count,
@@ -184,15 +186,12 @@ void EpochLpContext::fields(Ar& ar, Self& self) {
        ckpt::seq(self.key_.excluded_stores), self.key_.online,
        self.key_.fake_node,
        self.key_.max_candidate_machines, self.key_.max_candidate_stores,
-       ckpt::state(self.model_),
        ckpt::seq(self.layout_.dvars,
                  [](auto& a, auto& dv) { a(dv.lp_var, dv.data, dv.store); }),
        ckpt::seq(self.layout_.tvars,
                  [](auto& a, auto& tv) {
                    a(tv.lp_var, tv.job, tv.machine, tv.store);
                  }),
-       ckpt::seq(self.layout_.tvars_of_job,
-                 [](auto& a, auto& ids) { a(ckpt::seq(ids)); }),
        ckpt::seq(self.layout_.rows,
                  [](auto& a, auto& rk) {
                    a(ckpt::enumeration(rk.kind, detail::RowKey::Kind::Linking,
@@ -209,7 +208,21 @@ void EpochLpContext::fields(Ar& ar, Self& self) {
 
 void EpochLpContext::save_state(ckpt::Writer& w) const { fields(w, *this); }
 
-void EpochLpContext::load_state(ckpt::Reader& r) { fields(r, *this); }
+void EpochLpContext::load_state(ckpt::Reader& r) {
+  fields(r, *this);
+  // A CRC-valid payload can still carry any index: the remap reads the
+  // basis at every column index, so each must fit the layout and the basis.
+  const detail::ModelLayout& l = layout_;
+  const auto outside = [&l](const auto& var) {
+    return var.lp_var >= l.num_variables;
+  };
+  if (std::any_of(l.dvars.begin(), l.dvars.end(), outside) ||
+      std::any_of(l.tvars.begin(), l.tvars.end(), outside))
+    throw ckpt::SnapshotError("snapshot LP column index is out of range");
+  if (!basis_.empty() && (basis_.variables.size() != l.num_variables ||
+                          basis_.slacks.size() != l.rows.size()))
+    throw ckpt::SnapshotError("snapshot LP basis does not fit its layout");
+}
 
 LpSchedule EpochLpContext::solve(
     const cluster::Cluster& cluster, const workload::Workload& workload,
@@ -229,19 +242,18 @@ LpSchedule EpochLpContext::solve(
                                      remaining_fraction, effective_origins);
   StructureKey key = make_key(cluster, workload, options, builder.jobs());
 
-  // Pointer adoption after a checkpoint restore: the restored key carries
-  // null cluster/workload pointers, but the restored model does describe
-  // this run's cluster and workload (the simulator's topology guard vouched
-  // for that before load_state got this far) — so stamp the pointers
-  // unconditionally. Whether the *structure* still matches is decided by
-  // the ordinary key comparison below, exactly as in the uninterrupted run:
-  // on mismatch the rebuild path remaps the restored basis rather than
-  // dropping it. (Discarding the cache here was a bit-identity bug — the
-  // uninterrupted run would have warm-started the next rebuild from this
-  // basis, and a warm and a cold solve can land on different equally
-  // optimal vertices.)
-  if (restored_key_pending_) {
-    restored_key_pending_ = false;
+  // After a checkpoint restore the key carries null cluster/workload
+  // pointers, but the restored identities do describe this run's cluster
+  // and workload (the simulator's topology guard vouched for that before
+  // load_state got this far), so stamp the pointers unconditionally.
+  // Whether the *structure* still matches is decided by the ordinary key
+  // comparison below, exactly as in the uninterrupted run: on mismatch the
+  // rebuild path remaps the restored basis rather than dropping it.
+  // (Discarding it here was a bit-identity bug: the uninterrupted run would
+  // have warm-started the next rebuild from this basis, and a warm and a
+  // cold solve can land on different equally optimal vertices.)
+  const bool restored = std::exchange(restored_, false);
+  if (restored) {
     key_.cluster = key.cluster;
     key_.workload = key.workload;
   }
@@ -254,22 +266,29 @@ LpSchedule EpochLpContext::solve(
   const bool delta = have_model_ && !pruned && key == key_;
 
   lp::Basis start;
-  if (delta) {
+  if (delta && !restored) {
     builder.apply_numeric(model_, layout_);
     build_span.reset();
-    start = basis_;
-    ++stats_.model_reuses;
   } else {
+    // A restored context has no model to update in place. On the delta path
+    // it builds the model the update would have produced
+    // (EpochLpContext.InPlaceUpdateIsTheColdBuild) and starts from the
+    // restored basis as it is.
     lp::LpModel fresh;
     detail::ModelLayout fresh_layout;
     builder.build(nullptr, fresh, fresh_layout);
     build_span.reset();
-    if (have_model_ && !basis_.empty()) {
+    if (!delta && have_model_ && !basis_.empty()) {
       const obs::Span remap_span(obs_.tracer, "lp-remap", "lp");
       start = detail::remap_basis(layout_, basis_, fresh_layout);
     }
     model_ = std::move(fresh);
     layout_ = std::move(fresh_layout);
+  }
+  if (delta) {
+    start = basis_;
+    ++stats_.model_reuses;
+  } else {
     ++stats_.builds;
   }
   key_ = std::move(key);

@@ -69,13 +69,16 @@ class EpochLpContext {
   /// and a duration histogram into the metrics registry.
   void set_observer(const obs::Observer& observer) { obs_ = observer; }
 
-  /// Checkpoint hooks (DESIGN.md §11). The cached model, layout, and basis
-  /// are decision-relevant state: a warm solve and a cold solve can land on
-  /// different (equally optimal) vertices, so bit-identical resume requires
-  /// restoring the incremental pipeline exactly. The StructureKey's raw
-  /// cluster/workload pointers cannot survive a process boundary; they are
-  /// restored null and re-adopted by the first solve() whose key matches in
-  /// every other field.
+  /// Checkpoint hooks (DESIGN.md §11). The basis is decision-relevant
+  /// state: a warm solve and a cold solve can land on different (equally
+  /// optimal) vertices, so bit-identical resume requires restoring it, with
+  /// the structure key and the column and row identities a remap reads.
+  /// The model is not saved: the first solve() after a restore builds it
+  /// and, when the key matches, starts from the restored basis as the
+  /// in-place update would have. The StructureKey's raw cluster/workload
+  /// pointers cannot survive a process boundary; they are restored null and
+  /// stamped by that first solve(). A load throws ckpt::SnapshotError when a
+  /// column index or the basis does not fit the restored layout.
   void save_state(ckpt::Writer& writer) const;
   void load_state(ckpt::Reader& reader);
 
@@ -108,9 +111,10 @@ class EpochLpContext {
 
   obs::Observer obs_{};
   bool have_model_ = false;
-  /// Set by load_state: key_ carries null cluster/workload pointers that
-  /// the next matching solve() stamps with its own arguments.
-  bool restored_key_pending_ = false;
+  /// Set by load_state: model_ is empty, layout_ holds only the identities
+  /// a remap reads, and key_ carries null cluster/workload pointers. The
+  /// next solve() builds the model and stamps the pointers.
+  bool restored_ = false;
   StructureKey key_;
   lp::LpModel model_;
   detail::ModelLayout layout_;

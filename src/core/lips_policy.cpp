@@ -74,8 +74,8 @@ void LipsPolicy::fields(Ar& ar, Self& self) {
                [](auto& a, auto& mv) {
                  a(mv.data, mv.from, mv.to, mv.fraction);
                }),
-     ckpt::sorted(self.doomed_), ckpt::sorted(self.quarantined_),
-     ckpt::sorted(self.quarantine_age_), ckpt::state(self.lp_context_),
+     ckpt::sorted(self.doomed_), ckpt::sorted(self.quarantine_age_),
+     ckpt::state(self.lp_context_),
      self.off_cycle_resolves_, self.quarantine_exclusions_,
      self.quarantine_probes_, self.planned_cost_mc_, self.fake_node_carry_mc_,
      self.rung_counts_, self.schedules_validated_, self.validation_failures_,
@@ -89,7 +89,22 @@ void LipsPolicy::fields(Ar& ar, Self& self) {
 
 void LipsPolicy::save_state(ckpt::Writer& w) const { fields(w, *this); }
 
-void LipsPolicy::load_state(ckpt::Reader& r) { fields(r, *this); }
+void LipsPolicy::load_state(ckpt::Reader& r) {
+  fields(r, *this);
+  // A CRC-valid payload can still pin a task behind a gate past the end of
+  // its gate list, which on_slot_available would read.
+  const auto gates_exist = [](const std::vector<std::deque<PinnedTask>>& plan,
+                              const std::vector<Gate>& gates) {
+    for (const auto& queue : plan)
+      for (const PinnedTask& pt : queue)
+        for (const std::size_t gi : pt.gates)
+          if (gi >= gates.size()) return false;
+    return true;
+  };
+  if (!gates_exist(plan_, gates_) ||
+      !gates_exist(last_good_plan_, last_good_gates_))
+    throw ckpt::SnapshotError("snapshot pin names a gate that does not exist");
+}
 
 void LipsPolicy::on_machine_lost(MachineId machine,
                                  const sched::ClusterState& state) {
@@ -187,8 +202,6 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
       excluded[m] = true;
   if (options_.throughput_feedback)
     apply_throughput_feedback(state, model, excluded);
-  else
-    quarantined_.clear();
   for (std::size_t m = 0; m < c.machine_count(); ++m)
     if (excluded[m]) model.excluded_machines.push_back(m);
   for (std::size_t s = 0; s < c.store_count(); ++s)
@@ -249,7 +262,7 @@ void LipsPolicy::replan(const sched::ClusterState& state) {
     // the machine side feasible, but the surviving stores may not hold the
     // queue's data). Fall back to a greedy plan so work keeps draining.
     enter_rung(DegradationRung::GreedyFallback);
-    fallback_plan(state);
+    fallback_plan(state, excluded);
     bool any_pin = false;
     for (const auto& queue : plan_)
       if (!queue.empty()) any_pin = true;
@@ -391,7 +404,6 @@ void LipsPolicy::apply_throughput_feedback(const sched::ClusterState& state,
   // stays bit-identical to the feedback-free one.
   if (any_degraded) model.machine_throughput_factor = factors;
 
-  quarantined_.clear();
   std::vector<std::size_t> slow;
   for (std::size_t m = 0; m < c.machine_count(); ++m) {
     if (excluded[m]) continue;  // already out for another reason
@@ -420,12 +432,12 @@ void LipsPolicy::apply_throughput_feedback(const sched::ClusterState& state,
   }
   for (const std::size_t m : slow) {
     excluded[m] = true;
-    quarantined_.insert(m);
     quarantine_exclusions_ += 1;
   }
 }
 
-void LipsPolicy::fallback_plan(const sched::ClusterState& state) {
+void LipsPolicy::fallback_plan(const sched::ClusterState& state,
+                               const std::vector<char>& excluded) {
   const cluster::Cluster& c = state.cluster();
   // No data moves, no gates: each pending task reads from the live store
   // holding the most of its input and runs on the machine minimizing
@@ -448,12 +460,13 @@ void LipsPolicy::fallback_plan(const sched::ClusterState& state) {
     }
     std::size_t best_machine = SIZE_MAX;
     Millicents best_cost = Millicents::infinity();
-    // Pass 0 skips quarantined (observed-slow) machines; pass 1 admits
-    // them, so a fully-quarantined cluster still drains work.
+    // Pass 0 skips every machine the LP excluded, the quarantined
+    // (observed-slow) ones included; pass 1 admits the quarantined ones, so
+    // a fully-quarantined cluster still drains work.
     for (int pass = 0; pass < 2 && best_machine == SIZE_MAX; ++pass) {
       for (std::size_t m = 0; m < c.machine_count(); ++m) {
         if (!state.machine_up(MachineId{m}) || doomed_.count(m) > 0) continue;
-        if (pass == 0 && quarantined_.count(m) > 0) continue;
+        if (pass == 0 && excluded[m]) continue;
         Millicents cost = CpuSeconds::ecu_s(t.cpu_ecu_s) *
                           c.cpu_price_mc_at(MachineId{m}, state.now());
         if (source)
@@ -476,7 +489,8 @@ std::vector<sched::DataMove> LipsPolicy::take_data_moves() {
 
 std::optional<sched::LaunchDecision> LipsPolicy::on_slot_available(
     MachineId machine, const sched::ClusterState& state) {
-  if (plan_.empty()) return std::nullopt;  // no epoch has run yet
+  // No epoch has run yet, or a restored plan is shorter than the cluster.
+  if (machine.value() >= plan_.size()) return std::nullopt;
   auto& queue = plan_[machine.value()];
   for (auto it = queue.begin(); it != queue.end();) {
     // Drop stale entries (task already launched/killed elsewhere — cannot

@@ -99,12 +99,14 @@ class LipsPolicy : public sched::Scheduler {
                        const sched::ClusterState& state) override;
 
   // Checkpoint hooks (DESIGN.md §11): full serialization of the plan and
-  // gates, quarantine/doomed sets (sorted — they live in unordered
-  // containers), the degradation-ladder state, every cost accumulator and
-  // counter, and the incremental LP context (model + layout + basis). When
-  // a solver fault injector is installed its RNG position rides along; a
-  // restored policy must be constructed with the same options (and the same
-  // injector wiring) as the one that saved.
+  // gates, the doomed set and quarantine ages (sorted — they live in
+  // unordered containers), the degradation-ladder state, every cost
+  // accumulator and counter, and the incremental LP context (structure key,
+  // column and row identities, basis). When a solver fault injector is
+  // installed its RNG position rides along; a restored policy must be
+  // constructed with the same options (and the same injector wiring) as the
+  // one that saved. A load throws ckpt::SnapshotError when a pin names a
+  // gate that does not exist.
   void save_state(ckpt::Writer& writer) const override;
   void load_state(ckpt::Reader& reader) override;
 
@@ -210,8 +212,11 @@ class LipsPolicy : public sched::Scheduler {
                                  std::vector<char>& excluded);
   /// Corrective action when the LP fails (e.g. Infeasible because the
   /// surviving stores cannot hold the queue's data): pin each pending task
-  /// greedily to its cheapest live option so work still drains.
-  void fallback_plan(const sched::ClusterState& state);
+  /// greedily to its cheapest live option so work still drains. A machine
+  /// the LP `excluded` (one flag per machine) for low observed throughput
+  /// takes a pin only when no other live machine is left.
+  void fallback_plan(const sched::ClusterState& state,
+                     const std::vector<char>& excluded);
   /// Record entering a ladder rung: per-rung counter and (for escalations)
   /// the lips_degradation_total metric + a trace instant.
   void enter_rung(DegradationRung rung);
@@ -229,8 +234,6 @@ class LipsPolicy : public sched::Scheduler {
   /// Machines with a pending spot-revocation notice: still up, but no new
   /// work is planned onto them.
   std::unordered_set<std::size_t> doomed_;
-  /// Machines excluded by the *current* plan for low observed throughput.
-  std::unordered_set<std::size_t> quarantined_;
   /// Consecutive replans each machine has spent under the quarantine
   /// threshold (drives the probe cadence; erased on recovery).
   std::unordered_map<std::size_t, std::size_t> quarantine_age_;

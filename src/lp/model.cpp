@@ -96,40 +96,8 @@ std::size_t LpModel::add_constraint(std::span<const Entry> entries, Sense sense,
   }
   std::erase_if(merged, [](const Entry& e) { return e.coeff == 0.0; });
   row.entries = std::move(merged);
-  nonzeros_ += row.entries.size();
   constraints_.push_back(std::move(row));
   return constraints_.size() - 1;
-}
-
-template <class Ar, class Self>
-void LpModel::fields(Ar& ar, Self& self) {
-  const auto entry = [](auto& a, auto& e) { a(e.var, e.coeff); };
-  ar(ckpt::seq(self.variables_,
-               [](auto& a, auto& v) {
-                 a(v.lower, v.upper, v.objective, v.name);
-               }),
-     ckpt::seq(self.constraints_, [&entry](auto& a, auto& row) {
-       a(ckpt::seq(row.entries, entry),
-         ckpt::enumeration(row.sense, Sense::Equal, "constraint sense"),
-         row.rhs, row.name);
-     }));
-}
-
-void LpModel::save_state(ckpt::Writer& w) const { fields(w, *this); }
-
-void LpModel::load_state(ckpt::Reader& r) {
-  LpModel decoded;
-  fields(r, decoded);
-  *this = {};
-  try {
-    for (Variable& v : decoded.variables_)
-      add_variable(v.lower, v.upper, v.objective, std::move(v.name));
-    for (Constraint& row : decoded.constraints_)
-      add_constraint(row.entries, row.sense, row.rhs, std::move(row.name));
-  } catch (const PreconditionError& e) {
-    throw ckpt::SnapshotError(std::string("snapshot LP model is invalid: ") +
-                              e.what());
-  }
 }
 
 void LpModel::set_rhs(std::size_t row, double rhs) {
@@ -165,21 +133,6 @@ void LpModel::set_bounds(std::size_t var, double lower, double upper) {
          ", " + show(upper) + "])");
   variables_[var].lower = lower;
   variables_[var].upper = upper;
-}
-
-void LpModel::set_coefficient(std::size_t row, std::size_t var, double coeff) {
-  LIPS_REQUIRE(row < constraints_.size(), "constraint index out of range");
-  if (!std::isfinite(coeff) || coeff == 0.0)
-    fail("coefficient update for " + var_label(var, {}) + " in " +
-         row_label(row, constraints_[row].name) +
-         " must be finite and nonzero (got " + show(coeff) + ")");
-  auto& entries = constraints_[row].entries;
-  const auto it = std::lower_bound(
-      entries.begin(), entries.end(), var,
-      [](const Entry& e, std::size_t v) { return e.var < v; });
-  LIPS_REQUIRE(it != entries.end() && it->var == var,
-               "coefficient update targets a structural zero");
-  it->coeff = coeff;
 }
 
 double LpModel::objective_value(std::span<const double> x) const {

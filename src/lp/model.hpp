@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/codec.hpp"
 #include "common/error.hpp"
 
 namespace lips::lp {
@@ -76,9 +75,6 @@ class LpModel {
   [[nodiscard]] std::size_t num_variables() const { return variables_.size(); }
   [[nodiscard]] std::size_t num_constraints() const { return constraints_.size(); }
 
-  /// Total number of structural nonzeros across all rows.
-  [[nodiscard]] std::size_t num_nonzeros() const { return nonzeros_; }
-
   [[nodiscard]] const Variable& variable(std::size_t j) const {
     LIPS_REQUIRE(j < variables_.size(), "variable index out of range");
     return variables_[j];
@@ -100,10 +96,6 @@ class LpModel {
   void set_rhs(std::size_t row, double rhs);
   void set_objective(std::size_t var, double objective);
   void set_bounds(std::size_t var, double lower, double upper);
-  /// Update the coefficient of `var` in `row`. The entry must already exist
-  /// (structure is fixed at build time); the new value must be nonzero so
-  /// the sparsity pattern is preserved.
-  void set_coefficient(std::size_t row, std::size_t var, double coeff);
 
   /// Evaluate the objective at a point (size must match num_variables).
   [[nodiscard]] double objective_value(std::span<const double> x) const;
@@ -112,20 +104,9 @@ class LpModel {
   /// Useful for tests and for validating solver output independently.
   [[nodiscard]] double max_violation(std::span<const double> x) const;
 
-  /// Checkpoint hooks (DESIGN.md §11). Rows are saved normalized, so the
-  /// load re-adds every variable and row through add_variable/
-  /// add_constraint — the same checks a fresh build runs — and reproduces
-  /// the model byte for byte.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
-
  private:
-  template <class Ar, class Self>
-  static void fields(Ar& ar, Self& self);
-
   std::vector<Variable> variables_;
   std::vector<Constraint> constraints_;
-  std::size_t nonzeros_ = 0;
 };
 
 }  // namespace lips::lp

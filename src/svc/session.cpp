@@ -12,7 +12,7 @@ namespace {
 
 /// Our slice of the snapshot payload rides in front of the ledger's and the
 /// policy's own save_state bytes; bump when the session schema changes.
-constexpr std::uint64_t kSessionPayloadVersion = 3;
+constexpr std::uint64_t kSessionPayloadVersion = 4;
 
 /// Error details travel on one status line; fold any embedded newlines.
 std::string one_line(std::string s) {

@@ -33,7 +33,6 @@
 #include "common/rng.hpp"
 #include "core/epoch_lp_context.hpp"
 #include "core/lips_policy.hpp"
-#include "lp/model.hpp"
 #include "lp/solver_faults.hpp"
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
@@ -44,6 +43,7 @@
 #include "sched/flow_scheduler.hpp"
 #include "sim/faults.hpp"
 #include "sim/simulator.hpp"
+#include "svc/mirror.hpp"
 #include "workload/swim.hpp"
 
 namespace lips {
@@ -437,10 +437,27 @@ TEST(CkptRng, AllZeroStateIsRejected) {
 
 // --------------------------------- simulator checkpoint/restore ----------
 
+/// A LiPS policy's LP counts; all zero for every other scheduler.
+struct LpCounts {
+  std::size_t solves = 0;
+  std::size_t warm_solves = 0;
+  std::size_t model_reuses = 0;
+  std::size_t pivots = 0;
+  std::size_t repair_pivots = 0;
+};
+
+LpCounts lp_counts(const sched::Scheduler& policy) {
+  const auto* lips = dynamic_cast<const core::LipsPolicy*>(&policy);
+  if (lips == nullptr) return {};
+  return {lips->lp_solves(), lips->lp_warm_solves(), lips->lp_model_reuses(),
+          lips->total_lp_iterations(), lips->lp_repair_iterations()};
+}
+
 struct RunArtifacts {
   sim::SimResult result;
   std::vector<std::string> trace_lines;
   bool ledger_ok = false;
+  LpCounts lp;
 };
 
 struct RunSetup {
@@ -476,6 +493,7 @@ RunArtifacts run_lips(std::uint64_t seed, sim::SimConfig cfg) {
   out.result = sim::simulate(s.cluster, s.workload, policy, cfg);
   out.trace_lines = sim::render_trace_lines(out.result);
   out.ledger_ok = ledger.reconcile(sim::billed_totals(out.result)).ok;
+  out.lp = lp_counts(policy);
   return out;
 }
 
@@ -487,6 +505,13 @@ void expect_bit_identical(const RunArtifacts& baseline,
   EXPECT_EQ(resumed.result.tasks_completed, baseline.result.tasks_completed);
   EXPECT_EQ(resumed.result.completed, baseline.result.completed);
   EXPECT_TRUE(resumed.ledger_ok);
+  // A restore that rebuilds its LP model must count what the uninterrupted
+  // run counted: a model reuse where the structure key matches.
+  EXPECT_EQ(resumed.lp.solves, baseline.lp.solves);
+  EXPECT_EQ(resumed.lp.warm_solves, baseline.lp.warm_solves);
+  EXPECT_EQ(resumed.lp.model_reuses, baseline.lp.model_reuses);
+  EXPECT_EQ(resumed.lp.pivots, baseline.lp.pivots);
+  EXPECT_EQ(resumed.lp.repair_pivots, baseline.lp.repair_pivots);
   const ckpt::DivergenceReport rep =
       ckpt::diff_event_logs(baseline.trace_lines, resumed.trace_lines);
   if (!rep.identical) {
@@ -557,6 +582,7 @@ RunArtifacts run_storm(const std::string& kind, std::uint64_t seed,
   out.result = sim::simulate(s.cluster, s.workload, *policy, cfg);
   out.trace_lines = sim::render_trace_lines(out.result);
   out.ledger_ok = ledger.reconcile(sim::billed_totals(out.result)).ok;
+  out.lp = lp_counts(*policy);
   return out;
 }
 
@@ -573,31 +599,41 @@ std::uint64_t payload_digest(const ckpt::CheckpointDir& dir) {
 
 TEST(CkptSim, ResumeFromEverySnapshotIsBitIdentical) {
   const std::uint64_t seed = 7;
-  const ckpt::CheckpointDir dir(scratch_dir("sim_every"), /*keep=*/128);
-  sim::SimConfig cfg;
-  cfg.checkpoint_dir = &dir;
-  cfg.checkpoint_every_epochs = 1;
-  cfg.checkpoint_label = "test:every";
-  const RunArtifacts baseline = run_lips(seed, cfg);
-  EXPECT_TRUE(baseline.ledger_ok);
-  EXPECT_GT(baseline.result.checkpoints_written, 2u)
-      << "scenario too small to exercise mid-run snapshots";
-  EXPECT_EQ(baseline.result.checkpoint_failures, 0u);
+  // Seed 5's run also updates its model in place after half its snapshots,
+  // so a resume from those restores into a model reuse.
+  for (const std::uint64_t lips_seed : {seed, std::uint64_t{5}}) {
+    const ckpt::CheckpointDir dir(
+        scratch_dir("sim_every_" + std::to_string(lips_seed)), /*keep=*/128);
+    sim::SimConfig cfg;
+    cfg.checkpoint_dir = &dir;
+    cfg.checkpoint_every_epochs = 1;
+    cfg.checkpoint_label = "test:every";
+    const RunArtifacts baseline = run_lips(lips_seed, cfg);
+    EXPECT_TRUE(baseline.ledger_ok);
+    EXPECT_GT(baseline.result.checkpoints_written, 2u)
+        << "scenario too small to exercise mid-run snapshots";
+    if (lips_seed == 5) {
+      EXPECT_GT(baseline.lp.model_reuses, 0u);
+    }
+    EXPECT_EQ(baseline.result.checkpoint_failures, 0u);
 
-  const std::vector<std::string> files = dir.list();
-  ASSERT_EQ(files.size(), baseline.result.checkpoints_written);
-  for (const std::string& file : files) {
-    const ckpt::Snapshot snap = ckpt::decode_snapshot(read_file(file));
-    EXPECT_EQ(snap.meta.label, "test:every");
-    sim::SimConfig rcfg;
-    rcfg.restore_from = &snap;
-    const RunArtifacts resumed = run_lips(seed, rcfg);
-    EXPECT_TRUE(resumed.result.restored);
-    expect_bit_identical(baseline, resumed);
+    const std::vector<std::string> files = dir.list();
+    ASSERT_EQ(files.size(), baseline.result.checkpoints_written);
+    for (const std::string& file : files) {
+      SCOPED_TRACE("lips seed " + std::to_string(lips_seed) + " " + file);
+      const ckpt::Snapshot snap = ckpt::decode_snapshot(read_file(file));
+      EXPECT_EQ(snap.meta.label, "test:every");
+      sim::SimConfig rcfg;
+      rcfg.restore_from = &snap;
+      const RunArtifacts resumed = run_lips(lips_seed, rcfg);
+      EXPECT_TRUE(resumed.result.restored);
+      expect_bit_identical(baseline, resumed);
+    }
   }
 
-  // The epoch-less and flow schedulers, under a cluster fault storm.
-  for (const std::string kind : {"fifo", "fair", "quincy"}) {
+  // LiPS with its solver under fault injection, and the epoch-less and
+  // flow schedulers, under a cluster fault storm.
+  for (const std::string kind : {"lips", "fifo", "fair", "quincy"}) {
     const ckpt::CheckpointDir kind_dir(scratch_dir("sim_every_" + kind),
                                        /*keep=*/1024);
     const RunArtifacts kind_baseline =
@@ -719,12 +755,12 @@ TEST(CkptSim, PayloadsAreDeterministicWithAMetricRegistry) {
 // Snapshot bytes are a compatibility surface: a snapshot written by one
 // build must restore under the next. These digests were recorded before the
 // serializers moved to one field list per type, and the lips one again at
-// format version 3; a change that moves any of them changes the format and
+// format version 4; a change that moves any of them changes the format and
 // must bump ckpt::kSnapshotVersion.
 
 TEST(CkptFormat, SnapshotPayloadDigestsArePinned) {
   const std::pair<std::string, std::uint64_t> pinned[] = {
-      {"lips", 0x0E9ECC12CC125C0BULL},
+      {"lips", 0xE546C53187BA57E6ULL},
       {"delay", 0xB166FF0242746151ULL},
       {"fifo", 0xD4AAB63B6638BE7AULL},
       {"fair", 0x5157B877A1836EC3ULL},
@@ -795,18 +831,141 @@ TEST(CkptHostile, RefusedValuesThrowSnapshotError) {
   lp::SolverFaultInjector injector{lp::SolverFaultConfig{}};
   ckpt::Reader ri(zero_rng.buffer());
   EXPECT_THROW(injector.load_state(ri), ckpt::SnapshotError);
+}
 
-  // An LP variable whose bounds are NaN fails the model's own build checks.
-  ckpt::Writer nan_bound;
-  nan_bound.size(1);
-  nan_bound.f64(std::numeric_limits<double>::quiet_NaN());
-  nan_bound.f64(1.0);
-  nan_bound.f64(0.0);
-  nan_bound.str("x");
-  nan_bound.size(0);
-  lp::LpModel model;
-  ckpt::Reader rm(nan_bound.buffer());
-  EXPECT_THROW(model.load_state(rm), ckpt::SnapshotError);
+// ------------------------------------------------ hostile indices ---------
+// A CRC-valid payload can also carry any index. Each one the policy or its
+// LP context reads an array at is checked against that array on load, and an
+// offer past the end of a restored plan launches nothing.
+
+/// The payload of a fresh LiPS policy: every list empty.
+std::vector<std::uint8_t> fresh_policy_payload() {
+  ckpt::Writer w;
+  core::LipsPolicy{core::LipsPolicyOptions{}}.save_state(w);
+  return w.take();
+}
+
+/// A plan of one machine whose one pinned task waits on gate `gate`, then
+/// `gates` gates: the layout of the pinned plan and of the last good plan,
+/// each followed by its gate list.
+std::vector<std::uint8_t> one_pin_plan(std::size_t gate, std::size_t gates) {
+  ckpt::Writer w;
+  w.size(1);  // machines
+  w.size(1);  // pins on machine 0
+  w(std::size_t{0}, std::optional<StoreId>{StoreId{0}});
+  w.size(1);  // gates of the pin
+  w.size(gate);
+  w.size(gates);
+  for (std::size_t g = 0; g < gates; ++g)
+    w(DataId{0}, StoreId{0}, 0.5);
+  return w.take();
+}
+
+/// `base` with its bytes [from, to) replaced by `bytes`.
+std::vector<std::uint8_t> splice(std::vector<std::uint8_t> base,
+                                 std::size_t from, std::size_t to,
+                                 const std::vector<std::uint8_t>& bytes) {
+  const auto at = base.erase(base.begin() + static_cast<std::ptrdiff_t>(from),
+                             base.begin() + static_cast<std::ptrdiff_t>(to));
+  base.insert(at, bytes.begin(), bytes.end());
+  return base;
+}
+
+TEST(CkptHostile, LipsPolicyRejectsPinsToMissingGates) {
+  // A fresh payload opens with the plan's machine count and the gate count,
+  // and closes with the last good plan's machine count, its gate count
+  // (8 bytes each) and the fault-injector flag (1 byte).
+  const std::vector<std::uint8_t> fresh = fresh_policy_payload();
+  const std::size_t n = fresh.size();
+  const auto pinned = [&](std::size_t gate, std::size_t gates) {
+    return splice(fresh, 0, 16, one_pin_plan(gate, gates));
+  };
+  const auto last_good = [&](std::size_t gate, std::size_t gates) {
+    return splice(fresh, n - 17, n - 1, one_pin_plan(gate, gates));
+  };
+  for (const auto& payload : {pinned(0, 1), last_good(0, 1), pinned(1, 2)}) {
+    core::LipsPolicy policy{core::LipsPolicyOptions{}};
+    ckpt::Reader r(payload);
+    EXPECT_NO_THROW(policy.load_state(r));
+    EXPECT_TRUE(r.at_end());
+  }
+  for (const auto& payload :
+       {pinned(0, 0), pinned(1, 1), last_good(0, 0), last_good(3, 2)}) {
+    core::LipsPolicy policy{core::LipsPolicyOptions{}};
+    ckpt::Reader r(payload);
+    EXPECT_THROW(policy.load_state(r), ckpt::SnapshotError);
+  }
+}
+
+TEST(CkptHostile, OfferPastARestoredPlanLaunchesNothing) {
+  // A plan of one machine (no pins) restored on a six-machine cluster.
+  ckpt::Writer plan;
+  plan.size(1);
+  plan.size(0);
+  const std::vector<std::uint8_t> payload =
+      splice(fresh_policy_payload(), 0, 8, plan.take());
+  core::LipsPolicy policy{core::LipsPolicyOptions{}};
+  ckpt::Reader r(payload);
+  ASSERT_NO_THROW(policy.load_state(r));
+  const RunSetup s = make_setup(/*seed=*/3);
+  const svc::MirrorState state(s.cluster, s.workload);
+  for (std::size_t m = 0; m < s.cluster.machine_count(); ++m)
+    EXPECT_FALSE(policy.on_slot_available(MachineId{m}, state).has_value())
+        << "machine " << m;
+}
+
+/// A restored context's payload: a key of 6 machines, 6 stores and 8
+/// objects with no jobs, one placement column at `dvar`, one task column at
+/// `tvar`, one row, `columns` columns, a basis of `basis_vars` column and
+/// `basis_slacks` slack statuses, then zero stats.
+std::vector<std::uint8_t> context_payload(std::size_t dvar, std::size_t tvar,
+                                          std::size_t columns,
+                                          std::size_t basis_vars,
+                                          std::size_t basis_slacks) {
+  ckpt::Writer w;
+  w.boolean(true);
+  w(std::size_t{6}, std::size_t{6}, std::size_t{8});
+  w.size(0);  // jobs
+  w.size(0);  // excluded machines
+  w.size(0);  // excluded stores
+  w(true, true, std::size_t{0}, std::size_t{0});
+  w.size(1);
+  w(dvar, DataId{0}, StoreId{0});
+  w.size(1);
+  w(tvar, JobId{0}, std::size_t{0}, std::optional<StoreId>{StoreId{0}});
+  w.size(1);
+  w.u8(0);  // RowKey::Kind::DataPlace
+  w(std::size_t{0}, std::size_t{0}, std::size_t{0});
+  w.size(columns);
+  w.size(basis_vars);
+  for (std::size_t j = 0; j < basis_vars; ++j) w.u8(0);
+  w.size(basis_slacks);
+  for (std::size_t i = 0; i < basis_slacks; ++i) w.u8(0);
+  for (int stat = 0; stat < 6; ++stat) w.size(0);
+  return w.take();
+}
+
+TEST(CkptHostile, EpochLpContextRejectsIndicesOutsideItsLayout) {
+  // A basis that fits, and the empty basis a failed solve leaves.
+  for (const auto& payload :
+       {context_payload(0, 1, 2, 2, 1), context_payload(1, 0, 2, 0, 0)}) {
+    core::EpochLpContext ctx;
+    ckpt::Reader r(payload);
+    EXPECT_NO_THROW(ctx.load_state(r));
+    EXPECT_TRUE(r.at_end());
+  }
+  for (const auto& payload : {
+           context_payload(2, 1, 2, 2, 1),   // placement column past the end
+           context_payload(0, 7, 2, 2, 1),   // task column past the end
+           context_payload(0, 1, 2, 1, 1),   // basis short of a column
+           context_payload(0, 1, 2, 3, 1),   // basis with a column too many
+           context_payload(0, 1, 2, 2, 0),   // basis short of the row
+           context_payload(0, 1, 2, 2, 2),   // basis with a slack too many
+       }) {
+    core::EpochLpContext ctx;
+    ckpt::Reader r(payload);
+    EXPECT_THROW(ctx.load_state(r), ckpt::SnapshotError);
+  }
 }
 
 TEST(CkptHostile, SimulatorRestoreRejectsHostileLengths) {

@@ -60,10 +60,20 @@ std::string divergence_report_path(const std::string& tag) {
   return (dir / (tag + ".txt")).string();
 }
 
+/// The LiPS policy's LP counts.
+struct LpCounts {
+  std::size_t solves = 0;
+  std::size_t warm_solves = 0;
+  std::size_t model_reuses = 0;
+  std::size_t pivots = 0;
+  std::size_t repair_pivots = 0;
+};
+
 struct RunArtifacts {
   sim::SimResult result;
   std::vector<std::string> trace_lines;
   bool ledger_ok = false;
+  LpCounts lp;
 };
 
 /// One seeded chaos scenario: 8-node cluster, SWIM jobs, LiPS policy with
@@ -116,6 +126,9 @@ RunArtifacts run_scenario(std::uint64_t seed,
   out.result = sim::simulate(c, sw.workload, policy, cfg);
   out.trace_lines = sim::render_trace_lines(out.result);
   out.ledger_ok = ledger.reconcile(sim::billed_totals(out.result)).ok;
+  out.lp = {policy.lp_solves(), policy.lp_warm_solves(),
+            policy.lp_model_reuses(), policy.total_lp_iterations(),
+            policy.lp_repair_iterations()};
   return out;
 }
 
@@ -163,6 +176,14 @@ void expect_bit_identical(std::uint64_t seed, const RunArtifacts& baseline,
   EXPECT_EQ(resumed.result.tasks_lost, baseline.result.tasks_lost)
       << "seed " << seed;
   EXPECT_TRUE(resumed.ledger_ok) << "seed " << seed;
+  EXPECT_EQ(resumed.lp.solves, baseline.lp.solves) << "seed " << seed;
+  EXPECT_EQ(resumed.lp.warm_solves, baseline.lp.warm_solves)
+      << "seed " << seed;
+  EXPECT_EQ(resumed.lp.model_reuses, baseline.lp.model_reuses)
+      << "seed " << seed;
+  EXPECT_EQ(resumed.lp.pivots, baseline.lp.pivots) << "seed " << seed;
+  EXPECT_EQ(resumed.lp.repair_pivots, baseline.lp.repair_pivots)
+      << "seed " << seed;
   const ckpt::DivergenceReport rep =
       ckpt::diff_event_logs(baseline.trace_lines, resumed.trace_lines);
   if (!rep.identical) {

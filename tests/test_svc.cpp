@@ -642,6 +642,17 @@ TEST(SnapshotRestore, RestoredSessionContinuesBitIdentically) {
   // (PLAN? above compared it bitwise via hexfloats already; pin non-trivial
   // activity so the test cannot rot into comparing zeros).
   EXPECT_GE(live.policy().lp_solves(), 2u);
+  // Phase B's TICK plans the same job set again: the live session updates
+  // its model in place, and the restored one, which has no model, must
+  // count that solve as a model reuse too.
+  const core::LipsPolicy& a = live.policy();
+  const core::LipsPolicy& b = restored.policy();
+  EXPECT_EQ(a.lp_model_reuses(), 1u);
+  EXPECT_EQ(b.lp_solves(), a.lp_solves());
+  EXPECT_EQ(b.lp_warm_solves(), a.lp_warm_solves());
+  EXPECT_EQ(b.lp_model_reuses(), a.lp_model_reuses());
+  EXPECT_EQ(b.total_lp_iterations(), a.total_lp_iterations());
+  EXPECT_EQ(b.lp_repair_iterations(), a.lp_repair_iterations());
 }
 
 TEST(SnapshotRestore, RestoreRejectsMissingSnapshotAndWrongSeed) {
@@ -709,13 +720,13 @@ std::vector<std::uint8_t> scripted_snapshot_payload(
 }
 
 TEST(SnapshotRestore, PayloadDigestIsPinned) {
-  // Recorded at session payload version 3; a change that moves it changes
+  // Recorded at session payload version 4; a change that moves it changes
   // the format and must bump kSessionPayloadVersion.
   const std::vector<std::uint8_t> payload =
       scripted_snapshot_payload(scratch_dir("restore_digest"));
   ckpt::Fnv1a64 d;
   d.bytes(payload.data(), payload.size());
-  EXPECT_EQ(d.digest(), 0x57CCBB0F57E054EDULL)
+  EXPECT_EQ(d.digest(), 0x54F7BEE14B91FF42ULL)
       << "payload digest 0x" << std::hex << d.digest();
 }
 

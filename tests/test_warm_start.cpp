@@ -314,10 +314,20 @@ TEST(EpochLpContext, DeltaPathMatchesColdAcrossEpochs) {
   EXPECT_EQ(st.warm_solves, 4u);
 }
 
-/// `model`'s snapshot bytes: every bound, cost, coefficient, sense and rhs.
+/// `model`'s bytes: every bound, cost, coefficient, sense, rhs and name, in
+/// the layout the pins below were recorded in.
 std::vector<std::uint8_t> model_bytes(const lp::LpModel& model) {
   ckpt::Writer w;
-  model.save_state(w);
+  w.size(model.num_variables());
+  for (const lp::Variable& v : model.variables())
+    w(v.lower, v.upper, v.objective, v.name);
+  w.size(model.num_constraints());
+  for (const lp::Constraint& row : model.constraints()) {
+    w.size(row.entries.size());
+    for (const lp::Entry& e : row.entries) w(e.var, e.coeff);
+    w.u8(static_cast<std::uint8_t>(row.sense));
+    w(row.rhs, row.name);
+  }
   return w.take();
 }
 
@@ -455,6 +465,52 @@ TEST(EpochLpContext, PivotPinsAcrossDriftingTableFourEpochs) {
   EXPECT_EQ(chain, (pins::ChainPin{6, 449, 22, 4, 0x195546646dfde9c6ULL}));
 }
 
+// A context restored from a snapshot has no model, so its first solve
+// builds one. Where the live context updates its model in place, the
+// restored one must reach the same answer from the same basis and count a
+// model reuse; where the structure changed, both remap and count a build.
+TEST(EpochLpContext, RestoredContextSolvesAndCountsAsTheLiveOne) {
+  const Scenario s = make_scenario(36);
+  JobSubset all;
+  for (std::size_t k = 0; k < s.workload.job_count(); ++k)
+    all.push_back(JobId{k});
+  const JobSubset fewer(all.begin(), all.end() - 1);
+  for (const bool job_leaves : {false, true}) {
+    const JobSubset& next = job_leaves ? fewer : all;
+    EpochLpContext live;
+    for (std::size_t epoch = 0; epoch < 2; ++epoch)
+      ASSERT_TRUE(live.solve(s.cluster, s.workload, online_options(s, epoch),
+                             all, remaining_at(s, epoch))
+                      .optimal());
+    ckpt::Writer w;
+    live.save_state(w);
+    EpochLpContext restored;
+    ckpt::Reader r(w.buffer());
+    restored.load_state(r);
+    for (std::size_t epoch = 2; epoch < 4; ++epoch) {
+      const ModelOptions opt = online_options(s, epoch);
+      std::vector<double> remaining = remaining_at(s, epoch);
+      remaining.resize(next.size());  // the subsets are prefixes of the jobs
+      const LpSchedule a =
+          live.solve(s.cluster, s.workload, opt, next, remaining);
+      const LpSchedule b =
+          restored.solve(s.cluster, s.workload, opt, next, remaining);
+      ASSERT_TRUE(a.optimal()) << "epoch " << epoch;
+      EXPECT_EQ(pins::pin_of(b), pins::pin_of(a)) << "epoch " << epoch;
+      EXPECT_EQ(a.model_reused, !job_leaves || epoch == 3) << "epoch " << epoch;
+      EXPECT_EQ(b.model_reused, a.model_reused) << "epoch " << epoch;
+    }
+    const EpochLpContext::Stats& want = live.stats();
+    const EpochLpContext::Stats& got = restored.stats();
+    EXPECT_EQ(got.solves, want.solves);
+    EXPECT_EQ(got.builds, want.builds);
+    EXPECT_EQ(got.model_reuses, want.model_reuses);
+    EXPECT_EQ(got.warm_solves, want.warm_solves);
+    EXPECT_EQ(got.pivots, want.pivots);
+    EXPECT_EQ(got.repair_pivots, want.repair_pivots);
+  }
+}
+
 // invalidate() forgets the cached model and basis.
 TEST(EpochLpContext, InvalidateForcesColdRebuild) {
   const Scenario s = make_scenario(34);
@@ -496,7 +552,7 @@ TEST(EpochLpContext, PrunedModelsNeverReuseSkeleton) {
 
 // ------------------------------------------- model build and remap pins ---
 
-/// Digest of a built model: its snapshot bytes, then every column and row
+/// Digest of a built model: its model_bytes, then every column and row
 /// identity its layout records. Equal digests mean the same model, column
 /// for column and row for row.
 std::uint64_t build_digest(const lp::LpModel& model,
@@ -585,7 +641,7 @@ Scenario make_multi_object_world() {
 }
 
 // A faster build must emit the very model the pinned build emitted: the
-// snapshot bytes of every bound, cost, coefficient and rhs, and the layout.
+// bytes of every bound, cost, coefficient and rhs, and the layout.
 TEST(ModelBuildPins, OneJobSwimEpoch) {
   cluster::Cluster c = cluster::make_ec2_cluster(10, 0.5, 2);
   add_spot_prices(c);
